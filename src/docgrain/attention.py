@@ -153,26 +153,6 @@ def multi_head_attention(
     return add(matmul(concat_cols(outputs), params.wo), params.bo)
 
 
-def attention(h: Tensor, params: LayerParams, heads: int) -> Tensor:
-    """Canonical multi-head self-attention (no spatial terms)."""
-    return multi_head_attention(h, params, heads)
-
-
-def spatial_mha(
-    h: Tensor,
-    boxes: list[BBox],
-    positions,
-    params: LayerParams,
-    bias_tables: RelativeBiasTables,
-    cfg: AttentionConfig,
-    indices: SpatialIndices | None = None,
-) -> Tensor:
-    """Spatial-aware multi-head self-attention over normalized boxes."""
-    if indices is None:
-        indices = spatial_indices(boxes, positions, cfg)
-    return multi_head_attention(h, params, cfg.heads, bias_tables, indices)
-
-
 def feed_forward(h: Tensor, params: LayerParams, activation: str = "gelu") -> Tensor:
     act = gelu if activation == "gelu" else relu
     inner = act(add(matmul(h, params.ffn_w1), params.ffn_b1))

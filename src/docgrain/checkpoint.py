@@ -3,16 +3,19 @@
 Layout: magic bytes ``MMLY1``, a little-endian uint32 header length, a JSON
 header (tensor names, shapes, byte offsets, config snapshot), then the raw
 little-endian float64 payloads back to back. Round trips are bit-exact.
+A truncated or malformed file raises ``CheckpointError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
 MAGIC = b"MMLY1"
+_HEADER_LEN = struct.Struct("<I")
 
 
 class CheckpointError(ValueError):
@@ -32,7 +35,7 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray], config: dict) -> 
     header = json.dumps({"tensors": entries, "config": config}, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header)))
+        fh.write(_HEADER_LEN.pack(len(header)))
         fh.write(header)
         for blob in blobs:
             fh.write(blob)
@@ -43,20 +46,42 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
         raw = fh.read()
     if raw[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes, not a checkpoint")
-    pos = len(MAGIC)
-    (hlen,) = struct.unpack("<I", raw[pos : pos + 4])
-    pos += 4
+    pos = len(MAGIC) + _HEADER_LEN.size
+    if len(raw) < pos:
+        raise CheckpointError(f"{path}: truncated before the header length")
+    (hlen,) = _HEADER_LEN.unpack_from(raw, len(MAGIC))
+    if len(raw) < pos + hlen:
+        raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(raw[pos : pos + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from None
     pos += hlen
+    if not (isinstance(header, dict) and isinstance(header.get("tensors"), list)
+            and isinstance(header.get("config"), dict)):
+        raise CheckpointError(f"{path}: header must be an object with a 'tensors' list and a 'config' object")
     tensors: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
-        start = pos + entry["offset"]
-        blob = raw[start : start + entry["nbytes"]]
-        if len(blob) != entry["nbytes"]:
-            raise CheckpointError(f"{path}: truncated payload for tensor '{entry['name']}'")
-        arr = np.frombuffer(blob, dtype="<f8").reshape(entry["shape"]).copy()
-        tensors[entry["name"]] = arr
+        name, shape, offset, nbytes = _tensor_entry(path, entry)
+        blob = raw[pos + offset : pos + offset + nbytes]
+        if len(blob) != nbytes:
+            raise CheckpointError(f"{path}: truncated payload for tensor '{name}'")
+        tensors[name] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
     return tensors, header["config"]
+
+
+def _tensor_entry(path: str, entry) -> tuple[str, list[int], int, int]:
+    """(name, shape, offset, nbytes) of one header entry, checked to be
+    consistent with a float64 payload."""
+    try:
+        name, shape, offset, nbytes = entry["name"], entry["shape"], entry["offset"], entry["nbytes"]
+    except (TypeError, KeyError):
+        raise CheckpointError(f"{path}: malformed tensor entry {entry!r}") from None
+    if not (
+        isinstance(name, str)
+        and isinstance(shape, list)
+        and all(type(n) is int and n >= 0 for n in [*shape, offset, nbytes])
+        and nbytes == 8 * math.prod(shape)
+    ):
+        raise CheckpointError(f"{path}: malformed tensor entry {entry!r}")
+    return name, shape, offset, nbytes

@@ -12,10 +12,11 @@ import sys
 from . import __version__
 from .clustering import ClusterParams, detect_salient_regions
 from .document import DocumentParseError, load_document
-from .graph import build_graph, graph_to_dict
-from .model import ModelConfig, stage_summary
+from .graph import build_graph, graph_to_json
+from .model import Model, ModelConfig, finite_difference_check, gradcheck_config, load_model, stage_summary
 from .render import render_page_svg
-from .synth import SynthParams, save_corpus, synth_generate
+from .synth import SynthParams, load_corpus, probe_page, save_corpus, synth_generate
+from .tensor import no_grad
 from .training import (
     TrainConfig,
     ablate,
@@ -26,6 +27,7 @@ from .training import (
     train,
     write_ablation_csv,
 )
+from .vocab import build_vocab
 
 
 class UsageError(Exception):
@@ -104,7 +106,7 @@ def _cmd_build_graph(args) -> int:
     page = load_document(args.input)
     graph = build_graph(page, ClusterParams(args.radius, args.min_pts), _parse_grid(args.grid))
     with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_dict(graph), fh, separators=(",", ":"))
+        fh.write(graph_to_json(graph))
     print(f"wrote graph with {graph.n_coarse_visual} regions to {args.output}")
     return 0
 
@@ -133,8 +135,6 @@ def _load_configs(path: str | None) -> tuple[ModelConfig, TrainConfig]:
 
 
 def _cmd_train(args) -> int:
-    from .synth import load_corpus
-
     model_cfg, train_cfg = _load_configs(args.config)
     train_pages, eval_pages = split_corpus(load_corpus(args.corpus), args.holdout)
     result = train(train_pages, eval_pages, model_cfg, train_cfg, checkpoint_path=args.out)
@@ -147,10 +147,6 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     report = evaluate_checkpoint(args.checkpoint, args.corpus)
     if args.dump_intermediates:
-        from .model import load_model
-        from .synth import load_corpus
-        from .tensor import no_grad
-
         model = load_model(args.checkpoint)
         page = load_corpus(args.corpus)[0]
         with no_grad():
@@ -164,8 +160,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    from .synth import load_corpus
-
     model_cfg, train_cfg = _load_configs(args.config)
     train_pages, eval_pages = split_corpus(load_corpus(args.corpus), args.holdout)
     rows = ablate(train_pages, eval_pages, model_cfg, train_cfg, args.axis, seeds=tuple(args.seeds))
@@ -177,10 +171,6 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    from .model import Model, finite_difference_check, gradcheck_config
-    from .synth import probe_page
-    from .vocab import build_vocab
-
     probe = probe_page()
     cfg = gradcheck_config(seed=args.seed)
     model = Model(cfg, build_vocab([probe], size=cfg.vocab_size))

@@ -8,6 +8,10 @@ term still adds cleanly to the d-dimensional content embeddings.
 
 The visual backbone is a deterministic patch featurizer: per-patch mean
 RGB plus normalized center/size, linearly projected to width d.
+
+``Model.fine_input`` is where the text rows (``embed_text`` plus layout)
+and the visual rows (``embed_visual`` plus layout) are stacked into the
+fine-grained input, text first.
 """
 
 from __future__ import annotations
@@ -17,10 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .document import BBox, Page, normalize_box
-from .graph import patch_boxes
-from .tensor import Tensor, add, concat_cols, concat_rows, gather, matmul
-from .vocab import TokenSeq
+from .document import BBox, Page
+from .tensor import Tensor, add, concat_cols, gather
 
 TEXT_TYPE = 0
 VISUAL_TYPE = 1
@@ -69,23 +71,16 @@ def embed_text(token_ids: list[int], tables: EmbeddingTables) -> Tensor:
     return add(out, gather(tables.position, np.arange(n, dtype=np.int64)))
 
 
-@dataclass
-class VisualGrid:
-    grid_w: int
-    grid_h: int
-    features: Tensor  # (grid_w * grid_h, d), already projected
-    bboxes: list[BBox]  # page-space patch boxes, raster order
-
-
-def embed_visual(grid: VisualGrid, tables: EmbeddingTables) -> Tensor:
-    """Patch features + the shared token-type and position tables.
+def embed_visual(features: Tensor, tables: EmbeddingTables) -> Tensor:
+    """Projected (WH, d) patch features + the shared token-type and
+    position tables.
 
     Visual positions restart at 0 with their own numbering.
     """
-    n = grid.features.shape[0]
+    n = features.shape[0]
     if n > tables.max_len:
         raise ValueError(f"{n} visual positions exceed max_len {tables.max_len}")
-    out = add(grid.features, gather(tables.token_type, np.full(n, VISUAL_TYPE, dtype=np.int64)))
+    out = add(features, gather(tables.token_type, np.full(n, VISUAL_TYPE, dtype=np.int64)))
     return add(out, gather(tables.position, np.arange(n, dtype=np.int64)))
 
 
@@ -148,18 +143,6 @@ def patch_raw_features(page: Page, grid_w: int, grid_h: int) -> np.ndarray:
     return feats
 
 
-def patch_features(page: Page, grid_w: int, grid_h: int, tables: EmbeddingTables) -> VisualGrid:
-    """Project raw patch features to d; boxes come from the uniform tiling."""
-    raw = Tensor(patch_raw_features(page, grid_w, grid_h))
-    projected = add(matmul(raw, tables.patch_proj_w), tables.patch_proj_b)
-    return VisualGrid(
-        grid_w=grid_w,
-        grid_h=grid_h,
-        features=projected,
-        bboxes=patch_boxes(page.width, page.height, grid_w, grid_h),
-    )
-
-
 def _page_image(page: Page) -> np.ndarray | None:
     if page.image is not None:
         image = np.asarray(page.image, dtype=np.float64)
@@ -209,34 +192,3 @@ def _read_ppm(path: str) -> np.ndarray:
     else:
         raise ValueError(f"cannot read image '{path}': unsupported PPM magic {magic!r}")
     return pixels / float(maxval)
-
-
-@dataclass
-class FineInput:
-    """Concatenated fine-grained input: text block, then visual block."""
-
-    tensor: Tensor  # (L + WH, d)
-    boxes: list[BBox]  # normalized, aligned with rows
-    positions: np.ndarray  # 1D indices: 0..L-1 then 0..WH-1
-    n_text: int
-
-
-def build_fine_input(tokens: TokenSeq, grid: VisualGrid, tables: EmbeddingTables, page: Page) -> FineInput:
-    """Sum content and layout embeddings for both modalities and stack them."""
-    n_text = len(tokens)
-    n_visual = grid.features.shape[0]
-    if n_text + n_visual > tables.max_len:
-        raise ValueError(
-            f"{n_text} text + {n_visual} visual tokens exceed max_len {tables.max_len}"
-        )
-    text_boxes = [normalize_box(b, page.width, page.height) for b in tokens.bboxes]
-    visual_boxes = [normalize_box(b, page.width, page.height) for b in grid.bboxes]
-    text = add(embed_text(tokens.ids, tables), embed_layout(text_boxes, tables))
-    visual = add(embed_visual(grid, tables), embed_layout(visual_boxes, tables))
-    positions = np.concatenate([np.arange(n_text), np.arange(n_visual)]).astype(np.int64)
-    return FineInput(
-        tensor=concat_rows([text, visual]),
-        boxes=text_boxes + visual_boxes,
-        positions=positions,
-        n_text=n_text,
-    )

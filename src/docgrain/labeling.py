@@ -108,12 +108,9 @@ def entity_f1(pred: list[Entity], gold: list[Entity]) -> tuple[float, float, flo
 
     Both sides empty counts as a perfect score.
     """
-    pred_set, gold_set = set(pred), set(gold)
-    tp = len(pred_set & gold_set)
-    precision = tp / len(pred_set) if pred_set else (1.0 if not gold_set else 0.0)
-    recall = tp / len(gold_set) if gold_set else (1.0 if not pred_set else 0.0)
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return precision, recall, f1
+    acc = F1Accumulator()
+    acc.add(pred, gold)
+    return acc.scores()
 
 
 class F1Accumulator:

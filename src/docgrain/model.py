@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import checkpoint
 from .attention import (
     AttentionConfig,
     LayerParams,
@@ -22,6 +23,7 @@ from .attention import (
     spatial_indices,
     transformer_layer,
 )
+from .checkpoint import CheckpointError
 from .clustering import ClusterParams
 from .commonsense import CommonSenseInventory, make_inventory
 from .document import BBox, Page, normalize_box
@@ -29,7 +31,6 @@ from .embeddings import (
     COORD_RANGE,
     PATCH_RAW_DIM,
     EmbeddingTables,
-    VisualGrid,
     embed_layout,
     embed_text,
     embed_visual,
@@ -44,7 +45,9 @@ from .tensor import (
     concat_rows,
     cross_entropy,
     gather,
+    grad_check,
     matmul,
+    no_grad,
     slice_rows,
 )
 from .vocab import TokenSeq, Vocab, tokenize
@@ -297,13 +300,18 @@ class Model:
         positions = np.concatenate([np.arange(n_text), np.arange(n_visual)]).astype(np.int64)
         fine_idx = spatial_indices(text_boxes + visual_boxes, positions, cfg.attention_config)
 
+        # Row of each fine element's parent in the stacked [segments; regions]
+        # coarse sequence; the aggregation matrices are its one-hot columns.
         n_seg, n_reg = graph.n_coarse_text, graph.n_coarse_visual
+        text_parent = np.asarray(graph.text_parent, dtype=np.int64)
+        parent_row = np.concatenate([
+            text_parent[np.asarray(tokens.word_index, dtype=np.int64)],
+            n_seg + np.asarray(graph.visual_parent, dtype=np.int64),
+        ])
         agg_text = np.zeros((n_seg, n_text))
-        for t in range(n_text):
-            agg_text[graph.text_parent[tokens.word_index[t]], t] = 1.0
+        agg_text[parent_row[:n_text], np.arange(n_text)] = 1.0
         agg_visual = np.zeros((n_reg, n_visual))
-        for p in range(n_visual):
-            agg_visual[graph.visual_parent[p], p] = 1.0
+        agg_visual[parent_row[n_text:] - n_seg, np.arange(n_visual)] = 1.0
         if cfg.aggregation == "mean":
             for mat in (agg_text, agg_visual):
                 counts = mat.sum(axis=1, keepdims=True)
@@ -312,12 +320,6 @@ class Model:
         cs_bits = self.inventory.detect_all([s.text for s in page.segments])
         coarse_text_boxes = [normalize_box(s.bbox, page.width, page.height) for s in page.segments]
         coarse_visual_boxes = [normalize_box(r.bbox, page.width, page.height) for r in graph.regions]
-
-        parent_row = np.zeros(n_text + n_visual, dtype=np.int64)
-        for t in range(n_text):
-            parent_row[t] = graph.text_parent[tokens.word_index[t]]
-        for p in range(n_visual):
-            parent_row[n_text + p] = n_seg + graph.visual_parent[p]
 
         targets = None
         if page.labels is not None:
@@ -347,14 +349,9 @@ class Model:
     # -- forward stages ----------------------------------------------------
 
     def fine_input(self, enc: EncodedDoc) -> Tensor:
-        grid = VisualGrid(
-            grid_w=self.config.grid[0],
-            grid_h=self.config.grid[1],
-            features=add(matmul(Tensor(enc.patch_raw), self.tables.patch_proj_w), self.tables.patch_proj_b),
-            bboxes=enc.graph.patch_bboxes,
-        )
+        features = add(matmul(Tensor(enc.patch_raw), self.tables.patch_proj_w), self.tables.patch_proj_b)
         text = add(embed_text(enc.tokens.ids, self.tables), embed_layout(enc.text_boxes, self.tables))
-        visual = add(embed_visual(grid, self.tables), embed_layout(enc.visual_boxes, self.tables))
+        visual = add(embed_visual(features, self.tables), embed_layout(enc.visual_boxes, self.tables))
         return concat_rows([text, visual])
 
     def fine_encode(self, h: Tensor, enc: EncodedDoc) -> Tensor:
@@ -436,8 +433,6 @@ class Model:
 
     def predict_word_tags(self, enc: EncodedDoc) -> list[str]:
         """Argmax tag per word, read from its first sub-token."""
-        from .tensor import no_grad
-
         with no_grad():
             logits = self.logits_encoded(enc).data
         tags = []
@@ -453,28 +448,29 @@ class Model:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str) -> None:
-        from .checkpoint import save_checkpoint
-
         config = {
             "model": self.config.to_dict(),
             "vocab": self.vocab.tokens,
             "label_types": list(self.tag_set.types),
             "categories": list(self.inventory.categories),
         }
-        save_checkpoint(path, {name: t.data for name, t in self.params.items()}, config)
+        checkpoint.save_checkpoint(path, {name: t.data for name, t in self.params.items()}, config)
 
 
 def load_model(path: str) -> Model:
-    from .checkpoint import CheckpointError, load_checkpoint
-
-    tensors, config = load_checkpoint(path)
-    cfg = ModelConfig.from_dict(config["model"])
-    model = Model(
-        cfg,
-        Vocab(config["vocab"]),
-        BioTagSet(tuple(config["label_types"])),
-        CommonSenseInventory(tuple(config["categories"])),
-    )
+    tensors, config = checkpoint.load_checkpoint(path)
+    missing = [key for key in ("model", "vocab", "label_types", "categories") if key not in config]
+    if missing:
+        raise CheckpointError(f"{path}: checkpoint config is missing {missing}")
+    try:
+        model = Model(
+            ModelConfig.from_dict(config["model"]),
+            Vocab(config["vocab"]),
+            BioTagSet(tuple(config["label_types"])),
+            CommonSenseInventory(tuple(config["categories"])),
+        )
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: invalid checkpoint config: {exc}") from None
     for name, param in model.params.items():
         if name not in tensors:
             raise CheckpointError(f"checkpoint missing tensor '{name}'")
@@ -510,8 +506,6 @@ def finite_difference_check(
     ones central differences can measure above float64 cancellation
     noise. Returns the max relative error overall and per group.
     """
-    from .tensor import grad_check
-
     enc = model.encode_page(page)
     model.zero_grad()
     loss = model.loss_encoded(enc)

@@ -7,10 +7,9 @@ from docgrain.attention import (
     AttentionConfig,
     LayerParams,
     RelativeBiasTables,
-    attention,
+    multi_head_attention,
     rel_bucket,
     spatial_indices,
-    spatial_mha,
     transformer_layer,
 )
 from docgrain.document import BBox
@@ -103,7 +102,7 @@ class TestAttention:
         d = 8
         params = make_layer(d)
         h = Tensor(RNG.normal(size=(1, d)))
-        out = attention(h, params, heads=2).data
+        out = multi_head_attention(h, params, heads=2).data
         v = h.data @ params.wv.data + params.bv.data
         want = v @ params.wo.data + params.bo.data
         assert np.max(np.abs(out - want)) < 1e-12
@@ -113,7 +112,7 @@ class TestAttention:
         params = make_layer(d)
         params.wk.data[:] = 0.0  # all keys identical -> uniform attention
         h = Tensor(RNG.normal(size=(5, d)))
-        out = attention(h, params, heads=2).data
+        out = multi_head_attention(h, params, heads=2).data
         v = h.data @ params.wv.data + params.bv.data
         want = np.tile(v.mean(axis=0), (5, 1)) @ params.wo.data + params.bo.data
         assert np.max(np.abs(out - want)) < 1e-12
@@ -122,7 +121,7 @@ class TestAttention:
         d, n, heads = 8, 4, 2
         params = make_layer(d)
         h = RNG.normal(size=(n, d))
-        got = attention(Tensor(h), params, heads).data
+        got = multi_head_attention(Tensor(h), params, heads).data
         want = attention_oracle(
             h.tolist(),
             params.wq.data.tolist(), params.bq.data.tolist(),
@@ -135,7 +134,7 @@ class TestAttention:
 
     def test_width_not_divisible_rejected(self):
         with pytest.raises(ValueError, match="not divisible"):
-            attention(Tensor(RNG.normal(size=(2, 6))), make_layer(6), heads=4)
+            multi_head_attention(Tensor(RNG.normal(size=(2, 6))), make_layer(6), heads=4)
 
 
 class TestSpatialMha:
@@ -151,15 +150,15 @@ class TestSpatialMha:
 
     def test_zero_bias_tables_reduce_to_canonical(self):
         cfg, params, bias, boxes, positions, h = self.setup_case(zero_bias=True)
-        got = spatial_mha(h, boxes, positions, params, bias, cfg).data
-        want = attention(h, params, cfg.heads).data
+        got = multi_head_attention(h, params, cfg.heads, bias, spatial_indices(boxes, positions, cfg)).data
+        want = multi_head_attention(h, params, cfg.heads).data
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_translation_invariance_exact(self):
         cfg, params, bias, boxes, positions, h = self.setup_case(zero_bias=False)
         moved = [BBox(b.x0 + 7, b.y0 + 11, b.x1 + 7, b.y1 + 11) for b in boxes]
-        a = spatial_mha(h, boxes, positions, params, bias, cfg).data
-        b = spatial_mha(h, moved, positions, params, bias, cfg).data
+        a = multi_head_attention(h, params, cfg.heads, bias, spatial_indices(boxes, positions, cfg)).data
+        b = multi_head_attention(h, params, cfg.heads, bias, spatial_indices(moved, positions, cfg)).data
         assert np.array_equal(a, b)
 
     def test_hand_computed_two_by_two(self):
@@ -182,7 +181,7 @@ class TestSpatialMha:
         bias.rel_1d.data[idx.idx_1d[0, 1], 0] = b_1d
         bias.rel_x.data[idx.idx_x[0, 1], 0] = b_x
         bias.rel_y.data[idx.idx_y[0, 1], 0] = b_y
-        got = spatial_mha(h, boxes, positions, params, bias, cfg).data
+        got = multi_head_attention(h, params, cfg.heads, bias, spatial_indices(boxes, positions, cfg)).data
 
         # row 0: scores [q0*k0, q0*k1 + biases] with q=k=v=h and dk=1
         s00, s01 = 1.0 * 1.0, 1.0 * 2.0 + b_1d + b_x + b_y
@@ -203,7 +202,7 @@ class TestSpatialMha:
             bias.rel_1d.data[idx.idx_1d, hd] + bias.rel_x.data[idx.idx_x, hd] + bias.rel_y.data[idx.idx_y, hd]
             for hd in range(cfg.heads)
         ]
-        got = spatial_mha(h, boxes, positions, params, bias, cfg).data
+        got = multi_head_attention(h, params, cfg.heads, bias, spatial_indices(boxes, positions, cfg)).data
         want = attention_oracle(
             h.data.tolist(),
             params.wq.data.tolist(), params.bq.data.tolist(),
@@ -217,10 +216,10 @@ class TestSpatialMha:
 
     def test_constant_score_shift_leaves_output_unchanged(self):
         cfg, params, bias, boxes, positions, h = self.setup_case(zero_bias=True)
-        base = spatial_mha(h, boxes, positions, params, bias, cfg).data
+        base = multi_head_attention(h, params, cfg.heads, bias, spatial_indices(boxes, positions, cfg)).data
         for t in (bias.rel_1d, bias.rel_x, bias.rel_y):
             t.data += 2.5  # constant over all buckets shifts every score row
-        shifted = spatial_mha(h, boxes, positions, params, bias, cfg).data
+        shifted = multi_head_attention(h, params, cfg.heads, bias, spatial_indices(boxes, positions, cfg)).data
         assert np.max(np.abs(base - shifted)) < 1e-12
 
     def test_attention_rows_sum_to_one_after_bias(self):
@@ -231,7 +230,7 @@ class TestSpatialMha:
         params.bv.data[:] = 1.0
         params.wo.data[:] = np.eye(8)
         params.bo.data[:] = 0.0
-        out = spatial_mha(h, boxes, positions, params, bias, cfg).data
+        out = multi_head_attention(h, params, cfg.heads, bias, spatial_indices(boxes, positions, cfg)).data
         assert np.max(np.abs(out - 1.0)) < 1e-9
 
 

@@ -165,6 +165,23 @@ class TestTrainEvalCli:
     def test_eval_missing_checkpoint(self, tmp_path):
         assert run(["eval", "--checkpoint", str(tmp_path / "no.ckpt"), "--corpus", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"MMLY1\x00",
+            b"MMLY1\x0e\x00\x00\x00" + b'{"config": {}}',
+            b"MMLY1\x06\x00\x00\x00" + b"[1, 2]",
+        ],
+        ids=["six-bytes", "no-tensors", "list-header"],
+    )
+    def test_eval_malformed_checkpoint_is_validation_error(self, trained, tmp_path, capsys, content):
+        root, corpus, ckpt, log = trained
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(content)
+        assert run(["eval", "--checkpoint", str(bad), "--corpus", corpus]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err
+
 
 class TestGradcheckCli:
     def test_prints_small_error_and_exits_zero(self, capsys):

@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
 
-from docgrain.document import BBox, Page, Word, normalize_box
+from docgrain.document import BBox, Page, Segment, Word, normalize_box
 from docgrain.embeddings import (
     COORD_RANGE,
     PATCH_RAW_DIM,
     EmbeddingTables,
-    VisualGrid,
-    build_fine_input,
     embed_layout,
     embed_text,
     embed_visual,
-    patch_features,
     patch_raw_features,
 )
-from docgrain.tensor import Tensor, add
+from docgrain.graph import patch_boxes
+from docgrain.model import Model, ModelConfig
+from docgrain.tensor import Tensor, add, matmul
 from docgrain.vocab import SPECIALS, Vocab, build_vocab, tokenize, word_pieces
 
 
@@ -30,6 +29,23 @@ def make_tables(d=12, vocab=16, max_len=24, rng=None):
         patch_proj_w=Tensor(rng.normal(size=(PATCH_RAW_DIM, d)), requires_grad=True),
         patch_proj_b=Tensor(np.zeros(d), requires_grad=True),
     )
+
+
+def fax_page():
+    words = [
+        Word("fax:", BBox(10, 10, 38, 24), 0),
+        Word("123", BBox(42, 10, 63, 24), 0),
+    ]
+    seg = Segment("fax: 123", BBox(10, 10, 63, 24), (0, 1))
+    return Page(width=200, height=100, words=words, segments=[seg])
+
+
+def fax_model(grid=(2, 2), max_len=24):
+    cfg = ModelConfig(
+        d=12, heads=2, fine_layers=1, coarse_layers=1, vocab_size=16,
+        max_len=max_len, grid=grid, commonsense_k=0,
+    )
+    return Model(cfg, Vocab(list(SPECIALS) + ["fax", ":", "123"]))
 
 
 class TestTokenizer:
@@ -184,11 +200,11 @@ class TestPatchFeatures:
                 assert np.max(np.abs(got - want)) < 1e-12
 
     def test_projection_shape(self):
-        t = make_tables()
-        page = Page(width=100, height=100)
-        grid = patch_features(page, 3, 3, t)
-        assert grid.features.shape == (9, 12)
-        assert len(grid.bboxes) == 9
+        model = fax_model(grid=(3, 3))
+        enc = model.encode_page(fax_page())
+        visual = model.fine_input(enc).data[enc.n_text :]
+        assert visual.shape == (9, 12)
+        assert len(enc.visual_boxes) == 9
 
 
 class TestEmbedVisual:
@@ -196,17 +212,16 @@ class TestEmbedVisual:
         t = make_tables()
         t.token_type.data[:] = 0.0
         t.position.data[:] = 0.0
-        grid = VisualGrid(2, 1, Tensor(np.zeros((2, 12))), [BBox(0, 0, 1, 1)] * 2)
-        assert np.all(embed_visual(grid, t).data == 0.0)
+        assert np.all(embed_visual(Tensor(np.zeros((2, 12))), t).data == 0.0)
 
     def test_shared_tables_alias_text_and_visual(self):
         t = make_tables()
-        grid = VisualGrid(1, 1, Tensor(np.zeros((1, 12))), [BBox(0, 0, 1, 1)])
+        features = Tensor(np.zeros((1, 12)))
         text_before = embed_text([0], t).data.copy()
-        visual_before = embed_visual(grid, t).data.copy()
+        visual_before = embed_visual(features, t).data.copy()
         t.position.data[0] += 1.0
         assert not np.array_equal(embed_text([0], t).data, text_before)
-        assert not np.array_equal(embed_visual(grid, t).data, visual_before)
+        assert not np.array_equal(embed_visual(features, t).data, visual_before)
 
 
 class TestPermutationStructure:
@@ -221,55 +236,39 @@ class TestPermutationStructure:
         t = make_tables()
         rng = np.random.default_rng(5)
         feats = rng.normal(size=(3, 12))
-        boxes = [BBox(0, 0, 1, 1)] * 3
-        base = embed_visual(VisualGrid(3, 1, Tensor(feats), boxes), t).data
-        swapped = embed_visual(VisualGrid(3, 1, Tensor(feats[[1, 0, 2]]), boxes), t).data
+        base = embed_visual(Tensor(feats), t).data
+        swapped = embed_visual(Tensor(feats[[1, 0, 2]]), t).data
         pos = t.position.data
         assert np.max(np.abs((base[0] - pos[0]) - (swapped[1] - pos[1]))) < 1e-12
         assert np.max(np.abs((base[1] - pos[1]) - (swapped[0] - pos[0]))) < 1e-12
 
 
 class TestBuildFineInput:
-    def make_page(self):
-        words = [
-            Word("fax:", BBox(10, 10, 38, 24), 0),
-            Word("123", BBox(42, 10, 63, 24), 0),
-        ]
-        from docgrain.document import Segment
-
-        seg = Segment("fax: 123", BBox(10, 10, 63, 24), (0, 1))
-        return Page(width=200, height=100, words=words, segments=[seg])
+    """``Model.encode_page`` and ``Model.fine_input`` build the fine input."""
 
     def test_shape_and_order(self):
-        t = make_tables()
-        page = self.make_page()
-        v = Vocab(list(SPECIALS) + ["fax", ":", "123"])
-        seq = tokenize(page.words, v, 24)
-        grid = patch_features(page, 2, 2, t)
-        fine = build_fine_input(seq, grid, t, page)
-        assert fine.tensor.shape == (3 + 4, 12)
-        assert fine.n_text == 3
-        assert list(fine.positions) == [0, 1, 2, 0, 1, 2, 3]
+        model = fax_model()
+        enc = model.encode_page(fax_page())
+        fine = model.fine_input(enc)
+        assert fine.shape == (3 + 4, 12)
+        assert enc.n_text == 3
+        assert list(enc.positions) == [0, 1, 2, 0, 1, 2, 3]
 
     def test_matches_composed_ops(self):
-        t = make_tables()
-        page = self.make_page()
-        v = Vocab(list(SPECIALS) + ["fax", ":", "123"])
-        seq = tokenize(page.words, v, 24)
-        grid = patch_features(page, 2, 2, t)
-        fine = build_fine_input(seq, grid, t, page)
+        model = fax_model()
+        t = model.tables
+        page = fax_page()
+        fine = model.fine_input(model.encode_page(page))
+        seq = tokenize(page.words, model.vocab, 24)
+        features = add(matmul(Tensor(patch_raw_features(page, 2, 2)), t.patch_proj_w), t.patch_proj_b)
         text_boxes = [normalize_box(b, page.width, page.height) for b in seq.bboxes]
-        visual_boxes = [normalize_box(b, page.width, page.height) for b in grid.bboxes]
+        visual_boxes = [normalize_box(b, page.width, page.height) for b in patch_boxes(page.width, page.height, 2, 2)]
         want_text = add(embed_text(seq.ids, t), embed_layout(text_boxes, t)).data
-        want_visual = add(embed_visual(grid, t), embed_layout(visual_boxes, t)).data
-        assert np.array_equal(fine.tensor.data[:3], want_text)
-        assert np.array_equal(fine.tensor.data[3:], want_visual)
+        want_visual = add(embed_visual(features, t), embed_layout(visual_boxes, t)).data
+        assert np.array_equal(fine.data[:3], want_text)
+        assert np.array_equal(fine.data[3:], want_visual)
 
     def test_budget_enforced(self):
-        t = make_tables(max_len=5)
-        page = self.make_page()
-        v = Vocab(list(SPECIALS) + ["fax", ":", "123"])
-        seq = tokenize(page.words, v, 5)
-        grid = patch_features(page, 2, 2, t)
+        model = fax_model(max_len=5)
         with pytest.raises(ValueError, match="exceed max_len"):
-            build_fine_input(seq, grid, t, page)
+            model.encode_page(fax_page())

@@ -155,6 +155,30 @@ class TestStages:
         agg_s, _ = ms.aggregate(hs, encs)
         assert np.array_equal(agg_s.data[0], hs.data[0])
 
+    @pytest.mark.parametrize("aggregation", ["sum", "mean"])
+    def test_parent_map_matches_loop_reference(self, aggregation):
+        page = generate_page(4, 0, SynthParams())
+        m = tiny_model(page, max_len=256, grid=(3, 2), aggregation=aggregation)
+        enc = m.encode_page(page)
+        g, n_text, n_visual = enc.graph, enc.n_text, enc.n_visual
+        n_seg = g.n_coarse_text
+        parent_row = np.zeros(n_text + n_visual, dtype=np.int64)
+        agg_text = np.zeros((n_seg, n_text))
+        agg_visual = np.zeros((g.n_coarse_visual, n_visual))
+        for t in range(n_text):
+            parent_row[t] = g.text_parent[enc.tokens.word_index[t]]
+            agg_text[parent_row[t], t] = 1.0
+        for p in range(n_visual):
+            parent_row[n_text + p] = n_seg + g.visual_parent[p]
+            agg_visual[g.visual_parent[p], p] = 1.0
+        if aggregation == "mean":
+            for mat in (agg_text, agg_visual):
+                counts = mat.sum(axis=1, keepdims=True)
+                np.divide(mat, counts, out=mat, where=counts > 0)  # childless nodes stay zero
+        for got, want in ((enc.parent_row, parent_row), (enc.agg_text, agg_text), (enc.agg_visual, agg_visual)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_mean_aggregation_flag(self):
         page = probe_page()
         m = tiny_model(page, aggregation="mean")

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -127,6 +128,74 @@ class TestCheckpointFormat:
             fh.write(b"NOTCKPT")
         with pytest.raises(CheckpointError, match="bad magic"):
             load_checkpoint(path)
+
+    def test_every_truncation_rejected(self, tmp_path):
+        tensors = {"a.w": np.arange(12.0).reshape(3, 4), "b": np.ones(7)}
+        full = str(tmp_path / "ck.bin")
+        save_checkpoint(full, tensors, {"note": "x"})
+        raw = open(full, "rb").read()
+        path = str(tmp_path / "cut.bin")
+        for n in range(len(raw)):
+            with open(path, "wb") as fh:
+                fh.write(raw[:n])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+        assert load_checkpoint(full)[1] == {"note": "x"}
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            [1, 2],
+            "tensors",
+            {"config": {}},
+            {"tensors": []},
+            {"tensors": {}, "config": {}},
+            {"tensors": [], "config": [1]},
+            {"tensors": [{"name": "a"}], "config": {}},
+            {"tensors": ["a"], "config": {}},
+            {"tensors": [{"name": "a", "shape": [2], "offset": 0, "nbytes": 8}], "config": {}},
+            {"tensors": [{"name": "a", "shape": "2", "offset": 0, "nbytes": 16}], "config": {}},
+            {"tensors": [{"name": "a", "shape": [2], "offset": -8, "nbytes": 16}], "config": {}},
+        ],
+        ids=[
+            "list", "string", "no-tensors", "no-config", "tensors-not-list", "config-not-object",
+            "entry-missing-fields", "entry-not-object", "nbytes-mismatch", "shape-not-list", "negative-offset",
+        ],
+    )
+    def test_malformed_header_rejected(self, tmp_path, header):
+        body = json.dumps(header).encode("utf-8")
+        path = str(tmp_path / "bad.bin")
+        with open(path, "wb") as fh:
+            fh.write(b"MMLY1" + struct.pack("<I", len(body)) + body + bytes(16))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @staticmethod
+    def saved_model(tmp_path):
+        page = probe_page()
+        model = Model(ModelConfig(seed=3, **SMALL_MODEL), build_vocab([page], SMALL_MODEL["vocab_size"]))
+        path = str(tmp_path / "model.ckpt")
+        model.save(path)
+        return path, *load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["model", "vocab", "label_types", "categories"])
+    def test_model_config_missing_key_rejected(self, tmp_path, key):
+        path, tensors, config = self.saved_model(tmp_path)
+        del config[key]
+        save_checkpoint(path, tensors, config)
+        with pytest.raises(CheckpointError, match=key):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("model", 5), ("model", {"d": "x"}), ("vocab", 5), ("label_types", 5), ("categories", None)],
+    )
+    def test_model_config_wrong_type_rejected(self, tmp_path, key, value):
+        path, tensors, config = self.saved_model(tmp_path)
+        config[key] = value
+        save_checkpoint(path, tensors, config)
+        with pytest.raises(CheckpointError, match="invalid checkpoint config"):
+            load_model(path)
 
     def test_magic_prefix(self, tmp_path):
         path = str(tmp_path / "ck.bin")

@@ -6,6 +6,11 @@ differences. Raw offsets are mapped to a bounded table through a
 sign-symmetric bucket scheme (exact near zero, logarithmic further out),
 so the bias depends only on coordinate differences and is translation
 invariant by construction.
+
+All heads run at once on head-major stacks: Q and V are (heads, n, d_k)
+and K is (heads, d_k, n). The summed relative bias of all three tables is
+one (heads, n, n) tensor, built by ``spatial_bias`` once per forward pass
+and shared by every spatial layer, since the tables are shared.
 """
 
 from __future__ import annotations
@@ -19,17 +24,16 @@ from .document import BBox
 from .tensor import (
     Tensor,
     add,
-    concat_cols,
+    attention_weights,
     dropout,
-    gather_col,
+    gather_heads,
     gelu,
     layer_norm,
+    linear,
     matmul,
+    merge_heads,
+    project_heads,
     relu,
-    scale,
-    slice_cols,
-    softmax,
-    transpose,
 )
 
 
@@ -118,59 +122,43 @@ class LayerParams:
     ffn_b2: Tensor
 
 
-def multi_head_attention(
-    h: Tensor,
-    params: LayerParams,
-    heads: int,
-    bias_tables: RelativeBiasTables | None = None,
-    indices: SpatialIndices | None = None,
-) -> Tensor:
+def spatial_bias(tables: RelativeBiasTables, indices: SpatialIndices) -> Tensor:
+    """The summed relative bias of all three tables, (heads, n, n)."""
+    return gather_heads(
+        [tables.rel_1d, tables.rel_x, tables.rel_y],
+        [indices.idx_1d, indices.idx_x, indices.idx_y],
+    )
+
+
+def multi_head_attention(h: Tensor, params: LayerParams, heads: int, bias: Tensor | None = None) -> Tensor:
     """Scaled dot-product attention over all rows, heads concatenated.
 
-    With bias tables the per-head relative terms are added to the scores
-    before the softmax; without them this is the canonical form.
+    ``bias`` (heads, n, n), from ``spatial_bias``, is added to the scaled
+    scores before the softmax; without it this is the canonical form.
     """
-    n, d = h.shape
-    if d % heads != 0:
-        raise ValueError(f"width {d} not divisible by {heads} heads")
-    if (bias_tables is None) != (indices is None):
-        raise ValueError("bias tables and spatial indices must be given together")
-    dk = d // heads
-    inv_sqrt_dk = 1.0 / math.sqrt(dk)
-    q = add(matmul(h, params.wq), params.bq)
-    k = add(matmul(h, params.wk), params.bk)
-    v = add(matmul(h, params.wv), params.bv)
-    outputs = []
-    for head in range(heads):
-        lo, hi = head * dk, (head + 1) * dk
-        qs, ks, vs = slice_cols(q, lo, hi), slice_cols(k, lo, hi), slice_cols(v, lo, hi)
-        scores = scale(matmul(qs, transpose(ks)), inv_sqrt_dk)
-        if bias_tables is not None:
-            scores = add(scores, gather_col(bias_tables.rel_1d, indices.idx_1d, head))
-            scores = add(scores, gather_col(bias_tables.rel_x, indices.idx_x, head))
-            scores = add(scores, gather_col(bias_tables.rel_y, indices.idx_y, head))
-        outputs.append(matmul(softmax(scores), vs))
-    return add(matmul(concat_cols(outputs), params.wo), params.bo)
+    q = project_heads(h, params.wq, params.bq, heads)
+    kt = project_heads(h, params.wk, params.bk, heads, keys=True)
+    v = project_heads(h, params.wv, params.bv, heads)
+    weights = attention_weights(q, kt, bias, 1.0 / math.sqrt(q.shape[2]))
+    return merge_heads(matmul(weights, v), params.wo, params.bo)
 
 
 def feed_forward(h: Tensor, params: LayerParams, activation: str = "gelu") -> Tensor:
     act = gelu if activation == "gelu" else relu
-    inner = act(add(matmul(h, params.ffn_w1), params.ffn_b1))
-    return add(matmul(inner, params.ffn_w2), params.ffn_b2)
+    return linear(act(linear(h, params.ffn_w1, params.ffn_b1)), params.ffn_w2, params.ffn_b2)
 
 
 def transformer_layer(
     h: Tensor,
     params: LayerParams,
     heads: int,
-    bias_tables: RelativeBiasTables | None = None,
-    indices: SpatialIndices | None = None,
+    bias: Tensor | None = None,
     activation: str = "gelu",
     dropout_rate: float = 0.0,
     dropout_rng: np.random.Generator | None = None,
 ) -> Tensor:
     """LN(FFN(LN(MHA))) with residual paths around the MHA and the FFN."""
-    attended = multi_head_attention(h, params, heads, bias_tables, indices)
+    attended = multi_head_attention(h, params, heads, bias)
     if dropout_rate > 0.0:
         attended = dropout(attended, dropout_rate, dropout_rng)
     u = layer_norm(add(h, attended), params.ln1_gain, params.ln1_bias)

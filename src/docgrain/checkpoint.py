@@ -1,9 +1,11 @@
 """Binary checkpoint format.
 
 Layout: magic bytes ``MMLY1``, a little-endian uint32 header length, a JSON
-header (tensor names, shapes, byte offsets, config snapshot), then the raw
-little-endian float64 payloads back to back. Round trips are bit-exact.
-A truncated or malformed file raises ``CheckpointError``.
+header (tensor names, shapes, byte offsets, config snapshot, and the
+``zlib.crc32`` of the payload), then the raw little-endian float64 payloads
+back to back. Round trips are bit-exact. A truncated or malformed file, a
+payload whose checksum does not match, and bytes after the last tensor
+raise ``CheckpointError``.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import zlib
 
 import numpy as np
 
@@ -32,7 +35,10 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray], config: dict) -> 
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset, "nbytes": len(blob)})
         blobs.append(blob)
         offset += len(blob)
-    header = json.dumps({"tensors": entries, "config": config}, sort_keys=True).encode("utf-8")
+    crc = 0
+    for blob in blobs:
+        crc = zlib.crc32(blob, crc)
+    header = json.dumps({"tensors": entries, "config": config, "crc32": crc}, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(_HEADER_LEN.pack(len(header)))
@@ -58,15 +64,23 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from None
     pos += hlen
     if not (isinstance(header, dict) and isinstance(header.get("tensors"), list)
-            and isinstance(header.get("config"), dict)):
-        raise CheckpointError(f"{path}: header must be an object with a 'tensors' list and a 'config' object")
+            and isinstance(header.get("config"), dict) and type(header.get("crc32")) is int):
+        raise CheckpointError(
+            f"{path}: header must be an object with a 'tensors' list, a 'config' object and an integer 'crc32'"
+        )
     tensors: dict[str, np.ndarray] = {}
+    end = 0
     for entry in header["tensors"]:
         name, shape, offset, nbytes = _tensor_entry(path, entry)
         blob = raw[pos + offset : pos + offset + nbytes]
         if len(blob) != nbytes:
             raise CheckpointError(f"{path}: truncated payload for tensor '{name}'")
         tensors[name] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
+        end = max(end, offset + nbytes)
+    if len(raw) != pos + end:
+        raise CheckpointError(f"{path}: {len(raw) - pos - end} bytes after the last tensor")
+    if zlib.crc32(memoryview(raw)[pos:]) != header["crc32"]:
+        raise CheckpointError(f"{path}: payload checksum mismatch, the file is corrupt")
     return tensors, header["config"]
 
 

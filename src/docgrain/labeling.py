@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tensor import Tensor, add, matmul
+from .tensor import Tensor, linear
 
 DEFAULT_ENTITY_TYPES = ("HEADER", "QUESTION", "ANSWER")
 
@@ -170,4 +170,4 @@ def anls(pred: str, golds: list[str]) -> float:
 
 def labeling_head(h_text: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Single affine map from fused text features to tag logits."""
-    return add(matmul(h_text, weight), bias)
+    return linear(h_text, weight, bias)

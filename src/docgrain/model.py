@@ -20,6 +20,7 @@ from .attention import (
     LayerParams,
     RelativeBiasTables,
     SpatialIndices,
+    spatial_bias,
     spatial_indices,
     transformer_layer,
 )
@@ -46,6 +47,7 @@ from .tensor import (
     cross_entropy,
     gather,
     grad_check,
+    linear,
     matmul,
     no_grad,
     slice_rows,
@@ -349,17 +351,18 @@ class Model:
     # -- forward stages ----------------------------------------------------
 
     def fine_input(self, enc: EncodedDoc) -> Tensor:
-        features = add(matmul(Tensor(enc.patch_raw), self.tables.patch_proj_w), self.tables.patch_proj_b)
+        features = linear(Tensor(enc.patch_raw), self.tables.patch_proj_w, self.tables.patch_proj_b)
         text = add(embed_text(enc.tokens.ids, self.tables), embed_layout(enc.text_boxes, self.tables))
         visual = add(embed_visual(features, self.tables), embed_layout(enc.visual_boxes, self.tables))
         return concat_rows([text, visual])
 
     def fine_encode(self, h: Tensor, enc: EncodedDoc) -> Tensor:
         rate = self.config.dropout if self.train_mode else 0.0
+        # One bias for every fine layer: the relative tables are shared.
+        bias = spatial_bias(self.bias_tables, enc.fine_indices)
         for layer in self.fine_stack:
             h = transformer_layer(
-                h, layer, self.config.heads, self.bias_tables, enc.fine_indices,
-                self.config.activation, rate, self._dropout_rng,
+                h, layer, self.config.heads, bias, self.config.activation, rate, self._dropout_rng,
             )
         return h
 

@@ -126,9 +126,6 @@ class Tensor:
     def mean(self):
         return scale(sum_all(self), 1.0 / self.data.size)
 
-    def transpose(self):
-        return transpose(self)
-
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -189,25 +186,126 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Matrix product of two matrices, or of two equal-length stacks of
+    matrices (one product per leading index)."""
+    if not (
+        a.data.ndim == b.data.ndim in (2, 3)
+        and a.shape[:-2] == b.shape[:-2]
+        and a.shape[-1] == b.shape[-2]
+    ):
         raise ValueError(f"shape mismatch in matmul: {a.shape} vs {b.shape}")
     data = a.data @ b.data
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g @ b.data.T)
-        b._accumulate(a.data.T @ g)
+        a._accumulate(g @ b.data.swapaxes(-1, -2))
+        b._accumulate(a.data.swapaxes(-1, -2) @ g)
 
     return _make(data, (a, b), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError(f"transpose expects a matrix, got shape {a.shape}")
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for a matrix ``x`` and a bias row ``b``, as one node."""
+    data = _affine(x.data, w, b)
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g.T)
+        _affine_backward(x, w, b, g)
 
-    return _make(a.data.T.copy(), (a,), backward)
+    return _make(data, (x, w, b), backward)
+
+
+def _affine(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    if x.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ValueError(f"shape mismatch in linear: {x.shape} @ {w.shape} + {b.shape}")
+    return x @ w.data + b.data
+
+
+def _affine_backward(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray) -> None:
+    x._accumulate(g @ w.data.T)
+    w._accumulate(x.data.T @ g)
+    b._accumulate(g.sum(axis=0))
+
+
+def project_heads(x: Tensor, w: Tensor, b: Tensor, heads: int, keys: bool = False) -> Tensor:
+    """``x @ w + b`` split column-wise into ``heads`` equal blocks, stacked
+    head-major: (heads, n, d_k), or (heads, d_k, n) with ``keys`` so that
+    the score product needs no transpose. Head ``i`` holds columns
+    ``i*d_k:(i+1)*d_k``."""
+    n, d = x.shape[0], w.shape[1]
+    if d % heads != 0:
+        raise ValueError(f"width {d} not divisible by {heads} heads")
+    split = _affine(x.data, w, b).reshape(n, heads, d // heads)
+    data = np.ascontiguousarray(split.transpose((1, 2, 0) if keys else (1, 0, 2)))
+
+    def backward(g: np.ndarray) -> None:
+        g_split = g.transpose((2, 0, 1) if keys else (1, 0, 2))
+        _affine_backward(x, w, b, g_split.reshape(n, d))
+
+    return _make(data, (x, w, b), backward)
+
+
+def merge_heads(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Stacked heads (heads, n, d_k) concatenated column-wise to
+    (n, heads*d_k), then ``@ w + b``: the inverse layout of
+    ``project_heads``, as one node."""
+    if a.data.ndim != 3:
+        raise ValueError(f"merge_heads expects (heads, n, d_k), got shape {a.shape}")
+    heads, n, dk = a.shape
+    merged = a.data.transpose(1, 0, 2).reshape(n, heads * dk)
+    data = _affine(merged, w, b)
+
+    def backward(g: np.ndarray) -> None:
+        a._accumulate((g @ w.data.T).reshape(n, heads, dk).transpose(1, 0, 2))
+        w._accumulate(merged.T @ g)
+        b._accumulate(g.sum(axis=0))
+
+    return _make(data, (a, w, b), backward)
+
+
+def attention_weights(q: Tensor, kt: Tensor, bias: Tensor | None, scale: float) -> Tensor:
+    """Row-wise ``softmax(q @ kt * scale + bias)`` per head, as one node.
+
+    ``q`` is (heads, n, d_k), ``kt`` (heads, d_k, m) and ``bias``
+    (heads, n, m) or None. Each head's (n, m) block is computed in place in
+    the output buffer, so no (heads, n, m) temporary is made; the backward
+    pass needs only that buffer.
+    """
+    heads, n, dk = q.shape
+    if kt.shape[:2] != (heads, dk) or (bias is not None and bias.shape != (heads, n, kt.shape[2])):
+        bias_shape = None if bias is None else bias.shape
+        raise ValueError(f"shape mismatch in attention_weights: {q.shape}, {kt.shape}, {bias_shape}")
+    y = np.empty((heads, n, kt.shape[2]))
+    for i in range(heads):
+        yi = y[i]
+        np.matmul(q.data[i], kt.data[i], out=yi)
+        yi *= scale
+        if bias is not None:
+            yi += bias.data[i]
+        yi -= yi.max(axis=-1, keepdims=True)
+        np.exp(yi, out=yi)
+        yi /= yi.sum(axis=-1, keepdims=True)
+
+    def backward(g: np.ndarray) -> None:
+        gq = np.empty_like(q.data)
+        gkt = np.empty_like(kt.data)
+        # The bias gradient is the score gradient itself: write it straight
+        # into a fresh bias.grad, or add it to one an earlier layer left.
+        fresh = bias is not None and bias.grad is None
+        if fresh:
+            bias.grad = np.empty_like(bias.data)
+        for i in range(heads):
+            yi, gi = y[i], g[i]
+            gs = bias.grad[i] if fresh else np.empty_like(yi)
+            np.subtract(gi, (gi * yi).sum(axis=-1, keepdims=True), out=gs)
+            gs *= yi
+            if bias is not None and not fresh:
+                bias.grad[i] += gs
+            gs = gs * scale
+            np.matmul(gs, kt.data[i].T, out=gq[i])
+            np.matmul(q.data[i].T, gs, out=gkt[i])
+        q._accumulate(gq)
+        kt._accumulate(gkt)
+
+    return _make(y, (q, kt) if bias is None else (q, kt, bias), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -237,26 +335,38 @@ def gather(table: Tensor, idx) -> Tensor:
     return _make(data, (table,), backward)
 
 
-def gather_col(table: Tensor, idx, col: int) -> Tensor:
-    """Entries ``table[idx, col]`` for an integer index array ``idx``.
+def gather_heads(tables: Sequence[Tensor], indices: Sequence) -> Tensor:
+    """Summed per-head lookups, head-major: entry ``[h, ...]`` is
+    ``sum_t tables[t][indices[t][...], h]``.
 
-    Used for per-head bias lookups: the table holds one column per head.
+    Every table is (rows, heads) and every index array has one common
+    shape S; the result is (heads, *S). The backward pass scatter-adds with
+    ``bincount``, so repeated indices accumulate.
     """
-    idx = np.asarray(idx, dtype=np.int64)
-    rows, cols = table.shape
-    if not 0 <= col < cols:
-        raise ValueError(f"column {col} out of range for table with {cols} columns")
-    if idx.size and (idx.min() < 0 or idx.max() >= rows):
-        raise ValueError(f"gather_col index out of range for table with {rows} rows")
-    data = table.data[idx, col]
+    idxs = [np.asarray(idx, dtype=np.int64) for idx in indices]
+    if not tables or len(tables) != len(idxs):
+        raise ValueError(f"gather_heads needs one index array per table, got {len(tables)} and {len(idxs)}")
+    heads, shape = tables[0].shape[1], idxs[0].shape
+    for table, idx in zip(tables, idxs):
+        if table.data.ndim != 2 or table.shape[1] != heads or idx.shape != shape:
+            raise ValueError(f"gather_heads shapes: table {table.shape}, index {idx.shape}")
+        if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+            raise ValueError(f"gather_heads index out of range for table with {table.shape[0]} rows")
+    columns = [np.ascontiguousarray(table.data.T) for table in tables]
+    data = np.empty((heads, *shape))
+    for h in range(heads):
+        np.take(columns[0][h], idxs[0], out=data[h])
+        for col, idx in zip(columns[1:], idxs[1:]):
+            data[h] += col[h].take(idx)
 
     def backward(g: np.ndarray) -> None:
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        # bincount is much faster than np.add.at for large index matrices
-        table.grad[:, col] += np.bincount(idx.ravel(), weights=g.ravel(), minlength=rows)
+        flat_g = g.reshape(heads, -1)
+        for table, idx in zip(tables, idxs):
+            flat = idx.ravel()
+            rows = table.shape[0]
+            table._accumulate(np.stack([np.bincount(flat, weights=gh, minlength=rows) for gh in flat_g], axis=1))
 
-    return _make(data, (table,), backward)
+    return _make(data, tuple(tables), backward)
 
 
 def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
@@ -296,15 +406,6 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
         a._accumulate(full)
 
     return _make(a.data[start:stop].copy(), (a,), backward)
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    def backward(g: np.ndarray) -> None:
-        full = np.zeros_like(a.data)
-        full[:, start:stop] = g
-        a._accumulate(full)
-
-    return _make(a.data[:, start:stop].copy(), (a,), backward)
 
 
 def softmax(a: Tensor) -> Tensor:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import docgrain as dg
-from docgrain.attention import AttentionConfig, multi_head_attention, spatial_indices
+from docgrain.attention import AttentionConfig, multi_head_attention, spatial_bias, spatial_indices
 from docgrain.clustering import ClusterParams, dbscan, detect_salient_regions
 from docgrain.document import BBox, boundary_distance, iou
 from docgrain.graph import NodeKind, NodeRef, build_graph
@@ -117,14 +117,14 @@ def test_attention_invariants():
     positions = list(range(9))
 
     zero_bias = make_bias(cfg.rel_buckets, cfg.heads, zero=True)
-    got = multi_head_attention(h, params, cfg.heads, zero_bias, spatial_indices(boxes, positions, cfg)).data
+    got = multi_head_attention(h, params, cfg.heads, spatial_bias(zero_bias, spatial_indices(boxes, positions, cfg))).data
     want = multi_head_attention(h, params, cfg.heads).data
     assert np.max(np.abs(got - want)) < 1e-12
 
     live_bias = make_bias(cfg.rel_buckets, cfg.heads, zero=False, rng=np.random.default_rng(6))
     moved = [BBox(b.x0 + 7, b.y0 + 11, b.x1 + 7, b.y1 + 11) for b in boxes]
-    base = multi_head_attention(h, params, cfg.heads, live_bias, spatial_indices(boxes, positions, cfg)).data
-    shifted = multi_head_attention(h, params, cfg.heads, live_bias, spatial_indices(moved, positions, cfg)).data
+    base = multi_head_attention(h, params, cfg.heads, spatial_bias(live_bias, spatial_indices(boxes, positions, cfg))).data
+    shifted = multi_head_attention(h, params, cfg.heads, spatial_bias(live_bias, spatial_indices(moved, positions, cfg))).data
     assert np.array_equal(base, shifted)
 
     idx = spatial_indices(boxes, positions, cfg)

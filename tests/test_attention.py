@@ -9,6 +9,7 @@ from docgrain.attention import (
     RelativeBiasTables,
     multi_head_attention,
     rel_bucket,
+    spatial_bias,
     spatial_indices,
     transformer_layer,
 )
@@ -150,15 +151,15 @@ class TestSpatialMha:
 
     def test_zero_bias_tables_reduce_to_canonical(self):
         cfg, params, bias, boxes, positions, h = self.setup_case(zero_bias=True)
-        got = multi_head_attention(h, params, cfg.heads, bias, spatial_indices(boxes, positions, cfg)).data
+        got = multi_head_attention(h, params, cfg.heads, spatial_bias(bias, spatial_indices(boxes, positions, cfg))).data
         want = multi_head_attention(h, params, cfg.heads).data
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_translation_invariance_exact(self):
         cfg, params, bias, boxes, positions, h = self.setup_case(zero_bias=False)
         moved = [BBox(b.x0 + 7, b.y0 + 11, b.x1 + 7, b.y1 + 11) for b in boxes]
-        a = multi_head_attention(h, params, cfg.heads, bias, spatial_indices(boxes, positions, cfg)).data
-        b = multi_head_attention(h, params, cfg.heads, bias, spatial_indices(moved, positions, cfg)).data
+        a = multi_head_attention(h, params, cfg.heads, spatial_bias(bias, spatial_indices(boxes, positions, cfg))).data
+        b = multi_head_attention(h, params, cfg.heads, spatial_bias(bias, spatial_indices(moved, positions, cfg))).data
         assert np.array_equal(a, b)
 
     def test_hand_computed_two_by_two(self):
@@ -181,7 +182,7 @@ class TestSpatialMha:
         bias.rel_1d.data[idx.idx_1d[0, 1], 0] = b_1d
         bias.rel_x.data[idx.idx_x[0, 1], 0] = b_x
         bias.rel_y.data[idx.idx_y[0, 1], 0] = b_y
-        got = multi_head_attention(h, params, cfg.heads, bias, spatial_indices(boxes, positions, cfg)).data
+        got = multi_head_attention(h, params, cfg.heads, spatial_bias(bias, spatial_indices(boxes, positions, cfg))).data
 
         # row 0: scores [q0*k0, q0*k1 + biases] with q=k=v=h and dk=1
         s00, s01 = 1.0 * 1.0, 1.0 * 2.0 + b_1d + b_x + b_y
@@ -202,7 +203,7 @@ class TestSpatialMha:
             bias.rel_1d.data[idx.idx_1d, hd] + bias.rel_x.data[idx.idx_x, hd] + bias.rel_y.data[idx.idx_y, hd]
             for hd in range(cfg.heads)
         ]
-        got = multi_head_attention(h, params, cfg.heads, bias, spatial_indices(boxes, positions, cfg)).data
+        got = multi_head_attention(h, params, cfg.heads, spatial_bias(bias, spatial_indices(boxes, positions, cfg))).data
         want = attention_oracle(
             h.data.tolist(),
             params.wq.data.tolist(), params.bq.data.tolist(),
@@ -216,10 +217,10 @@ class TestSpatialMha:
 
     def test_constant_score_shift_leaves_output_unchanged(self):
         cfg, params, bias, boxes, positions, h = self.setup_case(zero_bias=True)
-        base = multi_head_attention(h, params, cfg.heads, bias, spatial_indices(boxes, positions, cfg)).data
+        base = multi_head_attention(h, params, cfg.heads, spatial_bias(bias, spatial_indices(boxes, positions, cfg))).data
         for t in (bias.rel_1d, bias.rel_x, bias.rel_y):
             t.data += 2.5  # constant over all buckets shifts every score row
-        shifted = multi_head_attention(h, params, cfg.heads, bias, spatial_indices(boxes, positions, cfg)).data
+        shifted = multi_head_attention(h, params, cfg.heads, spatial_bias(bias, spatial_indices(boxes, positions, cfg))).data
         assert np.max(np.abs(base - shifted)) < 1e-12
 
     def test_attention_rows_sum_to_one_after_bias(self):
@@ -230,7 +231,7 @@ class TestSpatialMha:
         params.bv.data[:] = 1.0
         params.wo.data[:] = np.eye(8)
         params.bo.data[:] = 0.0
-        out = multi_head_attention(h, params, cfg.heads, bias, spatial_indices(boxes, positions, cfg)).data
+        out = multi_head_attention(h, params, cfg.heads, spatial_bias(bias, spatial_indices(boxes, positions, cfg))).data
         assert np.max(np.abs(out - 1.0)) < 1e-9
 
 
@@ -265,7 +266,7 @@ class TestTransformerLayer:
         def f(t):
             from docgrain.tensor import mul
 
-            return mul(transformer_layer(t, params, 2, bias, idx), w).sum()
+            return mul(transformer_layer(t, params, 2, spatial_bias(bias, idx)), w).sum()
 
         assert grad_check(f, h) < 1e-6
         for name in ("wq", "wo", "ffn_w1", "ln1_gain", "ln2_bias"):

@@ -7,23 +7,25 @@ from docgrain.tensor import (
     IGNORE_INDEX,
     Tensor,
     add,
+    attention_weights,
     concat_cols,
     concat_rows,
     cross_entropy,
     gather,
-    gather_col,
+    gather_heads,
     gelu,
     grad_check,
     layer_norm,
+    linear,
     matmul,
+    merge_heads,
     mul,
     no_grad,
+    project_heads,
     relu,
     scale,
-    slice_cols,
     slice_rows,
     softmax,
-    transpose,
 )
 
 RNG = np.random.default_rng(0)
@@ -119,6 +121,50 @@ class TestForwardValues:
         with pytest.raises(ValueError, match="out of range"):
             gather(rand(4, 2), [0, 4])
 
+    def test_matmul_stacked_matches_per_matrix(self):
+        a, b = RNG.normal(size=(3, 4, 5)), RNG.normal(size=(3, 5, 2))
+        got = matmul(Tensor(a), Tensor(b)).data
+        assert np.array_equal(got, np.stack([a[i] @ b[i] for i in range(3)]))
+        with pytest.raises(ValueError, match=r"\(3, 4, 5\) vs \(2, 5, 2\)"):
+            matmul(Tensor(a), rand(2, 5, 2))
+
+    def test_project_heads_is_column_blocks(self):
+        x, w, b = RNG.normal(size=(5, 4)), RNG.normal(size=(4, 6)), RNG.normal(size=6)
+        full = x @ w + b
+        q = project_heads(Tensor(x), Tensor(w), Tensor(b), 3).data
+        kt = project_heads(Tensor(x), Tensor(w), Tensor(b), 3, keys=True).data
+        assert q.shape == (3, 5, 2) and kt.shape == (3, 2, 5)
+        for i in range(3):
+            assert np.array_equal(q[i], full[:, 2 * i : 2 * i + 2])
+            assert np.array_equal(kt[i], full[:, 2 * i : 2 * i + 2].T)
+        with pytest.raises(ValueError, match="not divisible"):
+            project_heads(Tensor(x), Tensor(w), Tensor(b), 4)
+
+    def test_merge_heads_inverts_project_heads(self):
+        x = RNG.normal(size=(5, 6))
+        eye, zero = Tensor(np.eye(6)), Tensor(np.zeros(6))
+        heads = project_heads(Tensor(x), eye, zero, 3)
+        assert np.array_equal(merge_heads(heads, eye, zero).data, x)
+
+    def test_attention_weights_match_composed_softmax(self):
+        q, kt, bias = RNG.normal(size=(2, 4, 3)), RNG.normal(size=(2, 3, 5)), RNG.normal(size=(2, 4, 5))
+        bias[1, 2, 0] = -50.0
+        got = attention_weights(Tensor(q), Tensor(kt), Tensor(bias), 0.5).data
+        want = softmax(Tensor(q @ kt * 0.5 + bias)).data
+        assert np.array_equal(got, want)
+        plain = attention_weights(Tensor(q), Tensor(kt), None, 0.5).data
+        assert np.array_equal(plain, softmax(Tensor(q @ kt * 0.5)).data)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            attention_weights(Tensor(q), Tensor(kt), Tensor(bias[:, :3]), 0.5)
+
+    def test_gather_heads_sums_columns(self):
+        t1, t2 = RNG.normal(size=(6, 2)), RNG.normal(size=(4, 2))
+        i1, i2 = RNG.integers(0, 6, size=(3, 3)), RNG.integers(0, 4, size=(3, 3))
+        got = gather_heads([Tensor(t1), Tensor(t2)], [i1, i2]).data
+        assert np.array_equal(got, np.stack([t1[i1, h] + t2[i2, h] for h in range(2)]))
+        with pytest.raises(ValueError, match="out of range"):
+            gather_heads([Tensor(t1), Tensor(t2)], [i1, i2 + 2])
+
 
 class TestGradients:
     def test_add_broadcast_rows(self):
@@ -139,25 +185,63 @@ class TestGradients:
         check_op(lambda t: matmul(t, b), a)
         check_op(lambda t: matmul(a, t), b)
 
-    def test_transpose(self):
-        other = rand(4, 2, rg=False)
-        check_op(lambda t: matmul(transpose(t), other), rand(4, 3))
+    def test_matmul_stacked(self):
+        a, b = rand(3, 4, 5), rand(3, 5, 2)
+        check_op(lambda t: matmul(t, b), a)
+        check_op(lambda t: matmul(a, t), b)
+
+    def test_linear(self):
+        x, w, b = rand(4, 5), rand(5, 3), rand(3)
+        check_op(lambda t: linear(t, w, b), x)
+        check_op(lambda t: linear(x, t, b), w)
+        check_op(lambda t: linear(x, w, t), b)
+
+    def test_project_heads_transposed_keys(self):
+        # (heads, n, d_k) for queries and values, (heads, d_k, n) for keys
+        x, w, b = rand(4, 5), rand(5, 6), rand(6)
+        for keys, shape in ((False, (2, 4, 3)), (True, (2, 3, 4))):
+            weight = Tensor(RNG.normal(size=shape))
+            check_op(lambda t: mul(project_heads(t, w, b, 2, keys), weight), x)
+            check_op(lambda t: mul(project_heads(x, t, b, 2, keys), weight), w)
+            check_op(lambda t: mul(project_heads(x, w, t, 2, keys), weight), b)
+
+    def test_merge_heads(self):
+        a, w, b = rand(3, 4, 2), rand(6, 5), rand(5)
+        weight = Tensor(RNG.normal(size=(4, 5)))
+        check_op(lambda t: mul(merge_heads(t, w, b), weight), a)
+        check_op(lambda t: mul(merge_heads(a, t, b), weight), w)
+        check_op(lambda t: mul(merge_heads(a, w, t), weight), b)
+
+    def test_attention_weights(self):
+        # weighted, since each softmax row sums to one whatever the scores
+        q, kt = rand(2, 4, 3), rand(2, 3, 5)
+        bias = Tensor(RNG.normal(size=(2, 4, 5)), requires_grad=True)
+        bias.data[0, 1, 3] = -50.0  # a row with a vanishing weight
+        weight = Tensor(RNG.normal(size=(2, 4, 5)))
+        for b in (None, bias):
+            check_op(lambda t: mul(attention_weights(t, kt, b, 0.7), weight), q)
+            check_op(lambda t: mul(attention_weights(q, t, b, 0.7), weight), kt)
+        check_op(lambda t: mul(attention_weights(q, kt, t, 0.7), weight), bias)
+        # one bias shared by two layers receives the sum of both gradients
+        check_op(lambda t: mul(add(attention_weights(q, kt, t, 0.7), attention_weights(q, kt, t, -0.3)), weight), bias)
 
     def test_gather_repeated_indices(self):
         table = rand(5, 3)
         idx = np.array([0, 2, 2, 4, 0, 0])
         check_op(lambda t: gather(t, idx), table)
 
-    def test_gather_col(self):
-        table = rand(6, 2)
-        idx = np.array([[0, 1], [5, 5]])
-        check_op(lambda t: gather_col(t, idx, 1), table)
+    def test_gather_heads_repeated_indices(self):
+        t1, t2 = rand(6, 2), rand(4, 2)
+        i1, i2 = np.array([[0, 1], [5, 5]]), np.array([[3, 3], [3, 0]])
+        weight = Tensor(RNG.normal(size=(2, 2, 2)))
+        check_op(lambda t: mul(gather_heads([t, t2], [i1, i2]), weight), t1)
+        check_op(lambda t: mul(gather_heads([t1, t], [i1, i2]), weight), t2)
 
     def test_concat_and_slices(self):
         a, b = rand(2, 3), rand(4, 3)
         check_op(lambda t: slice_rows(concat_rows([t, b]), 1, 5), a)
         c, d = rand(3, 2), rand(3, 4)
-        check_op(lambda t: slice_cols(concat_cols([c, t]), 1, 5), d)
+        check_op(lambda t: slice_rows(concat_cols([c, t]), 1, 3), d)
 
     def test_softmax(self):
         w = Tensor(RNG.normal(size=(3, 5)))
@@ -190,9 +274,12 @@ class TestGradients:
         w = Tensor(RNG.normal(size=(6, 3)))
         targets = np.array([0, 2, 1, 0])
 
+        eye, zero = Tensor(np.eye(6)), Tensor(np.zeros(6))
+
         def f(t):
-            scores = matmul(softmax(matmul(t, transpose(t))), t)
-            return cross_entropy(matmul(scores, w), targets)
+            q = project_heads(t, eye, zero, 1)
+            weights = attention_weights(q, project_heads(t, eye, zero, 1, keys=True), None, 1.0)
+            return cross_entropy(merge_heads(matmul(weights, q), w, Tensor(np.zeros(3))), targets)
 
         assert grad_check(f, h) < 1e-6
 

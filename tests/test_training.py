@@ -142,6 +142,24 @@ class TestCheckpointFormat:
                 load_checkpoint(path)
         assert load_checkpoint(full)[1] == {"note": "x"}
 
+    def test_flipped_payload_bit_rejected(self, tmp_path):
+        path = str(tmp_path / "ck.bin")
+        save_checkpoint(path, {"w": np.ones(4)}, {})
+        raw = bytearray(open(path, "rb").read())
+        raw[-2] ^= 1
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        with pytest.raises(CheckpointError, match="checksum"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = str(tmp_path / "ck.bin")
+        save_checkpoint(path, {"w": np.ones(4)}, {})
+        with open(path, "ab") as fh:
+            fh.write(b"junk")
+        with pytest.raises(CheckpointError, match="after the last tensor"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize(
         "header",
         [

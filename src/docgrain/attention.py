@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .document import BBox
 from .tensor import (
     Tensor,
     add,
@@ -84,15 +83,14 @@ class SpatialIndices:
     idx_y: np.ndarray
 
 
-def spatial_indices(
-    boxes: list[BBox], positions, cfg: AttentionConfig
-) -> SpatialIndices:
-    """Bucketized (j - i) offsets for 1D positions and top-left corners."""
+def spatial_indices(coords: np.ndarray, positions, cfg: AttentionConfig) -> SpatialIndices:
+    """Bucketized (j - i) offsets for 1D positions and top-left corners,
+    from an (n, 4) int array of normalized (x0, y0, x1, y1) coordinates."""
     pos = np.asarray(positions, dtype=np.int64)
-    if len(boxes) != pos.shape[0]:
-        raise ValueError(f"{len(boxes)} boxes vs {pos.shape[0]} positions")
-    x0 = np.array([int(b.x0) for b in boxes], dtype=np.int64)
-    y0 = np.array([int(b.y0) for b in boxes], dtype=np.int64)
+    coords = np.asarray(coords, dtype=np.int64)
+    if coords.shape != (pos.shape[0], 4):
+        raise ValueError(f"coordinates of shape {coords.shape} vs {pos.shape[0]} positions")
+    x0, y0 = coords[:, 0], coords[:, 1]
     return SpatialIndices(
         idx_1d=rel_bucket(pos[None, :] - pos[:, None], cfg.rel_buckets, cfg.rel_max_distance),
         idx_x=rel_bucket(x0[None, :] - x0[:, None], cfg.rel_buckets, cfg.rel_max_distance),

@@ -3,15 +3,17 @@
 Layout: magic bytes ``MMLY1``, a little-endian uint32 header length, a JSON
 header (tensor names, shapes, byte offsets, config snapshot, and the
 ``zlib.crc32`` of the payload), then the raw little-endian float64 payloads
-back to back. Round trips are bit-exact. A truncated or malformed file, a
-payload whose checksum does not match, and bytes after the last tensor
-raise ``CheckpointError``.
+back to back. Round trips are bit-exact. A save writes a temporary file
+beside the target, fsyncs it and renames it onto the target. A truncated
+or malformed file, a payload whose checksum does not match, and bytes
+after the last tensor raise ``CheckpointError``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 
@@ -27,7 +29,7 @@ class CheckpointError(ValueError):
 
 def save_checkpoint(path: str, tensors: dict[str, np.ndarray], config: dict) -> None:
     entries = []
-    offset = 0
+    offset = crc = 0
     blobs = []
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name], dtype="<f8")
@@ -35,16 +37,19 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray], config: dict) -> 
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset, "nbytes": len(blob)})
         blobs.append(blob)
         offset += len(blob)
-    crc = 0
-    for blob in blobs:
         crc = zlib.crc32(blob, crc)
     header = json.dumps({"tensors": entries, "config": config, "crc32": crc}, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_HEADER_LEN.pack(len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines([MAGIC, _HEADER_LEN.pack(len(header)), header, *blobs])
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:

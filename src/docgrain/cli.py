@@ -206,7 +206,7 @@ def run(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DocumentParseError, ValueError, FileNotFoundError, RuntimeError) as exc:
+    except (DocumentParseError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - internal failures

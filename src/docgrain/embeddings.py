@@ -9,9 +9,9 @@ term still adds cleanly to the d-dimensional content embeddings.
 The visual backbone is a deterministic patch featurizer: per-patch mean
 RGB plus normalized center/size, linearly projected to width d.
 
-``Model.fine_input`` is where the text rows (``embed_text`` plus layout)
-and the visual rows (``embed_visual`` plus layout) are stacked into the
-fine-grained input, text first.
+``Model.fine_input`` builds the fine-grained input as one stacked sequence,
+word rows then patch rows, with one lookup per shared table and one
+``embed_layout`` call; ``Model.coarse_input`` reuses the layout tables.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .document import BBox, Page
-from .tensor import Tensor, add, concat_cols, gather
+from .document import Page
+from .tensor import Tensor, concat_cols, gather
 
 TEXT_TYPE = 0
 VISUAL_TYPE = 1
@@ -53,45 +53,14 @@ class EmbeddingTables:
     def coord_width(self) -> int:
         return self.coord_x.shape[1]
 
-    @property
-    def max_len(self) -> int:
-        return self.position.shape[0]
 
-
-def embed_text(token_ids: list[int], tables: EmbeddingTables) -> Tensor:
-    """Word + token-type + 1D-position rows, positions starting at 0."""
-    n = len(token_ids)
-    if n > tables.max_len:
-        raise ValueError(f"{n} text positions exceed max_len {tables.max_len}")
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if n and ids.max() >= tables.word.shape[0]:
-        raise ValueError("token id out of vocabulary range")
-    out = gather(tables.word, ids)
-    out = add(out, gather(tables.token_type, np.full(n, TEXT_TYPE, dtype=np.int64)))
-    return add(out, gather(tables.position, np.arange(n, dtype=np.int64)))
-
-
-def embed_visual(features: Tensor, tables: EmbeddingTables) -> Tensor:
-    """Projected (WH, d) patch features + the shared token-type and
-    position tables.
-
-    Visual positions restart at 0 with their own numbering.
-    """
-    n = features.shape[0]
-    if n > tables.max_len:
-        raise ValueError(f"{n} visual positions exceed max_len {tables.max_len}")
-    out = add(features, gather(tables.token_type, np.full(n, VISUAL_TYPE, dtype=np.int64)))
-    return add(out, gather(tables.position, np.arange(n, dtype=np.int64)))
-
-
-def embed_layout(boxes: list[BBox], tables: EmbeddingTables) -> Tensor:
-    """Six concatenated coordinate lookups per normalized box."""
-    coords = np.zeros((len(boxes), 4), dtype=np.int64)
-    for i, b in enumerate(boxes):
-        coords[i] = (int(b.x0), int(b.y0), int(b.x1), int(b.y1))
-    if len(boxes) and (coords.min() < 0 or coords.max() >= COORD_RANGE):
+def embed_layout(coords: np.ndarray, tables: EmbeddingTables) -> Tensor:
+    """Six concatenated coordinate lookups per row of an (n, 4) int array of
+    normalized (x0, y0, x1, y1) coordinates."""
+    coords = np.asarray(coords, dtype=np.int64)
+    if len(coords) and (coords.min() < 0 or coords.max() >= COORD_RANGE):
         raise ValueError("layout coordinates out of the 0..1000 range; normalize boxes first")
-    x0, y0, x1, y1 = coords[:, 0], coords[:, 1], coords[:, 2], coords[:, 3]
+    x0, y0, x1, y1 = coords.T
     parts = [
         gather(tables.coord_x, x0),
         gather(tables.coord_x, x1),
@@ -102,7 +71,7 @@ def embed_layout(boxes: list[BBox], tables: EmbeddingTables) -> Tensor:
     ]
     pad = tables.d - 6 * tables.coord_width
     if pad:
-        parts.append(Tensor(np.zeros((len(boxes), pad))))
+        parts.append(Tensor(np.zeros((len(coords), pad))))
     return concat_cols(parts)
 
 

@@ -9,8 +9,9 @@ reach the model only through the shared layout tables.
 
 from __future__ import annotations
 
+import numbers
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -31,10 +32,10 @@ from .document import BBox, Page, normalize_box
 from .embeddings import (
     COORD_RANGE,
     PATCH_RAW_DIM,
+    TEXT_TYPE,
+    VISUAL_TYPE,
     EmbeddingTables,
     embed_layout,
-    embed_text,
-    embed_visual,
     patch_raw_features,
 )
 from .graph import DocumentGraph, build_graph
@@ -53,6 +54,22 @@ from .tensor import (
     slice_rows,
 )
 from .vocab import TokenSeq, Vocab, tokenize
+
+
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool}
+
+
+def check_field_types(config) -> None:
+    """ValueError unless every int, float, str or bool field (optionally
+    ``| None``) of a config dataclass holds that type; a bool is no number."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        expected = _FIELD_TYPES.get(kind)
+        if expected is None or (optional and value is None):
+            continue
+        if not isinstance(value, expected) or (isinstance(value, bool) and expected is not bool):
+            raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
 
 
 @dataclass
@@ -80,9 +97,17 @@ class ModelConfig:
     activation: str = "gelu"
 
     def __post_init__(self) -> None:
-        self.grid = (int(self.grid[0]), int(self.grid[1]))
+        check_field_types(self)
+        grid = self.grid if isinstance(self.grid, (list, tuple)) else ()
+        if len(grid) != 2 or not all(
+            isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1 for n in grid
+        ):
+            raise ValueError(f"grid must be two integers >= 1, got {self.grid!r}")
+        self.grid = (int(grid[0]), int(grid[1]))
         if self.d < 6:
             raise ValueError(f"model width must be at least 6, got {self.d}")
+        if min(self.heads, self.vocab_size, self.max_len, self.ffn, self.cs_dim) < 1:
+            raise ValueError("heads, vocab_size, max_len, ffn_width and commonsense_dim must be positive")
         if self.d % self.heads != 0:
             raise ValueError(f"width {self.d} not divisible by {self.heads} heads")
         if self.fine_layers < 1:
@@ -91,8 +116,6 @@ class ModelConfig:
             raise ValueError(f"coarse_layers must be in [0, 5], got {self.coarse_layers}")
         if self.commonsense_k < 0:
             raise ValueError("commonsense_k must be >= 0")
-        if self.grid[0] < 1 or self.grid[1] < 1:
-            raise ValueError(f"grid must be at least 1x1, got {self.grid}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.aggregation not in ("sum", "mean"):
@@ -127,10 +150,7 @@ class ModelConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown model config fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "grid" in kwargs:
-            kwargs["grid"] = tuple(kwargs["grid"])
-        return cls(**kwargs)
+        return cls(**data)
 
 
 def gradcheck_config(seed: int = 0) -> ModelConfig:
@@ -158,23 +178,27 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarr
     return out
 
 
+def normalized_coords(boxes: list[BBox], page: Page) -> np.ndarray:
+    """(n, 4) int64 (x0, y0, x1, y1) of page-space boxes on the 0..1000 grid."""
+    coords = [normalize_box(b, page.width, page.height).as_list() for b in boxes]
+    return np.array(coords, dtype=np.int64).reshape(-1, 4)
+
+
 @dataclass
 class EncodedDoc:
-    """Everything about one page that is constant across forward passes."""
+    """Everything about one page that is constant across forward passes.
+    Each granularity is one stacked sequence, text rows first."""
 
     page: Page
     graph: DocumentGraph
     tokens: TokenSeq
     patch_raw: np.ndarray  # (WH, PATCH_RAW_DIM)
-    text_boxes: list[BBox]  # normalized, one per token
-    visual_boxes: list[BBox]  # normalized, one per patch
-    positions: np.ndarray
+    fine_boxes: np.ndarray  # (L + WH, 4) normalized coordinates
+    positions: np.ndarray  # (L + WH,) 1D positions, restarting at 0 for patches
     fine_indices: SpatialIndices
-    agg_text: np.ndarray  # (Z, L)
-    agg_visual: np.ndarray  # (P, WH)
-    cs_bits: np.ndarray  # (Z, K)
-    coarse_text_boxes: list[BBox]
-    coarse_visual_boxes: list[BBox]
+    agg: np.ndarray  # (Z + P, L + WH) one-hot (or mean) columns of parent_row
+    cs_bits: np.ndarray  # (Z + P, K) knowledge bits, zero rows for regions
+    coarse_boxes: np.ndarray  # (Z + P, 4) normalized coordinates
     parent_row: np.ndarray  # (L + WH,) rows into the coarse stack
     targets: np.ndarray | None  # per-token tag ids, IGNORE_INDEX on continuations
 
@@ -297,31 +321,27 @@ class Model:
         n_text, n_visual = len(tokens), patch_raw.shape[0]
         if n_text + n_visual > cfg.max_len:
             raise ValueError(f"{n_text} text + {n_visual} visual tokens exceed max_len {cfg.max_len}")
-        text_boxes = [normalize_box(b, page.width, page.height) for b in tokens.bboxes]
-        visual_boxes = [normalize_box(b, page.width, page.height) for b in graph.patch_bboxes]
+        fine_boxes = normalized_coords([*tokens.bboxes, *graph.patch_bboxes], page)
         positions = np.concatenate([np.arange(n_text), np.arange(n_visual)]).astype(np.int64)
-        fine_idx = spatial_indices(text_boxes + visual_boxes, positions, cfg.attention_config)
+        fine_idx = spatial_indices(fine_boxes, positions, cfg.attention_config)
 
         # Row of each fine element's parent in the stacked [segments; regions]
-        # coarse sequence; the aggregation matrices are its one-hot columns.
+        # coarse sequence; the aggregation matrix is its one-hot columns.
         n_seg, n_reg = graph.n_coarse_text, graph.n_coarse_visual
         text_parent = np.asarray(graph.text_parent, dtype=np.int64)
         parent_row = np.concatenate([
             text_parent[np.asarray(tokens.word_index, dtype=np.int64)],
             n_seg + np.asarray(graph.visual_parent, dtype=np.int64),
         ])
-        agg_text = np.zeros((n_seg, n_text))
-        agg_text[parent_row[:n_text], np.arange(n_text)] = 1.0
-        agg_visual = np.zeros((n_reg, n_visual))
-        agg_visual[parent_row[n_text:] - n_seg, np.arange(n_visual)] = 1.0
+        agg = np.zeros((n_seg + n_reg, n_text + n_visual))
+        agg[parent_row, np.arange(n_text + n_visual)] = 1.0
         if cfg.aggregation == "mean":
-            for mat in (agg_text, agg_visual):
-                counts = mat.sum(axis=1, keepdims=True)
-                np.divide(mat, counts, out=mat, where=counts > 0)
+            counts = agg.sum(axis=1, keepdims=True)
+            np.divide(agg, counts, out=agg, where=counts > 0)
 
-        cs_bits = self.inventory.detect_all([s.text for s in page.segments])
-        coarse_text_boxes = [normalize_box(s.bbox, page.width, page.height) for s in page.segments]
-        coarse_visual_boxes = [normalize_box(r.bbox, page.width, page.height) for r in graph.regions]
+        cs_bits = np.zeros((n_seg + n_reg, self.inventory.size))
+        cs_bits[:n_seg] = self.inventory.detect_all([s.text for s in page.segments])
+        coarse_boxes = normalized_coords([s.bbox for s in page.segments] + [r.bbox for r in graph.regions], page)
 
         targets = None
         if page.labels is not None:
@@ -335,15 +355,12 @@ class Model:
             graph=graph,
             tokens=tokens,
             patch_raw=patch_raw,
-            text_boxes=text_boxes,
-            visual_boxes=visual_boxes,
+            fine_boxes=fine_boxes,
             positions=positions,
             fine_indices=fine_idx,
-            agg_text=agg_text,
-            agg_visual=agg_visual,
+            agg=agg,
             cs_bits=cs_bits,
-            coarse_text_boxes=coarse_text_boxes,
-            coarse_visual_boxes=coarse_visual_boxes,
+            coarse_boxes=coarse_boxes,
             parent_row=parent_row,
             targets=targets,
         )
@@ -351,10 +368,13 @@ class Model:
     # -- forward stages ----------------------------------------------------
 
     def fine_input(self, enc: EncodedDoc) -> Tensor:
-        features = linear(Tensor(enc.patch_raw), self.tables.patch_proj_w, self.tables.patch_proj_b)
-        text = add(embed_text(enc.tokens.ids, self.tables), embed_layout(enc.text_boxes, self.tables))
-        visual = add(embed_visual(features, self.tables), embed_layout(enc.visual_boxes, self.tables))
-        return concat_rows([text, visual])
+        """Word rows then patch rows, plus token-type, position and layout rows."""
+        t = self.tables
+        features = linear(Tensor(enc.patch_raw), t.patch_proj_w, t.patch_proj_b)
+        h = concat_rows([gather(t.word, enc.tokens.ids), features])
+        h = add(h, gather(t.token_type, np.repeat([TEXT_TYPE, VISUAL_TYPE], [enc.n_text, enc.n_visual])))
+        h = add(h, gather(t.position, enc.positions))
+        return add(h, embed_layout(enc.fine_boxes, t))
 
     def fine_encode(self, h: Tensor, enc: EncodedDoc) -> Tensor:
         rate = self.config.dropout if self.train_mode else 0.0
@@ -366,22 +386,19 @@ class Model:
             )
         return h
 
-    def aggregate(self, h_fine: Tensor, enc: EncodedDoc) -> tuple[Tensor, Tensor]:
-        h_text = slice_rows(h_fine, 0, enc.n_text)
-        h_visual = slice_rows(h_fine, enc.n_text, enc.n_text + enc.n_visual)
-        return matmul(Tensor(enc.agg_text), h_text), matmul(Tensor(enc.agg_visual), h_visual)
+    def aggregate(self, h_fine: Tensor, enc: EncodedDoc) -> Tensor:
+        """The stacked [segments; regions] sums (or means) of fine children."""
+        return matmul(Tensor(enc.agg), h_fine)
 
     def commonsense_embed(self, cs_bits: np.ndarray) -> Tensor:
         if self.cs_emb is None:
             raise ValueError("common-sense subsystem is disabled (k = 0)")
         return matmul(matmul(Tensor(cs_bits), self.cs_emb), self.cs_proj)
 
-    def coarse_input(self, agg_text: Tensor, agg_visual: Tensor, enc: EncodedDoc) -> Tensor:
+    def coarse_input(self, agg: Tensor, enc: EncodedDoc) -> Tensor:
         if self.config.commonsense_k > 0:
-            agg_text = add(agg_text, self.commonsense_embed(enc.cs_bits))
-        text = add(agg_text, embed_layout(enc.coarse_text_boxes, self.tables))
-        visual = add(agg_visual, embed_layout(enc.coarse_visual_boxes, self.tables))
-        return concat_rows([text, visual])
+            agg = add(agg, self.commonsense_embed(enc.cs_bits))
+        return add(agg, embed_layout(enc.coarse_boxes, self.tables))
 
     def coarse_encode(self, h: Tensor) -> Tensor:
         rate = self.config.dropout if self.train_mode else 0.0
@@ -406,13 +423,15 @@ class Model:
             if collect:
                 stages["fused"] = h_fine
             return h_fine, stages
-        agg_text, agg_visual = self.aggregate(h_fine, enc)
-        h_c0 = self.coarse_input(agg_text, agg_visual, enc)
+        agg = self.aggregate(h_fine, enc)
+        h_c0 = self.coarse_input(agg, enc)
         h_coarse = self.coarse_encode(h_c0)
         fused = self.fuse(h_fine, h_coarse, enc)
         if collect:
-            stages["aggregated_text"] = agg_text
-            stages["aggregated_visual"] = agg_visual
+            # Row blocks of the one aggregate, as constants: no tape node.
+            n_seg = enc.graph.n_coarse_text
+            stages["aggregated_text"] = Tensor(agg.data[:n_seg])
+            stages["aggregated_visual"] = Tensor(agg.data[n_seg:])
             stages["coarse_input"] = h_c0
             stages["coarse_encoded"] = h_coarse
             stages["fused"] = fused

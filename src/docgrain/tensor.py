@@ -187,7 +187,8 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two matrices, or of two equal-length stacks of
-    matrices (one product per leading index)."""
+    matrices (one product per leading index). The backward pass computes a
+    gradient only for operands that require one."""
     if not (
         a.data.ndim == b.data.ndim in (2, 3)
         and a.shape[:-2] == b.shape[:-2]
@@ -197,8 +198,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g @ b.data.swapaxes(-1, -2))
-        b._accumulate(a.data.swapaxes(-1, -2) @ g)
+        if a.requires_grad:
+            a._accumulate(g @ b.data.swapaxes(-1, -2))
+        if b.requires_grad:
+            b._accumulate(a.data.swapaxes(-1, -2) @ g)
 
     return _make(data, (a, b), backward)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .labeling import F1Accumulator, bio_decode
-from .model import Model, ModelConfig, load_model
+from .model import Model, ModelConfig, check_field_types, load_model
 from .optim import Adam, clip_grad_norm
 from .synth import load_corpus
 from .vocab import build_vocab
@@ -44,12 +44,15 @@ class TrainConfig:
     grad_clip: float | None = None
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.lr <= 0 or self.batch_size < 1 or self.epochs < 1 or self.eval_every < 1:
             raise ValueError("lr, batch_size, epochs, and eval_every must be positive")
         if self.warmup_steps < 0:
             raise ValueError("warmup_steps must be >= 0")
         if self.total_steps is not None and self.warmup_steps > self.total_steps:
             raise ValueError("warmup_steps must not exceed total_steps")
+        if self.weight_decay < 0 or (self.grad_clip is not None and self.grad_clip <= 0):
+            raise ValueError("weight_decay must be >= 0 and grad_clip positive")
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
@@ -302,6 +305,8 @@ def load_config_file(path: str) -> tuple[ModelConfig, TrainConfig]:
     """JSON config with optional "model" and "train" sections."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not (isinstance(data, dict) and all(isinstance(data.get(k, {}), dict) for k in ("model", "train"))):
+        raise ValueError(f"{path}: the config and its 'model' and 'train' sections must be JSON objects")
     unknown = set(data) - {"model", "train"}
     if unknown:
         raise ValueError(f"unknown config sections: {sorted(unknown)}")

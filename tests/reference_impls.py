@@ -2,15 +2,19 @@
 
 These deliberately avoid sharing code paths with the package: the DBSCAN
 oracle works from a full distance matrix and explicit core-graph
-connected components, and the edit-distance oracle is a memoized
-recursion rather than the package's iterative dynamic program.
+connected components, the edit-distance oracle is a memoized recursion
+rather than the package's iterative dynamic program, and the model-input
+oracles build each row from the page, the graph and the raw parameter
+arrays, one modality at a time.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from docgrain.document import BBox, boundary_distance
+import numpy as np
+
+from docgrain.document import BBox, boundary_distance, normalize_box
 
 NOISE = -1
 
@@ -121,3 +125,61 @@ def attention_oracle(h, wq, bq, wk, bk, wv, bv, wo, bo, heads, bias=None):
             for t in range(dk):
                 merged[i][lo + t] = sum(weights[j] * v[j][lo + t] for j in range(n))
     return affine(merged, wo, bo)
+
+
+def _layout_row(tables, box: BBox, page) -> np.ndarray:
+    """The six coordinate lookups of one page-space box, zero-padded to d."""
+    x0, y0, x1, y1 = (int(v) for v in normalize_box(box, page.width, page.height).as_list())
+    cx, cy = tables.coord_x.data, tables.coord_y.data
+    pad = np.zeros(tables.d - 6 * tables.coord_width)
+    return np.concatenate([cx[x0], cx[x1], cx[x1 - x0], cy[y0], cy[y1], cy[y1 - y0], pad])
+
+
+def fine_input_oracle(model, enc) -> np.ndarray:
+    """Row by row: the word or projected patch row, plus the token-type row
+    (0 text, 1 visual), plus the position row (each modality counts from
+    0), plus the coordinate lookups. Text rows first."""
+    t, page = model.tables, enc.page
+    features = enc.patch_raw @ t.patch_proj_w.data + t.patch_proj_b.data
+    rows = [(t.word.data[token], 0, i, box) for i, (token, box) in enumerate(zip(enc.tokens.ids, enc.tokens.bboxes))]
+    rows += [(features[p], 1, p, box) for p, box in enumerate(enc.graph.patch_bboxes)]
+    return np.array([
+        content + t.token_type.data[kind] + t.position.data[pos] + _layout_row(t, box, page)
+        for content, kind, pos, box in rows
+    ])
+
+
+def aggregate_oracle(enc, h: np.ndarray, mean: bool) -> np.ndarray:
+    """Two per-modality blocks: segments from their tokens, regions from
+    their patches, each a 0/1 (or 1/children) matrix product; stacked."""
+    g, n_text = enc.graph, len(enc.tokens.ids)
+    text = np.zeros((g.n_coarse_text, n_text))
+    for tok, word in enumerate(enc.tokens.word_index):
+        text[g.text_parent[word], tok] = 1.0
+    visual = np.zeros((g.n_coarse_visual, len(g.visual_parent)))
+    for patch, region in enumerate(g.visual_parent):
+        visual[region, patch] = 1.0
+    blocks = []
+    for mat, rows in ((text, h[:n_text]), (visual, h[n_text:])):
+        if mean:
+            mat = mat / np.maximum(mat.sum(axis=1, keepdims=True), 1.0)
+        blocks.append(mat @ rows)
+    return np.vstack(blocks)
+
+
+def coarse_input_oracle(model, enc, agg: np.ndarray) -> np.ndarray:
+    """Row by row: the aggregate row, plus the knowledge term on segment
+    rows only, plus the coordinate lookups. Segments first, then regions."""
+    page, g = enc.page, enc.graph
+    knowledge = None
+    if model.cs_emb is not None:
+        bits = np.array([model.inventory.detect(seg.text) for seg in page.segments])
+        knowledge = (bits @ model.cs_emb.data) @ model.cs_proj.data
+    boxes = [seg.bbox for seg in page.segments] + [region.bbox for region in g.regions]
+    rows = []
+    for z, box in enumerate(boxes):
+        row = agg[z]
+        if knowledge is not None and z < g.n_coarse_text:
+            row = row + knowledge[z]
+        rows.append(row + _layout_row(model.tables, box, page))
+    return np.array(rows)

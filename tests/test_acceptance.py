@@ -122,7 +122,7 @@ def test_attention_invariants():
     assert np.max(np.abs(got - want)) < 1e-12
 
     live_bias = make_bias(cfg.rel_buckets, cfg.heads, zero=False, rng=np.random.default_rng(6))
-    moved = [BBox(b.x0 + 7, b.y0 + 11, b.x1 + 7, b.y1 + 11) for b in boxes]
+    moved = boxes + [7, 11, 7, 11]
     base = multi_head_attention(h, params, cfg.heads, spatial_bias(live_bias, spatial_indices(boxes, positions, cfg))).data
     shifted = multi_head_attention(h, params, cfg.heads, spatial_bias(live_bias, spatial_indices(moved, positions, cfg))).data
     assert np.array_equal(base, shifted)
@@ -172,8 +172,8 @@ def test_exact_ablation_reductions():
     with no_grad():
         full, _ = m0.forward_encoded(enc)
         h_fine = m0.fine_encode(m0.fine_input(enc), enc)
-        agg_t, agg_v = m0.aggregate(h_fine, enc)
-        reduced = m0.fuse(h_fine, m0.coarse_input(agg_t, agg_v, enc), enc)
+        agg = m0.aggregate(h_fine, enc)
+        reduced = m0.fuse(h_fine, m0.coarse_input(agg, enc), enc)
     assert np.max(np.abs(full.data - reduced.data)) <= 1e-12
 
     # w/o Common Sense Enhancement: K = 0 equals the pipeline with the
@@ -183,16 +183,11 @@ def test_exact_ablation_reductions():
     with no_grad():
         full, _ = k0.forward_encoded(enc)
         h_fine = k0.fine_encode(k0.fine_input(enc), enc)
-        agg_t, agg_v = k0.aggregate(h_fine, enc)
+        agg = k0.aggregate(h_fine, enc)
         from docgrain.embeddings import embed_layout
-        from docgrain.tensor import add, concat_rows
+        from docgrain.tensor import add
 
-        coarse_in = concat_rows(
-            [
-                add(agg_t, embed_layout(enc.coarse_text_boxes, k0.tables)),
-                add(agg_v, embed_layout(enc.coarse_visual_boxes, k0.tables)),
-            ]
-        )
+        coarse_in = add(agg, embed_layout(enc.coarse_boxes, k0.tables))
         reduced = k0.fuse(h_fine, k0.coarse_encode(coarse_in), enc)
     assert np.max(np.abs(full.data - reduced.data)) <= 1e-12
 

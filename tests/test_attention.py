@@ -13,7 +13,6 @@ from docgrain.attention import (
     spatial_indices,
     transformer_layer,
 )
-from docgrain.document import BBox
 from docgrain.tensor import Tensor, grad_check
 
 from .reference_impls import attention_oracle
@@ -95,7 +94,8 @@ class TestRelBucket:
 
 
 def norm_boxes(coords):
-    return [BBox(x, y, x + 10, y + 10) for x, y in coords]
+    """(n, 4) normalized coordinates of 10x10 boxes at the given corners."""
+    return np.array([(x, y, x + 10, y + 10) for x, y in coords], dtype=np.int64)
 
 
 class TestAttention:
@@ -157,7 +157,7 @@ class TestSpatialMha:
 
     def test_translation_invariance_exact(self):
         cfg, params, bias, boxes, positions, h = self.setup_case(zero_bias=False)
-        moved = [BBox(b.x0 + 7, b.y0 + 11, b.x1 + 7, b.y1 + 11) for b in boxes]
+        moved = boxes + [7, 11, 7, 11]
         a = multi_head_attention(h, params, cfg.heads, spatial_bias(bias, spatial_indices(boxes, positions, cfg))).data
         b = multi_head_attention(h, params, cfg.heads, spatial_bias(bias, spatial_indices(moved, positions, cfg))).data
         assert np.array_equal(a, b)

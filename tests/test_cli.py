@@ -42,6 +42,10 @@ class TestBuildGraph:
         code = run(["build-graph", "--input", THREE_BLOCKS, "--grid", "7", "--output", str(tmp_path / "g.json")])
         assert code == 1
 
+    def test_directory_input_is_validation_error(self, tmp_path, capsys):
+        assert run(["build-graph", "--input", str(tmp_path), "--output", str(tmp_path / "g.json")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestRender:
     def test_three_block_fixture_has_two_regions_at_r10(self, tmp_path):
@@ -123,6 +127,36 @@ class TestUsageErrors:
         assert run(["render", "--input", THREE_BLOCKS, "--svg-out", "x.svg"]) == 2
 
 
+class TestConfigErrors:
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def corpus(tmp_path_factory):
+        out = str(tmp_path_factory.mktemp("config_errors") / "corpus")
+        assert run(["synth", "--seed", "3", "--count", "4", "--out", out]) == 0
+        return out
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"model": {"grid": 5}},
+            {"model": {"d": "64"}},
+            {"model": {"heads": 0}},
+            {"model": {"grid": [2]}},
+            {"model": 5},
+            {"train": {"lr": "x"}},
+            {"train": {"epochs": 1.5}},
+            {"train": {"grad_clip": "a"}},
+        ],
+        ids=["grid-int", "d-string", "heads-zero", "grid-one", "model-int", "lr-string", "epochs-float", "clip-string"],
+    )
+    def test_malformed_config_is_validation_error(self, corpus, tmp_path, capsys, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert run(["train", "--corpus", corpus, "--config", str(path), "--out", str(tmp_path / "m.ckpt")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "m.ckpt").exists()
+
+
 class TestTrainEvalCli:
     @pytest.fixture(scope="class")
     @staticmethod
@@ -164,6 +198,11 @@ class TestTrainEvalCli:
 
     def test_eval_missing_checkpoint(self, tmp_path):
         assert run(["eval", "--checkpoint", str(tmp_path / "no.ckpt"), "--corpus", str(tmp_path)]) == 1
+
+    def test_eval_directory_checkpoint(self, trained, tmp_path, capsys):
+        root, corpus, ckpt, log = trained
+        assert run(["eval", "--checkpoint", str(tmp_path), "--corpus", corpus]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
         "content",

@@ -1,19 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from docgrain.document import BBox, Page, Segment, Word, normalize_box
+from docgrain.document import BBox, Page, Segment, Word
 from docgrain.embeddings import (
     COORD_RANGE,
     PATCH_RAW_DIM,
+    TEXT_TYPE,
+    VISUAL_TYPE,
     EmbeddingTables,
     embed_layout,
-    embed_text,
-    embed_visual,
     patch_raw_features,
 )
 from docgrain.graph import patch_boxes
-from docgrain.model import Model, ModelConfig
-from docgrain.tensor import Tensor, add, matmul
+from docgrain.model import Model, ModelConfig, normalized_coords
+from docgrain.tensor import Tensor, add, gather, matmul
 from docgrain.vocab import SPECIALS, Vocab, build_vocab, tokenize, word_pieces
 
 
@@ -46,6 +48,26 @@ def fax_model(grid=(2, 2), max_len=24):
         max_len=max_len, grid=grid, commonsense_k=0,
     )
     return Model(cfg, Vocab(list(SPECIALS) + ["fax", ":", "123"]))
+
+
+def text_page(*texts):
+    """One segment of words laid out left to right, 30 px apart."""
+    words = [Word(t, BBox(10 + 30 * i, 10, 30 + 30 * i, 24), 0) for i, t in enumerate(texts)]
+    seg = Segment(" ".join(texts), BBox(10, 10, 30 + 30 * (len(texts) - 1), 24), tuple(range(len(texts))))
+    return Page(width=200, height=100, words=words, segments=[seg])
+
+
+def layout_free(model):
+    """Zero the coordinate tables: fine-input rows then hold content,
+    token-type and position terms only (adding 0.0 changes no bit)."""
+    model.tables.coord_x.data[:] = 0.0
+    model.tables.coord_y.data[:] = 0.0
+    return model
+
+
+def fine_rows(model, page):
+    enc = model.encode_page(page)
+    return enc, model.fine_input(enc).data
 
 
 class TestTokenizer:
@@ -113,52 +135,59 @@ class TestTokenizer:
 
 
 class TestEmbedText:
+    """The text rows of ``Model.fine_input``."""
+
     def test_single_token_is_sum_of_three_rows(self):
-        t = make_tables()
-        out = embed_text([5], t).data
-        want = t.word.data[5] + t.token_type.data[0] + t.position.data[0]
+        model = layout_free(fax_model())
+        t = model.tables
+        enc, out = fine_rows(model, text_page("123"))
+        token = enc.tokens.ids[0]
+        want = t.word.data[token] + t.token_type.data[TEXT_TYPE] + t.position.data[0]
         assert np.array_equal(out[0], want)
 
     def test_identical_tokens_differ_by_position(self):
-        t = make_tables()
-        out = embed_text([3, 3], t).data
+        model = layout_free(fax_model())
+        t = model.tables
+        _, out = fine_rows(model, text_page("123", "123"))
         diff = out[0] - out[1]
         assert np.allclose(diff, t.position.data[0] - t.position.data[1])
 
     def test_zero_tables_zero_output(self):
-        t = make_tables()
+        model = layout_free(fax_model())
+        t = model.tables
         for tensor in (t.word, t.token_type, t.position):
             tensor.data[:] = 0.0
-        assert np.all(embed_text([1, 2], t).data == 0.0)
+        enc, out = fine_rows(model, text_page("fax:", "123"))
+        assert np.all(out[: enc.n_text] == 0.0)
 
 
 class TestEmbedLayout:
     def test_origin_box_uses_index_zero(self):
         t = make_tables(d=12)
-        out = embed_layout([BBox(0, 0, 0, 0)], t).data[0]
+        out = embed_layout(np.array([[0, 0, 0, 0]]), t).data[0]
         want = np.concatenate([t.coord_x.data[0]] * 3 + [t.coord_y.data[0]] * 3)
         assert np.array_equal(out, want)
 
     def test_width_height_slices(self):
         t = make_tables(d=12)
-        out = embed_layout([BBox(10, 20, 110, 70)], t).data[0]
+        out = embed_layout(np.array([[10, 20, 110, 70]]), t).data[0]
         c = 2
         assert np.array_equal(out[2 * c : 3 * c], t.coord_x.data[100])  # width slice
         assert np.array_equal(out[5 * c : 6 * c], t.coord_y.data[50])  # height slice
 
     def test_equal_boxes_equal_rows(self):
         t = make_tables()
-        out = embed_layout([BBox(1, 2, 3, 4), BBox(1, 2, 3, 4)], t).data
+        out = embed_layout(np.array([[1, 2, 3, 4], [1, 2, 3, 4]]), t).data
         assert np.array_equal(out[0], out[1])
 
     def test_out_of_range_rejected(self):
         t = make_tables()
         with pytest.raises(ValueError, match="0..1000"):
-            embed_layout([BBox(0, 0, 1500, 10)], t)
+            embed_layout(np.array([[0, 0, 1500, 10]]), t)
 
     def test_zero_padding_when_not_divisible(self):
         t = make_tables(d=16)  # coord width 2, 6*2=12 < 16
-        out = embed_layout([BBox(1, 2, 3, 4)], t).data
+        out = embed_layout(np.array([[1, 2, 3, 4]]), t).data
         assert out.shape == (1, 16)
         assert np.all(out[:, 12:] == 0.0)
 
@@ -204,41 +233,46 @@ class TestPatchFeatures:
         enc = model.encode_page(fax_page())
         visual = model.fine_input(enc).data[enc.n_text :]
         assert visual.shape == (9, 12)
-        assert len(enc.visual_boxes) == 9
+        assert len(enc.fine_boxes[enc.n_text :]) == 9
 
 
 class TestEmbedVisual:
+    """The patch rows of ``Model.fine_input``."""
+
     def test_zero_everything(self):
-        t = make_tables()
-        t.token_type.data[:] = 0.0
-        t.position.data[:] = 0.0
-        assert np.all(embed_visual(Tensor(np.zeros((2, 12))), t).data == 0.0)
+        model = layout_free(fax_model())
+        t = model.tables
+        for tensor in (t.patch_proj_w, t.patch_proj_b, t.token_type, t.position):
+            tensor.data[:] = 0.0
+        enc, out = fine_rows(model, fax_page())
+        assert np.all(out[enc.n_text :] == 0.0)
 
     def test_shared_tables_alias_text_and_visual(self):
-        t = make_tables()
-        features = Tensor(np.zeros((1, 12)))
-        text_before = embed_text([0], t).data.copy()
-        visual_before = embed_visual(features, t).data.copy()
-        t.position.data[0] += 1.0
-        assert not np.array_equal(embed_text([0], t).data, text_before)
-        assert not np.array_equal(embed_visual(features, t).data, visual_before)
+        model = fax_model()
+        enc, before = fine_rows(model, fax_page())
+        model.tables.position.data[0] += 1.0
+        after = model.fine_input(enc).data
+        assert not np.array_equal(after[0], before[0])
+        assert not np.array_equal(after[enc.n_text], before[enc.n_text])
 
 
 class TestPermutationStructure:
     def test_identical_tokens_identical_rows_after_position_removed(self):
         # equivariance over text tokens holds up to the position term
-        t = make_tables()
-        out = embed_text([4, 4], t).data
-        stripped = out - t.position.data[:2]
+        model = layout_free(fax_model())
+        _, out = fine_rows(model, text_page("123", "123"))
+        stripped = out[:2] - model.tables.position.data[:2]
         assert np.max(np.abs(stripped[0] - stripped[1])) < 1e-12
 
     def test_swapping_patch_features_permutes_rows(self):
-        t = make_tables()
+        model = layout_free(fax_model(grid=(3, 1)))
+        enc = model.encode_page(fax_page())
         rng = np.random.default_rng(5)
-        feats = rng.normal(size=(3, 12))
-        base = embed_visual(Tensor(feats), t).data
-        swapped = embed_visual(Tensor(feats[[1, 0, 2]]), t).data
-        pos = t.position.data
+        enc = replace(enc, patch_raw=rng.normal(size=enc.patch_raw.shape))
+        base = model.fine_input(enc).data[enc.n_text :]
+        swapped_enc = replace(enc, patch_raw=enc.patch_raw[[1, 0, 2]])
+        swapped = model.fine_input(swapped_enc).data[enc.n_text :]
+        pos = model.tables.position.data
         assert np.max(np.abs((base[0] - pos[0]) - (swapped[1] - pos[1]))) < 1e-12
         assert np.max(np.abs((base[1] - pos[1]) - (swapped[0] - pos[0]))) < 1e-12
 
@@ -261,10 +295,15 @@ class TestBuildFineInput:
         fine = model.fine_input(model.encode_page(page))
         seq = tokenize(page.words, model.vocab, 24)
         features = add(matmul(Tensor(patch_raw_features(page, 2, 2)), t.patch_proj_w), t.patch_proj_b)
-        text_boxes = [normalize_box(b, page.width, page.height) for b in seq.bboxes]
-        visual_boxes = [normalize_box(b, page.width, page.height) for b in patch_boxes(page.width, page.height, 2, 2)]
-        want_text = add(embed_text(seq.ids, t), embed_layout(text_boxes, t)).data
-        want_visual = add(embed_visual(features, t), embed_layout(visual_boxes, t)).data
+
+        def rows(content, token_type, boxes):
+            n = content.shape[0]
+            out = add(content, gather(t.token_type, np.full(n, token_type)))
+            out = add(out, gather(t.position, np.arange(n)))
+            return add(out, embed_layout(normalized_coords(boxes, page), t)).data
+
+        want_text = rows(gather(t.word, seq.ids), TEXT_TYPE, seq.bboxes)
+        want_visual = rows(features, VISUAL_TYPE, patch_boxes(page.width, page.height, 2, 2))
         assert np.array_equal(fine.data[:3], want_text)
         assert np.array_equal(fine.data[3:], want_visual)
 

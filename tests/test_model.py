@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,10 @@ from docgrain.document import BBox, Page, Segment, Word
 from docgrain.model import Model, ModelConfig, gradcheck_config, stage_summary
 from docgrain.synth import SynthParams, generate_page, probe_page
 from docgrain.tensor import Tensor, no_grad
+from docgrain.training import reference_model_config
 from docgrain.vocab import build_vocab
+
+from .reference_impls import aggregate_oracle, coarse_input_oracle, fine_input_oracle
 
 TINY = dict(d=12, heads=2, fine_layers=1, coarse_layers=1, vocab_size=64, max_len=64, grid=(2, 2), commonsense_k=4)
 
@@ -124,7 +129,8 @@ class TestStages:
         enc = m.encode_page(page)
         n = enc.n_text + enc.n_visual
         h = Tensor(np.random.default_rng(0).normal(size=(n, m.config.d)))
-        agg_t, agg_v = m.aggregate(h, enc)
+        agg = m.aggregate(h, enc).data
+        agg_t, agg_v = agg[: enc.graph.n_coarse_text], agg[enc.graph.n_coarse_text :]
         # edge-list oracle over the graph parent maps
         want_t = np.zeros((enc.graph.n_coarse_text, m.config.d))
         for t in range(enc.n_text):
@@ -132,8 +138,8 @@ class TestStages:
         want_v = np.zeros((enc.graph.n_coarse_visual, m.config.d))
         for p in range(enc.n_visual):
             want_v[enc.graph.visual_parent[p]] += h.data[enc.n_text + p]
-        assert np.max(np.abs(agg_t.data - want_t)) < 1e-12
-        assert np.max(np.abs(agg_v.data - want_v)) < 1e-12
+        assert np.max(np.abs(agg_t - want_t)) < 1e-12
+        assert np.max(np.abs(agg_v - want_v)) < 1e-12
 
     def test_aggregate_fixture_rows(self):
         # children rows [1,2,...] and [3,4,...] sum to [4,6,...]
@@ -145,15 +151,15 @@ class TestStages:
         h = Tensor(
             np.vstack([np.tile([[1.0, 2.0]], (1, 6)), np.tile([[3.0, 4.0]], (1, 6)), np.zeros((1, 12))])
         )
-        agg_t, _ = m.aggregate(h, enc)
-        assert np.allclose(agg_t.data[0][:2], [4.0, 6.0])
+        agg_t = m.aggregate(h, enc).data[: enc.graph.n_coarse_text]
+        assert np.allclose(agg_t[0][:2], [4.0, 6.0])
         # single child: the aggregate is the child's row itself
         single_page = Page(width=20, height=10, words=[words[0]], segments=[Segment("a", BBox(0, 0, 5, 5), (0,))])
         ms = tiny_model(single_page, grid=(1, 1))
         encs = ms.encode_page(single_page)
         hs = Tensor(np.vstack([np.tile([[5.0, -1.0]], (1, 6)), np.zeros((1, 12))]))
-        agg_s, _ = ms.aggregate(hs, encs)
-        assert np.array_equal(agg_s.data[0], hs.data[0])
+        agg_s = ms.aggregate(hs, encs).data[: encs.graph.n_coarse_text]
+        assert np.array_equal(agg_s[0], hs.data[0])
 
     @pytest.mark.parametrize("aggregation", ["sum", "mean"])
     def test_parent_map_matches_loop_reference(self, aggregation):
@@ -175,7 +181,11 @@ class TestStages:
             for mat in (agg_text, agg_visual):
                 counts = mat.sum(axis=1, keepdims=True)
                 np.divide(mat, counts, out=mat, where=counts > 0)  # childless nodes stay zero
-        for got, want in ((enc.parent_row, parent_row), (enc.agg_text, agg_text), (enc.agg_visual, agg_visual)):
+        # The one matrix is the two per-modality blocks on its diagonal.
+        agg = np.zeros((n_seg + g.n_coarse_visual, n_text + n_visual))
+        agg[:n_seg, :n_text] = agg_text
+        agg[n_seg:, n_text:] = agg_visual
+        for got, want in ((enc.parent_row, parent_row), (enc.agg, agg)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -183,7 +193,7 @@ class TestStages:
         page = probe_page()
         m = tiny_model(page, aggregation="mean")
         enc = m.encode_page(page)
-        assert np.allclose(enc.agg_text.sum(axis=1), 1.0)
+        assert np.allclose(enc.agg[: enc.graph.n_coarse_text].sum(axis=1), 1.0)
 
     def test_coarse_encode_m0_identity(self):
         page = probe_page()
@@ -236,6 +246,45 @@ class TestStages:
         lhs = m.fuse(a, Tensor(b.data + c.data), enc).data
         rhs = m.fuse(a, b, enc).data + c.data[enc.parent_row]
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+# Long pages on a 7x7 grid, as in the dense benchmark workload.
+DENSE = SynthParams(page_height=2600, min_kv_pairs=12, max_kv_pairs=24, max_list_blocks=6, max_noise_lines=6)
+
+
+class TestStackedInputsMatchOracle:
+    """The stacked [text; visual] stages equal the per-row, per-modality
+    numpy oracle byte for byte."""
+
+    @pytest.mark.parametrize("aggregation", ["sum", "mean"])
+    @pytest.mark.parametrize("params, grid", [(SynthParams(), (4, 4)), (DENSE, (7, 7))], ids=["forms", "dense"])
+    def test_fine_input_aggregate_coarse_input(self, params, grid, aggregation):
+        pages = [generate_page(41, i, params) for i in range(2)]
+        cfg = replace(reference_model_config(), grid=grid, aggregation=aggregation)
+        m = Model(cfg, build_vocab(pages, cfg.vocab_size))
+        for page in pages:
+            enc = m.encode_page(page)
+            with no_grad():
+                h0 = m.fine_input(enc)
+                h = m.fine_encode(h0, enc)
+                agg = m.aggregate(h, enc)
+                coarse = m.coarse_input(agg, enc)
+            assert h0.data.tobytes() == fine_input_oracle(m, enc).tobytes()
+            want_agg = aggregate_oracle(enc, h.data, aggregation == "mean")
+            assert agg.data.tobytes() == want_agg.tobytes()
+            assert coarse.data.tobytes() == coarse_input_oracle(m, enc, want_agg).tobytes()
+
+    def test_collected_aggregate_blocks_add_no_tape_node(self):
+        page = probe_page()
+        m = tiny_model(page)
+        enc = m.encode_page(page)
+        _, stages = m.forward_encoded(enc, collect=True)
+        z = enc.graph.n_coarse_text
+        agg = m.aggregate(stages["fine_encoded"], enc).data
+        assert np.array_equal(stages["aggregated_text"].data, agg[:z])
+        assert np.array_equal(stages["aggregated_visual"].data, agg[z:])
+        for name in ("aggregated_text", "aggregated_visual"):
+            assert stages[name]._backward is None and not stages[name].requires_grad
 
 
 class TestForward:

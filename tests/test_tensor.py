@@ -190,6 +190,20 @@ class TestGradients:
         check_op(lambda t: matmul(t, b), a)
         check_op(lambda t: matmul(a, t), b)
 
+    @pytest.mark.parametrize("shapes", [((4, 5), (5, 2)), ((3, 4, 5), (3, 5, 2))], ids=["matrix", "stacked"])
+    def test_matmul_skips_constant_operand(self, shapes):
+        a_data, b_data = RNG.normal(size=shapes[0]), RNG.normal(size=shapes[1])
+        g = RNG.normal(size=(a_data @ b_data).shape)
+        for const_left in (True, False):
+            const = Tensor(a_data if const_left else b_data)
+            live = Tensor(b_data if const_left else a_data, requires_grad=True)
+            both = [Tensor(a_data, requires_grad=True), Tensor(b_data, requires_grad=True)]
+            out = matmul(const, live) if const_left else matmul(live, const)
+            mul(out, Tensor(g)).sum().backward()
+            mul(matmul(*both), Tensor(g)).sum().backward()
+            assert const.grad is None
+            assert np.array_equal(live.grad, both[1 if const_left else 0].grad)
+
     def test_linear(self):
         x, w, b = rand(4, 5), rand(5, 3), rand(3)
         check_op(lambda t: linear(t, w, b), x)

@@ -215,6 +215,28 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="invalid checkpoint config"):
             load_model(path)
 
+    @pytest.mark.parametrize("key, value", [("heads", 0), ("grid", [2])])
+    def test_model_config_bad_value_rejected(self, tmp_path, key, value):
+        path, tensors, config = self.saved_model(tmp_path)
+        config["model"][key] = value
+        save_checkpoint(path, tensors, config)
+        with pytest.raises(CheckpointError, match="invalid checkpoint config"):
+            load_model(path)
+
+    def test_failed_save_leaves_existing_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(str(path), {"w": np.ones(4)}, {"n": 1})
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(str(path), {"w": np.zeros(9)}, {"n": 2})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ck.bin"]
+
     def test_magic_prefix(self, tmp_path):
         path = str(tmp_path / "ck.bin")
         save_checkpoint(path, {"t": np.zeros(2)}, {})

@@ -23,7 +23,7 @@ from .document import (
     serialize_document,
     union_box,
 )
-from .graph import DocumentGraph, NodeKind, NodeRef, assign_patch, build_graph, patch_boxes
+from .graph import DocumentGraph, NodeKind, NodeRef, assign_patches, build_graph, patch_boxes
 from .labeling import BioTagSet, Entity, anls, bio_decode, bio_encode, entity_f1, levenshtein
 from .model import Model, ModelConfig, finite_difference_check, load_model
 from .synth import SynthParams, generate_page, load_corpus, save_corpus, synth_generate
@@ -54,7 +54,7 @@ __all__ = [
     "Word",
     "ablate",
     "anls",
-    "assign_patch",
+    "assign_patches",
     "bio_decode",
     "bio_encode",
     "boundary_distance",

@@ -5,7 +5,10 @@ pre-softmax scores: a 1D-index term and 2D terms over top-left corner
 differences. Raw offsets are mapped to a bounded table through a
 sign-symmetric bucket scheme (exact near zero, logarithmic further out),
 so the bias depends only on coordinate differences and is translation
-invariant by construction.
+invariant by construction. ``spatial_indices`` reads the buckets from a
+table of ``rel_bucket`` over every offset up to max(1000, max_distance),
+built once per configuration; longer offsets all share the saturated end
+buckets.
 
 All heads run at once on head-major stacks: Q and V are (heads, n, d_k)
 and K is (heads, d_k, n). The summed relative bias of all three tables is
@@ -15,6 +18,7 @@ and shared by every spatial layer, since the tables are shared.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,18 +87,41 @@ class SpatialIndices:
     idx_y: np.ndarray
 
 
+# Every 0..1000 coordinate difference has its own table entry.
+_TABLE_SPAN = 1000
+
+
+@functools.lru_cache(maxsize=8)
+def bucket_table(buckets: int, max_distance: int, span: int) -> np.ndarray:
+    """``rel_bucket`` of every offset in [-span, span], at index offset + span."""
+    table = rel_bucket(np.arange(-span, span + 1), buckets, max_distance)
+    table.flags.writeable = False
+    return table
+
+
+def _bucketed(values: np.ndarray, table: np.ndarray, span: int) -> np.ndarray:
+    shifted = (values + span)[None, :] - values[:, None]  # (j - i) + span
+    if values.size and np.ptp(values) > span:
+        # rel_bucket is constant from max_distance <= span outward, so
+        # clamping longer offsets onto the table's ends changes no bucket.
+        np.clip(shifted, 0, 2 * span, out=shifted)
+    return table[shifted]
+
+
 def spatial_indices(coords: np.ndarray, positions, cfg: AttentionConfig) -> SpatialIndices:
     """Bucketized (j - i) offsets for 1D positions and top-left corners,
-    from an (n, 4) int array of normalized (x0, y0, x1, y1) coordinates."""
+    from an (n, 4) int array of normalized (x0, y0, x1, y1) coordinates,
+    read from one bucket table per configuration."""
     pos = np.asarray(positions, dtype=np.int64)
     coords = np.asarray(coords, dtype=np.int64)
     if coords.shape != (pos.shape[0], 4):
         raise ValueError(f"coordinates of shape {coords.shape} vs {pos.shape[0]} positions")
-    x0, y0 = coords[:, 0], coords[:, 1]
+    span = max(_TABLE_SPAN, cfg.rel_max_distance)
+    table = bucket_table(cfg.rel_buckets, cfg.rel_max_distance, span)
     return SpatialIndices(
-        idx_1d=rel_bucket(pos[None, :] - pos[:, None], cfg.rel_buckets, cfg.rel_max_distance),
-        idx_x=rel_bucket(x0[None, :] - x0[:, None], cfg.rel_buckets, cfg.rel_max_distance),
-        idx_y=rel_bucket(y0[None, :] - y0[:, None], cfg.rel_buckets, cfg.rel_max_distance),
+        idx_1d=_bucketed(pos, table, span),
+        idx_x=_bucketed(coords[:, 0], table, span),
+        idx_y=_bucketed(coords[:, 1], table, span),
     )
 
 

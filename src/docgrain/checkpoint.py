@@ -65,7 +65,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(raw[pos : pos + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, over-long integers
         raise CheckpointError(f"{path}: corrupt header: {exc}") from None
     pos += hlen
     if not (isinstance(header, dict) and isinstance(header.get("tensors"), list)

@@ -3,13 +3,21 @@
 Text segments cluster into high-density groups; each cluster becomes one
 salient visual region. Noise segments become singleton regions so that the
 fine-to-coarse edge map stays total.
+
+The neighbourhood search is whole-array: the per-axis gaps of all pairs
+are computed at once, and since the boundary distance is at least the
+larger gap, only pairs with both gaps within the radius are confirmed with
+the scalar ``boundary_distance``, so every ``<= radius`` decision is the
+scalar one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .document import BBox, Segment, boundary_distance, union_box
+import numpy as np
+
+from .document import BBox, Segment, axis_gaps, boundary_distance, box_array, union_box
 
 NOISE = -1
 
@@ -26,7 +34,7 @@ class ClusterParams:
     min_pts: int = 1
 
     def __post_init__(self) -> None:
-        if self.radius < 0:
+        if not self.radius >= 0:  # also NaN, under which every box would be noise
             raise ValueError(f"radius must be >= 0, got {self.radius}")
         if self.min_pts < 0:
             raise ValueError(f"min_pts must be >= 0, got {self.min_pts}")
@@ -50,12 +58,7 @@ def dbscan(boxes: list[BBox], params: ClusterParams) -> list[int]:
     if n == 0:
         return []
     r = params.radius
-    within: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if boundary_distance(boxes[i], boxes[j]) <= r:
-                within[i].append(j)
-                within[j].append(i)
+    within = _neighbours(boxes, r)
     core = [len(within[i]) >= params.min_pts for i in range(n)]
 
     labels = [NOISE] * n
@@ -78,11 +81,25 @@ def dbscan(boxes: list[BBox], params: ClusterParams) -> list[int]:
     for i in range(n):
         if core[i] or labels[i] != NOISE:
             continue
-        for j in range(n):
-            if core[j] and j != i and boundary_distance(boxes[i], boxes[j]) <= r:
+        for j in within[i]:
+            if core[j]:
                 labels[i] = labels[j]
                 break
     return labels
+
+
+def _neighbours(boxes: list[BBox], r: float) -> list[list[int]]:
+    """Ascending indices of the other boxes within ``r`` of each box."""
+    coords = box_array(boxes)
+    dx, dy = axis_gaps(coords, coords)
+    # hypot(dx, dy) >= max(dx, dy): pairs failing this cannot be neighbours.
+    candidate = np.triu((dx <= r) & (dy <= r), 1)
+    within: list[list[int]] = [[] for _ in range(len(boxes))]
+    for i, j in zip(*(idx.tolist() for idx in np.nonzero(candidate))):
+        if boundary_distance(boxes[i], boxes[j]) <= r:
+            within[i].append(j)
+            within[j].append(i)
+    return within
 
 
 def detect_salient_regions(segments: list[Segment], params: ClusterParams) -> list[SalientRegion]:

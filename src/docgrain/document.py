@@ -3,6 +3,11 @@
 Coordinates are stored raw (page pixels). Normalization to the 0..1000
 integer grid happens only at the embedding boundary, so clustering radii
 keep their page-space meaning.
+
+``iou`` and ``boundary_distance`` define the pairwise geometry one pair at
+a time; ``iou_matrix`` and ``axis_gaps`` compute it for all pairs of two
+``box_array`` arrays at once, in the same operation order, so both forms
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -10,6 +15,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 class DocumentParseError(ValueError):
@@ -64,6 +71,30 @@ def boundary_distance(a: BBox, b: BBox) -> float:
     dx = max(max(a.x0, b.x0) - min(a.x1, b.x1), 0.0)
     dy = max(max(a.y0, b.y0) - min(a.y1, b.y1), 0.0)
     return math.hypot(dx, dy)
+
+
+def box_array(boxes: list[BBox]) -> np.ndarray:
+    """(n, 4) float64 (x0, y0, x1, y1) rows."""
+    return np.array([(b.x0, b.y0, b.x1, b.y1) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) ``iou`` of two (n, 4) box arrays, bit-equal to it."""
+    ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = area_a[:, None] + area_b[None, :] - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+
+
+def axis_gaps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(len(a), len(b)) per-axis gaps between two (n, 4) box arrays, in
+    ``boundary_distance``'s operation order (zero where boxes overlap)."""
+    dx = np.maximum(a[:, None, 0], b[None, :, 0]) - np.minimum(a[:, None, 2], b[None, :, 2])
+    dy = np.maximum(a[:, None, 1], b[None, :, 1]) - np.minimum(a[:, None, 3], b[None, :, 3])
+    return np.maximum(dx, 0.0), np.maximum(dy, 0.0)
 
 
 def union_box(boxes: list[BBox]) -> BBox:
@@ -146,9 +177,11 @@ def _require(cond: bool, message: str) -> None:
 def _parse_bbox(raw: object, where: str) -> BBox:
     _require(isinstance(raw, (list, tuple)) and len(raw) == 4, f"bad bbox at {where}")
     try:
-        return BBox(*[float(v) for v in raw])  # type: ignore[misc]
-    except (TypeError, ValueError) as exc:
+        box = BBox(*[float(v) for v in raw])  # type: ignore[misc]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DocumentParseError(f"bad bbox at {where}: {exc}") from None
+    _require(all(map(math.isfinite, box.as_list())), f"non-finite bbox at {where}")
+    return box
 
 
 def parse_document(data: bytes | str | dict) -> Page:
@@ -160,7 +193,7 @@ def parse_document(data: bytes | str | dict) -> Page:
     if isinstance(data, (bytes, str)):
         try:
             raw = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also bad UTF-8 and over-long integers
             raise DocumentParseError(f"invalid JSON: {exc}") from None
     else:
         raw = data

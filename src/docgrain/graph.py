@@ -3,16 +3,23 @@
 Fine nodes are words and image patches; coarse nodes are text segments and
 salient regions. Only the cross-grained parent relation is materialized:
 same-granularity connectivity is realized as self-attention downstream.
+
+Patches attach to regions through one (patches x regions) IOU matrix,
+``document.iou_matrix``, which keeps ``document.iou``'s operation order so
+every decision matches the scalar definition.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .clustering import ClusterParams, SalientRegion, detect_salient_regions
-from .document import BBox, Page, boundary_distance, iou
+from .document import BBox, Page, axis_gaps, box_array, iou_matrix
 
 
 class NodeKind(enum.Enum):
@@ -46,21 +53,25 @@ def patch_boxes(page_w: float, page_h: float, grid_w: int, grid_h: int) -> list[
     return boxes
 
 
-def assign_patch(patch: BBox, regions: list[SalientRegion]) -> int:
-    """Index of the region with the largest IOU against the patch.
+def assign_patches(patches: list[BBox], regions: list[SalientRegion]) -> list[int]:
+    """Index of the region with the largest IOU against each patch.
 
-    When every IOU is zero (margin and whitespace patches) the nearest
-    region by boundary distance wins; all ties go to the lowest index so
-    the edge map stays total and deterministic.
+    When every IOU of a patch is zero (margin and whitespace patches) the
+    nearest region by boundary distance wins; all ties go to the lowest
+    index so the edge map stays total and deterministic.
     """
     if not regions:
         raise ValueError("no regions for patch assignment")
-    ious = [iou(patch, r.bbox) for r in regions]
-    best = max(ious)
-    if best > 0.0:
-        return ious.index(best)
-    dists = [boundary_distance(patch, r.bbox) for r in regions]
-    return dists.index(min(dists))
+    p, r = box_array(patches), box_array([reg.bbox for reg in regions])
+    ious = iou_matrix(p, r)
+    parent = ious.argmax(axis=1)
+    zero = np.flatnonzero(ious.max(axis=1) <= 0.0)
+    if zero.size:
+        dx, dy = axis_gaps(p[zero], r)
+        for row, patch in enumerate(zero.tolist()):
+            dists = list(map(math.hypot, dx[row].tolist(), dy[row].tolist()))
+            parent[patch] = dists.index(min(dists))
+    return parent.tolist()
 
 
 @dataclass
@@ -116,7 +127,7 @@ def build_graph(page: Page, params: ClusterParams, grid: tuple[int, int]) -> Doc
     regions = detect_salient_regions(page.segments, params)
     patches = patch_boxes(page.width, page.height, grid[0], grid[1])
     text_parent = [w.segment_id for w in page.words]
-    visual_parent = [assign_patch(p, regions) for p in patches]
+    visual_parent = assign_patches(patches, regions)
     return DocumentGraph(
         page=page,
         regions=regions,

@@ -8,6 +8,7 @@ raises instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .tensor import Tensor, linear
 
@@ -22,13 +23,13 @@ class BioTagSet:
 
     types: tuple[str, ...] = DEFAULT_ENTITY_TYPES
 
-    @property
-    def tags(self) -> list[str]:
-        out = [OUTSIDE]
-        for t in self.types:
-            out.append(f"B-{t}")
-            out.append(f"I-{t}")
-        return out
+    @cached_property
+    def tags(self) -> tuple[str, ...]:
+        return (OUTSIDE, *(f"{marker}-{t}" for t in self.types for marker in ("B", "I")))
+
+    @cached_property
+    def _ids(self) -> dict[str, int]:
+        return {tag: i for i, tag in enumerate(self.tags)}
 
     @property
     def n_tags(self) -> int:
@@ -36,8 +37,8 @@ class BioTagSet:
 
     def tag_id(self, tag: str) -> int:
         try:
-            return self.tags.index(tag)
-        except ValueError:
+            return self._ids[tag]
+        except KeyError:
             raise ValueError(f"unknown tag '{tag}' for types {self.types}") from None
 
     def id_tag(self, idx: int) -> str:

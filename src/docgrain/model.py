@@ -5,10 +5,16 @@ of fine features into segment and region nodes along the graph's parent
 edges, knowledge-enhanced coarse encoding with canonical attention, and
 fusion of each coarse feature back onto its fine children. Coordinates
 reach the model only through the shared layout tables.
+
+``Model.encode_page`` computes everything constant per page (graph,
+normalized coordinates, bucket indices, aggregation matrix, targets) with
+whole-array numpy; each array equals its per-element definition bit for
+bit.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import zlib
 from dataclasses import asdict, dataclass, fields
@@ -28,7 +34,7 @@ from .attention import (
 from .checkpoint import CheckpointError
 from .clustering import ClusterParams
 from .commonsense import CommonSenseInventory, make_inventory
-from .document import BBox, Page, normalize_box
+from .document import BBox, Page, box_array
 from .embeddings import (
     COORD_RANGE,
     PATCH_RAW_DIM,
@@ -116,6 +122,14 @@ class ModelConfig:
             raise ValueError(f"coarse_layers must be in [0, 5], got {self.coarse_layers}")
         if self.commonsense_k < 0:
             raise ValueError("commonsense_k must be >= 0")
+        if self.rel_buckets % 2 != 0 or self.rel_buckets < 4:
+            raise ValueError(f"rel_buckets must be even and >= 4, got {self.rel_buckets}")
+        if self.rel_max_distance <= self.rel_buckets // 4:
+            raise ValueError(f"rel_max_distance must exceed {self.rel_buckets // 4}, got {self.rel_max_distance}")
+        if not math.isfinite(self.radius) or self.radius < 0:
+            raise ValueError(f"radius must be finite and >= 0, got {self.radius}")
+        if self.min_pts < 0:
+            raise ValueError(f"min_pts must be >= 0, got {self.min_pts}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.aggregation not in ("sum", "mean"):
@@ -179,9 +193,15 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarr
 
 
 def normalized_coords(boxes: list[BBox], page: Page) -> np.ndarray:
-    """(n, 4) int64 (x0, y0, x1, y1) of page-space boxes on the 0..1000 grid."""
-    coords = [normalize_box(b, page.width, page.height).as_list() for b in boxes]
-    return np.array(coords, dtype=np.int64).reshape(-1, 4)
+    """(n, 4) int64 (x0, y0, x1, y1) of page-space boxes on the 0..1000
+    grid: ``normalize_box`` on every box at once, in its operation order."""
+    if page.width <= 0 or page.height <= 0:
+        raise ValueError(f"non-positive page dimensions: {page.width}x{page.height}")
+    dims = np.array([page.width, page.height] * 2, dtype=np.float64)
+    v = np.minimum(np.maximum(box_array(boxes), 0.0), dims)
+    if np.isnan(v).any():
+        raise ValueError("cannot normalize a NaN box coordinate")
+    return np.minimum(np.maximum(np.floor(v * 1000.0 / dims), 0.0), 1000.0).astype(np.int64)
 
 
 @dataclass
@@ -345,10 +365,10 @@ class Model:
 
         targets = None
         if page.labels is not None:
+            # Each word's tag on its first sub-token; continuations are ignored.
+            first = np.flatnonzero(tokens.first_subtoken)
             targets = np.full(n_text, IGNORE_INDEX, dtype=np.int64)
-            for t in range(n_text):
-                if tokens.first_subtoken[t]:
-                    targets[t] = self.tag_set.tag_id(page.labels[tokens.word_index[t]])
+            targets[first] = [self.tag_set.tag_id(page.labels[tokens.word_index[t]]) for t in first]
 
         return EncodedDoc(
             page=page,

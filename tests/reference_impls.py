@@ -6,6 +6,11 @@ connected components, the edit-distance oracle is a memoized recursion
 rather than the package's iterative dynamic program, and the model-input
 oracles build each row from the page, the graph and the raw parameter
 arrays, one modality at a time.
+
+The scalar loops that page encoding used before it became whole-array
+numpy are kept here (``dbscan_loop``, ``assign_patch_loop``,
+``normalized_coords_loop``, ``spatial_indices_direct``), so the
+vectorized code is held to byte-equal outputs against them.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from docgrain.document import BBox, boundary_distance, normalize_box
+from docgrain.attention import SpatialIndices, rel_bucket
+from docgrain.document import BBox, boundary_distance, iou, normalize_box
 
 NOISE = -1
 
@@ -183,3 +189,71 @@ def coarse_input_oracle(model, enc, agg: np.ndarray) -> np.ndarray:
             row = row + knowledge[z]
         rows.append(row + _layout_row(model.tables, box, page))
     return np.array(rows)
+
+
+def dbscan_loop(boxes: list[BBox], radius: float, min_pts: int) -> list[int]:
+    """DBSCAN with an O(n^2) scalar neighbour scan and a second scan for
+    border boxes."""
+    n = len(boxes)
+    if n == 0:
+        return []
+    within: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if boundary_distance(boxes[i], boxes[j]) <= radius:
+                within[i].append(j)
+                within[j].append(i)
+    core = [len(within[i]) >= min_pts for i in range(n)]
+
+    labels = [NOISE] * n
+    next_id = 0
+    for start in range(n):
+        if not core[start] or labels[start] != NOISE:
+            continue
+        labels[start] = next_id
+        frontier = [start]
+        while frontier:
+            i = frontier.pop()
+            for j in within[i]:
+                if core[j] and labels[j] == NOISE:
+                    labels[j] = next_id
+                    frontier.append(j)
+        next_id += 1
+
+    for i in range(n):
+        if core[i] or labels[i] != NOISE:
+            continue
+        for j in range(n):
+            if core[j] and j != i and boundary_distance(boxes[i], boxes[j]) <= radius:
+                labels[i] = labels[j]
+                break
+    return labels
+
+
+def assign_patch_loop(patch: BBox, regions) -> int:
+    """First region of largest scalar IOU; with all IOUs zero, the first
+    region of smallest boundary distance."""
+    ious = [iou(patch, r.bbox) for r in regions]
+    best = max(ious)
+    if best > 0.0:
+        return ious.index(best)
+    dists = [boundary_distance(patch, r.bbox) for r in regions]
+    return dists.index(min(dists))
+
+
+def normalized_coords_loop(boxes: list[BBox], page) -> np.ndarray:
+    """``normalize_box`` one box at a time."""
+    coords = [normalize_box(b, page.width, page.height).as_list() for b in boxes]
+    return np.array(coords, dtype=np.int64).reshape(-1, 4)
+
+
+def spatial_indices_direct(coords: np.ndarray, positions, cfg) -> SpatialIndices:
+    """``rel_bucket`` applied to every (j - i) offset matrix."""
+    pos = np.asarray(positions, dtype=np.int64)
+    coords = np.asarray(coords, dtype=np.int64)
+    x0, y0 = coords[:, 0], coords[:, 1]
+    return SpatialIndices(
+        idx_1d=rel_bucket(pos[None, :] - pos[:, None], cfg.rel_buckets, cfg.rel_max_distance),
+        idx_x=rel_bucket(x0[None, :] - x0[:, None], cfg.rel_buckets, cfg.rel_max_distance),
+        idx_y=rel_bucket(y0[None, :] - y0[:, None], cfg.rel_buckets, cfg.rel_max_distance),
+    )

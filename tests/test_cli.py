@@ -46,6 +46,12 @@ class TestBuildGraph:
         assert run(["build-graph", "--input", str(tmp_path), "--output", str(tmp_path / "g.json")]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_nan_radius_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        assert run(["build-graph", "--input", THREE_BLOCKS, "--radius", "nan", "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: radius")
+        assert not out.exists()
+
 
 class TestRender:
     def test_three_block_fixture_has_two_regions_at_r10(self, tmp_path):
@@ -146,8 +152,15 @@ class TestConfigErrors:
             {"train": {"lr": "x"}},
             {"train": {"epochs": 1.5}},
             {"train": {"grad_clip": "a"}},
+            {"model": {"rel_buckets": 5}},
+            {"model": {"rel_max_distance": 8}},
+            {"model": {"radius": -1}},
+            {"model": {"min_pts": -1}},
         ],
-        ids=["grid-int", "d-string", "heads-zero", "grid-one", "model-int", "lr-string", "epochs-float", "clip-string"],
+        ids=[
+            "grid-int", "d-string", "heads-zero", "grid-one", "model-int", "lr-string", "epochs-float", "clip-string",
+            "buckets-odd", "max-distance-short", "radius-negative", "min-pts-negative",
+        ],
     )
     def test_malformed_config_is_validation_error(self, corpus, tmp_path, capsys, config):
         path = tmp_path / "cfg.json"

@@ -108,3 +108,8 @@ class TestClusterParams:
             ClusterParams(radius=-1)
         with pytest.raises(ValueError):
             ClusterParams(min_pts=-1)
+
+    def test_rejects_nan_radius(self):
+        with pytest.raises(ValueError, match="radius"):
+            ClusterParams(radius=float("nan"))
+        assert ClusterParams(radius=float("inf")).radius == float("inf")

@@ -206,6 +206,18 @@ class TestParseDocument:
         with pytest.raises(DocumentParseError, match="invalid JSON"):
             parse_document(b"{nope")
 
+    @pytest.mark.parametrize("blob", [b'{"width": \xff}', b"[" * 100000, b'{"width": ' + b"9" * 5000 + b"}"])
+    def test_undecodable_json(self, blob):
+        with pytest.raises(DocumentParseError, match="invalid JSON"):
+            parse_document(blob)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400])
+    def test_non_finite_bbox_rejected(self, value):
+        doc = json.loads(json.dumps(MINIMAL_DOC))
+        doc["words"][1]["bbox"][2] = value
+        with pytest.raises(DocumentParseError, match=r"bbox at words\[1\]"):
+            parse_document(json.dumps(doc))
+
 
 @settings(max_examples=50)
 @given(st.integers(0, 10**6))

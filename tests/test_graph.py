@@ -8,7 +8,7 @@ from docgrain.document import BBox, Page, Segment, Word, boundary_distance, iou
 from docgrain.graph import (
     NodeKind,
     NodeRef,
-    assign_patch,
+    assign_patches,
     build_graph,
     graph_from_dict,
     graph_to_dict,
@@ -54,29 +54,29 @@ class TestPatchBoxes:
 class TestAssignPatch:
     def test_only_nonzero_iou(self):
         regions = [region(BBox(0, 0, 10, 10), [0]), region(BBox(90, 90, 95, 95), [1])]
-        assert assign_patch(BBox(2, 2, 8, 8), regions) == 0
+        assert assign_patches([BBox(2, 2, 8, 8)], regions)[0] == 0
 
     def test_argmax(self):
         patch = BBox(0, 0, 10, 10)
         regions = [region(BBox(0, 0, 3, 10), [0]), region(BBox(0, 0, 10, 9), [1])]
         assert iou(patch, regions[1].bbox) > iou(patch, regions[0].bbox)
-        assert assign_patch(patch, regions) == 1
+        assert assign_patches([patch], regions)[0] == 1
 
     def test_zero_iou_uses_boundary_distance(self):
         patch = BBox(0, 0, 10, 10)
         regions = [region(BBox(100, 0, 110, 10), [0]), region(BBox(20, 0, 30, 10), [1])]
         dists = [boundary_distance(patch, r.bbox) for r in regions]
         assert dists[1] < dists[0]
-        assert assign_patch(patch, regions) == 1
+        assert assign_patches([patch], regions)[0] == 1
 
     def test_zero_iou_distance_tie_lowest_index(self):
         patch = BBox(50, 50, 60, 60)
         regions = [region(BBox(30, 50, 40, 60), [0]), region(BBox(70, 50, 80, 60), [1])]
-        assert assign_patch(patch, regions) == 0
+        assert assign_patches([patch], regions)[0] == 0
 
     def test_empty_regions(self):
         with pytest.raises(ValueError, match="no regions for patch assignment"):
-            assign_patch(BBox(0, 0, 1, 1), [])
+            assign_patches([BBox(0, 0, 1, 1)], [])
 
 
 def one_segment_page():

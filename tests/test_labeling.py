@@ -34,6 +34,13 @@ class TestBioTagSet:
         with pytest.raises(ValueError, match="unknown tag"):
             BioTagSet().tag_id("B-NOPE")
 
+    def test_tags_built_once_in_order(self):
+        ts = BioTagSet(("HEADER", "ANSWER"))
+        assert ts.tags is ts.tags
+        assert list(ts.tags) == ["O", "B-HEADER", "I-HEADER", "B-ANSWER", "I-ANSWER"]
+        assert [ts.tag_id(t) for t in ts.tags] == [0, 1, 2, 3, 4]
+        assert BioTagSet(("HEADER", "ANSWER")) == ts and hash(BioTagSet(("HEADER", "ANSWER"))) == hash(ts)
+
 
 class TestBioDecode:
     def test_basic_run(self):

@@ -33,6 +33,19 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="aggregation"):
             ModelConfig(aggregation="median")
 
+    @pytest.mark.parametrize("field, bad, good", [
+        ("rel_buckets", [5, 2, 0, -4], [4, 32]),
+        ("rel_max_distance", [8, 0, -1], [9, 1000]),
+        ("radius", [-1.0, float("inf"), float("nan")], [0.0, 30.0]),
+        ("min_pts", [-1], [0, 3]),
+    ])
+    def test_bucket_and_cluster_fields(self, field, bad, good):
+        for value in bad:
+            with pytest.raises(ValueError, match=field):
+                ModelConfig(**{field: value})
+        for value in good:
+            assert getattr(ModelConfig(**{field: value}), field) == value
+
     def test_round_trip_dict(self):
         cfg = ModelConfig(d=24, heads=4, grid=(3, 5))
         again = ModelConfig.from_dict(cfg.to_dict())

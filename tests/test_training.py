@@ -215,7 +215,7 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="invalid checkpoint config"):
             load_model(path)
 
-    @pytest.mark.parametrize("key, value", [("heads", 0), ("grid", [2])])
+    @pytest.mark.parametrize("key, value", [("heads", 0), ("grid", [2]), ("rel_buckets", 5), ("radius", -1.0)])
     def test_model_config_bad_value_rejected(self, tmp_path, key, value):
         path, tensors, config = self.saved_model(tmp_path)
         config["model"][key] = value

@@ -9,7 +9,7 @@ trains a BIO sequence-labeling head on synthetic form documents.
 __version__ = "0.1.0"
 
 from .clustering import ClusterParams, SalientRegion, dbscan, detect_salient_regions
-from .commonsense import CommonSenseInventory, CommonSenseVector, detect_common_sense
+from .commonsense import CommonSenseInventory
 from .document import (
     BBox,
     DocumentParseError,
@@ -36,7 +36,6 @@ __all__ = [
     "BioTagSet",
     "ClusterParams",
     "CommonSenseInventory",
-    "CommonSenseVector",
     "DocumentGraph",
     "DocumentParseError",
     "Entity",
@@ -61,7 +60,6 @@ __all__ = [
     "build_graph",
     "build_vocab",
     "dbscan",
-    "detect_common_sense",
     "detect_salient_regions",
     "entity_f1",
     "evaluate_model",

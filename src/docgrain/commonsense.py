@@ -9,7 +9,7 @@ residual: it fires only on digit runs not claimed by another category.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,31 +105,15 @@ _SPAN_DETECTORS = {
 
 
 @dataclass
-class CommonSenseVector:
-    """Multi-hot detector output for one text segment."""
-
-    bits: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.bits = np.asarray(self.bits, dtype=np.float64)
-        if not np.isin(self.bits, (0.0, 1.0)).all():
-            raise ValueError("common-sense vector entries must be 0 or 1")
-
-    def __len__(self) -> int:
-        return int(self.bits.shape[0])
-
-
-@dataclass
 class CommonSenseInventory:
     """Ordered detector inventory; bit k of the output belongs to
     ``categories[k]``."""
 
     categories: tuple[str, ...] = DEFAULT_CATEGORIES
-    extra_gazetteers: dict[str, frozenset[str]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for cat in self.categories:
-            if cat != "CARDINAL" and cat not in _SPAN_DETECTORS and cat not in self.extra_gazetteers:
+            if cat != "CARDINAL" and cat not in _SPAN_DETECTORS:
                 raise ValueError(f"no detector available for category '{cat}'")
 
     @property
@@ -144,11 +128,6 @@ class CommonSenseInventory:
         for k, cat in enumerate(self.categories):
             if cat == "CARDINAL":
                 cardinal_slot = k
-                continue
-            if cat in self.extra_gazetteers:
-                words = {w.lower() for w in _WORD.findall(text)}
-                if words & self.extra_gazetteers[cat]:
-                    bits[k] = 1.0
                 continue
             spans = _SPAN_DETECTORS[cat](text)
             if spans:
@@ -166,11 +145,6 @@ class CommonSenseInventory:
         if not texts:
             return np.zeros((0, self.size))
         return np.stack([self.detect(t) for t in texts])
-
-
-def detect_common_sense(text: str, inventory: CommonSenseInventory) -> CommonSenseVector:
-    """Validated multi-hot vector over the inventory for one segment."""
-    return CommonSenseVector(inventory.detect(text))
 
 
 def make_inventory(categories: tuple[str, ...] | None, k: int) -> CommonSenseInventory:

@@ -174,11 +174,16 @@ def _require(cond: bool, message: str) -> None:
         raise DocumentParseError(message)
 
 
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _parse_bbox(raw: object, where: str) -> BBox:
     _require(isinstance(raw, (list, tuple)) and len(raw) == 4, f"bad bbox at {where}")
+    _require(all(_is_int(v) or isinstance(v, float) for v in raw), f"bad bbox at {where}: coordinates must be numbers")
     try:
         box = BBox(*[float(v) for v in raw])  # type: ignore[misc]
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise DocumentParseError(f"bad bbox at {where}: {exc}") from None
     _require(all(map(math.isfinite, box.as_list())), f"non-finite bbox at {where}")
     return box
@@ -201,7 +206,7 @@ def parse_document(data: bytes | str | dict) -> Page:
     for key in ("width", "height", "words", "segments"):
         _require(key in raw, f"missing field '{key}'")
     width, height = raw["width"], raw["height"]
-    _require(isinstance(width, int) and isinstance(height, int), "width/height must be integers")
+    _require(_is_int(width) and _is_int(height), "width/height must be integers")
     _require(width > 0 and height > 0, f"non-positive page dimensions: {width}x{height}")
 
     segments_raw = raw["segments"]
@@ -215,7 +220,7 @@ def parse_document(data: bytes | str | dict) -> Page:
         text = w.get("text")
         _require(isinstance(text, str) and text.strip() != "", f"empty text at words[{i}]")
         seg_id = w.get("segment_id")
-        _require(isinstance(seg_id, int), f"missing segment_id at words[{i}]")
+        _require(_is_int(seg_id), f"missing or non-integer segment_id at words[{i}]")
         _require(0 <= seg_id < len(segments_raw), f"dangling segment_id at words[{i}]")
         words.append(Word(text=text, bbox=_parse_bbox(w.get("bbox"), f"words[{i}]"), segment_id=seg_id))
 
@@ -227,7 +232,7 @@ def parse_document(data: bytes | str | dict) -> Page:
         word_ids = s.get("word_ids")
         _require(isinstance(word_ids, list) and len(word_ids) > 0, f"empty segment at segments[{i}]")
         for wid in word_ids:
-            _require(isinstance(wid, int) and 0 <= wid < len(words), f"bad word id {wid} at segments[{i}]")
+            _require(_is_int(wid) and 0 <= wid < len(words), f"bad word id {wid} at segments[{i}]")
             _require(words[wid].segment_id == i, f"segments[{i}] lists word {wid} whose segment_id is {words[wid].segment_id}")
         bbox = _parse_bbox(s.get("bbox"), f"segments[{i}]")
         envelope = union_box([words[wid].bbox for wid in word_ids])

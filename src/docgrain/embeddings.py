@@ -1,17 +1,18 @@
 """Input representations: textual, visual, and layout embeddings.
 
 The token-type and 1D-position tables are shared by the text and visual
-paths. Layout embeddings concatenate six coordinate lookups (x0, x1,
-width from the x table; y0, y1, height from the y table), each d//6 wide;
-when 6 does not divide d the remaining columns are zero so the layout
-term still adds cleanly to the d-dimensional content embeddings.
+paths. The layout term is six coordinate lookups (x0, x1, width from the
+x table; y0, y1, height from the y table) into consecutive d//6-wide
+column blocks; when 6 does not divide d the remaining columns get no
+term.
 
 The visual backbone is a deterministic patch featurizer: per-patch mean
 RGB plus normalized center/size, linearly projected to width d.
 
 ``Model.fine_input`` builds the fine-grained input as one stacked sequence,
-word rows then patch rows, with one lookup per shared table and one
-``embed_layout`` call; ``Model.coarse_input`` reuses the layout tables.
+word rows then patch rows, plus one ``add_lookups`` node for the
+token-type, position and ``layout_lookups`` terms; ``Model.coarse_input``
+adds the same layout lookups to the coarse rows.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .document import Page
-from .tensor import Tensor, concat_cols, gather
+from .tensor import Tensor
 
 TEXT_TYPE = 0
 VISUAL_TYPE = 1
@@ -54,25 +55,15 @@ class EmbeddingTables:
         return self.coord_x.shape[1]
 
 
-def embed_layout(coords: np.ndarray, tables: EmbeddingTables) -> Tensor:
-    """Six concatenated coordinate lookups per row of an (n, 4) int array of
-    normalized (x0, y0, x1, y1) coordinates."""
+def layout_lookups(coords: np.ndarray, tables: EmbeddingTables) -> list[tuple[Tensor, np.ndarray, int]]:
+    """The six ``(coord table, index, column)`` lookups of an (n, 4) int
+    array of normalized (x0, y0, x1, y1) coordinates, for ``add_lookups``."""
     coords = np.asarray(coords, dtype=np.int64)
     if len(coords) and (coords.min() < 0 or coords.max() >= COORD_RANGE):
         raise ValueError("layout coordinates out of the 0..1000 range; normalize boxes first")
     x0, y0, x1, y1 = coords.T
-    parts = [
-        gather(tables.coord_x, x0),
-        gather(tables.coord_x, x1),
-        gather(tables.coord_x, x1 - x0),
-        gather(tables.coord_y, y0),
-        gather(tables.coord_y, y1),
-        gather(tables.coord_y, y1 - y0),
-    ]
-    pad = tables.d - 6 * tables.coord_width
-    if pad:
-        parts.append(Tensor(np.zeros((len(coords), pad))))
-    return concat_cols(parts)
+    x, y, c = tables.coord_x, tables.coord_y, tables.coord_width
+    return [(x, x0, 0), (x, x1, c), (x, x1 - x0, 2 * c), (y, y0, 3 * c), (y, y1, 4 * c), (y, y1 - y0, 5 * c)]
 
 
 def _pixel_ranges(n_pixels: int, n_cells: int) -> list[tuple[int, int]]:

@@ -41,7 +41,7 @@ from .embeddings import (
     TEXT_TYPE,
     VISUAL_TYPE,
     EmbeddingTables,
-    embed_layout,
+    layout_lookups,
     patch_raw_features,
 )
 from .graph import DocumentGraph, build_graph
@@ -50,6 +50,7 @@ from .tensor import (
     IGNORE_INDEX,
     Tensor,
     add,
+    add_lookups,
     concat_rows,
     cross_entropy,
     gather,
@@ -391,10 +392,12 @@ class Model:
         """Word rows then patch rows, plus token-type, position and layout rows."""
         t = self.tables
         features = linear(Tensor(enc.patch_raw), t.patch_proj_w, t.patch_proj_b)
-        h = concat_rows([gather(t.word, enc.tokens.ids), features])
-        h = add(h, gather(t.token_type, np.repeat([TEXT_TYPE, VISUAL_TYPE], [enc.n_text, enc.n_visual])))
-        h = add(h, gather(t.position, enc.positions))
-        return add(h, embed_layout(enc.fine_boxes, t))
+        token_type = np.repeat([TEXT_TYPE, VISUAL_TYPE], [enc.n_text, enc.n_visual])
+        return add_lookups(concat_rows([gather(t.word, enc.tokens.ids), features]), [
+            (t.token_type, token_type, 0),
+            (t.position, enc.positions, 0),
+            *layout_lookups(enc.fine_boxes, t),
+        ])
 
     def fine_encode(self, h: Tensor, enc: EncodedDoc) -> Tensor:
         rate = self.config.dropout if self.train_mode else 0.0
@@ -418,7 +421,7 @@ class Model:
     def coarse_input(self, agg: Tensor, enc: EncodedDoc) -> Tensor:
         if self.config.commonsense_k > 0:
             agg = add(agg, self.commonsense_embed(enc.cs_bits))
-        return add(agg, embed_layout(enc.coarse_boxes, self.tables))
+        return add_lookups(agg, layout_lookups(enc.coarse_boxes, self.tables))
 
     def coarse_encode(self, h: Tensor) -> Tensor:
         rate = self.config.dropout if self.train_mode else 0.0
@@ -430,7 +433,7 @@ class Model:
         return h
 
     def fuse(self, h_fine: Tensor, h_coarse: Tensor, enc: EncodedDoc) -> Tensor:
-        return add(h_fine, gather(h_coarse, enc.parent_row))
+        return add_lookups(h_fine, [(h_coarse, enc.parent_row, 0)])
 
     def forward_encoded(self, enc: EncodedDoc, collect: bool = False) -> tuple[Tensor, dict]:
         stages: dict[str, Tensor] = {}

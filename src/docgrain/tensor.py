@@ -338,6 +338,38 @@ def gather(table: Tensor, idx) -> Tensor:
     return _make(data, (table,), backward)
 
 
+def add_lookups(x: Tensor, lookups: Sequence[tuple[Tensor, object, int]]) -> Tensor:
+    """``x`` plus table rows, as one node: for each ``(table, idx, col)``, in
+    list order, row ``idx[i]`` of ``table`` is added into columns
+    ``col:col + table.shape[1]`` of row ``i`` of the (n, d) ``x``.
+
+    The backward pass hands ``g`` to ``x`` and scatter-adds each lookup's
+    column block of ``g`` into its table, so repeated indices and repeated
+    tables accumulate.
+    """
+    resolved = []
+    for table, idx, col in lookups:
+        idx = np.asarray(idx, dtype=np.int64)
+        rows, width = table.shape
+        if x.data.ndim != 2 or idx.shape != x.shape[:1] or col < 0 or col + width > x.shape[1]:
+            raise ValueError(f"add_lookups shapes: input {x.shape}, table {table.shape} at column {col}, index {idx.shape}")
+        if idx.size and (idx.min() < 0 or idx.max() >= rows):
+            raise ValueError(f"add_lookups index out of range for table with {rows} rows")
+        resolved.append((table, idx, slice(col, col + width)))
+    data = x.data.copy()
+    for table, idx, cols in resolved:
+        data[:, cols] += table.data[idx]
+
+    def backward(g: np.ndarray) -> None:
+        x._accumulate(g)
+        for table, idx, cols in resolved:
+            if table.grad is None:
+                table.grad = np.zeros_like(table.data)
+            np.add.at(table.grad, idx, g[:, cols])
+
+    return _make(data, (x, *(table for table, _, _ in resolved)), backward)
+
+
 def gather_heads(tables: Sequence[Tensor], indices: Sequence) -> Tensor:
     """Summed per-head lookups, head-major: entry ``[h, ...]`` is
     ``sum_t tables[t][indices[t][...], h]``.
@@ -387,21 +419,6 @@ def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
     return _make(data, tuple(tensors), backward)
 
 
-def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
-    if not tensors:
-        raise ValueError("concat_cols of empty sequence")
-    data = np.concatenate([t.data for t in tensors], axis=1)
-    sizes = [t.shape[1] for t in tensors]
-
-    def backward(g: np.ndarray) -> None:
-        off = 0
-        for t, size in zip(tensors, sizes):
-            t._accumulate(g[:, off : off + size])
-            off += size
-
-    return _make(data, tuple(tensors), backward)
-
-
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     def backward(g: np.ndarray) -> None:
         full = np.zeros_like(a.data)
@@ -409,19 +426,6 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
         a._accumulate(full)
 
     return _make(a.data[start:stop].copy(), (a,), backward)
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Row-wise softmax along the last axis, max-shifted for stability."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g: np.ndarray) -> None:
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        a._accumulate(y * (g - dot))
-
-    return _make(y, (a,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:

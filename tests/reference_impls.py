@@ -10,7 +10,10 @@ arrays, one modality at a time.
 The scalar loops that page encoding used before it became whole-array
 numpy are kept here (``dbscan_loop``, ``assign_patch_loop``,
 ``normalized_coords_loop``, ``spatial_indices_direct``), so the
-vectorized code is held to byte-equal outputs against them.
+vectorized code is held to byte-equal outputs against them. So is the
+composed input chain that ``add_lookups`` replaced (``composed_fine_input``,
+``composed_coarse_input``, ``composed_fuse``): six coordinate ``gather``s
+joined by a column-concatenation op, then one ``add`` per term.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ import numpy as np
 
 from docgrain.attention import SpatialIndices, rel_bucket
 from docgrain.document import BBox, boundary_distance, iou, normalize_box
+from docgrain.embeddings import TEXT_TYPE, VISUAL_TYPE
+from docgrain.tensor import Tensor, _make, add, concat_rows, gather, linear
 
 NOISE = -1
 
@@ -257,3 +262,61 @@ def spatial_indices_direct(coords: np.ndarray, positions, cfg) -> SpatialIndices
         idx_x=rel_bucket(x0[None, :] - x0[:, None], cfg.rel_buckets, cfg.rel_max_distance),
         idx_y=rel_bucket(y0[None, :] - y0[:, None], cfg.rel_buckets, cfg.rel_max_distance),
     )
+
+
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Row-wise softmax along the last axis, max-shifted for stability."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def concat_cols(tensors: list[Tensor]) -> Tensor:
+    """Column-wise concatenation as a tape op."""
+    data = np.concatenate([t.data for t in tensors], axis=1)
+    sizes = [t.shape[1] for t in tensors]
+
+    def backward(g: np.ndarray) -> None:
+        off = 0
+        for t, size in zip(tensors, sizes):
+            t._accumulate(g[:, off : off + size])
+            off += size
+
+    return _make(data, tuple(tensors), backward)
+
+
+def composed_layout(coords: np.ndarray, tables) -> Tensor:
+    """Six coordinate gathers and a zero pad, concatenated column-wise."""
+    x0, y0, x1, y1 = np.asarray(coords, dtype=np.int64).T
+    parts = [
+        gather(tables.coord_x, x0),
+        gather(tables.coord_x, x1),
+        gather(tables.coord_x, x1 - x0),
+        gather(tables.coord_y, y0),
+        gather(tables.coord_y, y1),
+        gather(tables.coord_y, y1 - y0),
+    ]
+    pad = tables.d - 6 * tables.coord_width
+    if pad:
+        parts.append(Tensor(np.zeros((len(coords), pad))))
+    return concat_cols(parts)
+
+
+def composed_fine_input(model, enc) -> Tensor:
+    """Word or patch rows, then one ``add`` each for the token-type,
+    position and layout terms."""
+    t = model.tables
+    features = linear(Tensor(enc.patch_raw), t.patch_proj_w, t.patch_proj_b)
+    h = concat_rows([gather(t.word, enc.tokens.ids), features])
+    h = add(h, gather(t.token_type, np.repeat([TEXT_TYPE, VISUAL_TYPE], [enc.n_text, enc.n_visual])))
+    h = add(h, gather(t.position, enc.positions))
+    return add(h, composed_layout(enc.fine_boxes, t))
+
+
+def composed_coarse_input(model, agg: Tensor, enc) -> Tensor:
+    if model.config.commonsense_k > 0:
+        agg = add(agg, model.commonsense_embed(enc.cs_bits))
+    return add(agg, composed_layout(enc.coarse_boxes, model.tables))
+
+
+def composed_fuse(h_fine: Tensor, h_coarse: Tensor, enc) -> Tensor:
+    return add(h_fine, gather(h_coarse, enc.parent_row))

@@ -19,7 +19,7 @@ from docgrain.graph import NodeKind, NodeRef, build_graph
 from docgrain.labeling import Entity, anls, entity_f1
 from docgrain.model import Model, ModelConfig, finite_difference_check, gradcheck_config, load_model
 from docgrain.synth import SynthParams, generate_page, probe_page
-from docgrain.tensor import Tensor, no_grad, softmax
+from docgrain.tensor import Tensor, no_grad
 from docgrain.training import (
     ablate,
     reference_model_config,
@@ -29,7 +29,7 @@ from docgrain.training import (
 )
 from docgrain.vocab import build_vocab
 
-from .reference_impls import dbscan_oracle, levenshtein_oracle, partitions_equal
+from .reference_impls import dbscan_oracle, levenshtein_oracle, partitions_equal, softmax
 from .test_attention import make_bias, make_layer, norm_boxes
 
 SEEDS = (0, 1, 2)
@@ -136,7 +136,7 @@ def test_attention_invariants():
             + live_bias.rel_x.data[idx.idx_x, head]
             + live_bias.rel_y.data[idx.idx_y, head]
         )
-        rows = softmax(Tensor(biased)).data.sum(axis=-1)
+        rows = softmax(biased).sum(axis=-1)
         assert np.max(np.abs(rows - 1.0)) <= 1e-9
 
 
@@ -184,10 +184,10 @@ def test_exact_ablation_reductions():
         full, _ = k0.forward_encoded(enc)
         h_fine = k0.fine_encode(k0.fine_input(enc), enc)
         agg = k0.aggregate(h_fine, enc)
-        from docgrain.embeddings import embed_layout
-        from docgrain.tensor import add
+        from docgrain.embeddings import layout_lookups
+        from docgrain.tensor import add_lookups
 
-        coarse_in = add(agg, embed_layout(enc.coarse_boxes, k0.tables))
+        coarse_in = add_lookups(agg, layout_lookups(enc.coarse_boxes, k0.tables))
         reduced = k0.fuse(h_fine, k0.coarse_encode(coarse_in), enc)
     assert np.max(np.abs(full.data - reduced.data)) <= 1e-12
 

@@ -218,6 +218,48 @@ class TestParseDocument:
         with pytest.raises(DocumentParseError, match=r"bbox at words\[1\]"):
             parse_document(json.dumps(doc))
 
+    def test_quoted_coordinates_rejected(self):
+        # float() would read every one of these strings
+        doc = json.loads(json.dumps(MINIMAL_DOC))
+        doc["words"][1]["bbox"] = ["42", "10", " 63 ", "2.4e1"]
+        with pytest.raises(DocumentParseError, match=r"bbox at words\[1\]: coordinates must be numbers"):
+            parse_document(json.dumps(doc))
+
+    def test_boolean_coordinate_rejected(self):
+        # true would read as 1, which matches this segment's envelope
+        doc = json.loads(json.dumps(MINIMAL_DOC))
+        doc["words"][0]["bbox"][0] = True
+        doc["segments"][0]["bbox"][0] = 1
+        with pytest.raises(DocumentParseError, match=r"bbox at words\[0\]: coordinates must be numbers"):
+            parse_document(json.dumps(doc))
+        doc["words"][0]["bbox"][0] = 1
+        doc["segments"][0]["bbox"][0] = True
+        with pytest.raises(DocumentParseError, match=r"bbox at segments\[0\]: coordinates must be numbers"):
+            parse_document(doc)
+
+    def test_boolean_page_dimensions_rejected(self):
+        doc = json.loads(json.dumps(MINIMAL_DOC))
+        doc["width"] = doc["height"] = True
+        with pytest.raises(DocumentParseError, match="width/height must be integers"):
+            parse_document(json.dumps(doc))
+
+    def test_boolean_ids_rejected(self):
+        # two one-word segments, so true would read as the valid id 1
+        doc = json.loads(json.dumps(MINIMAL_DOC))
+        doc["segments"] = [
+            {"text": "Fax:", "bbox": [10, 10, 38, 24], "word_ids": [0]},
+            {"text": "123", "bbox": [42, 10, 63, 24], "word_ids": [1]},
+        ]
+        doc["words"][1]["segment_id"] = 1
+        assert parse_document(json.dumps(doc)).n_segments == 2
+        doc["words"][1]["segment_id"] = True
+        with pytest.raises(DocumentParseError, match=r"non-integer segment_id at words\[1\]"):
+            parse_document(json.dumps(doc))
+        doc["words"][1]["segment_id"] = 1
+        doc["segments"][1]["word_ids"] = [True]
+        with pytest.raises(DocumentParseError, match=r"bad word id True at segments\[1\]"):
+            parse_document(json.dumps(doc))
+
 
 @settings(max_examples=50)
 @given(st.integers(0, 10**6))

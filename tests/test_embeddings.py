@@ -10,12 +10,12 @@ from docgrain.embeddings import (
     TEXT_TYPE,
     VISUAL_TYPE,
     EmbeddingTables,
-    embed_layout,
+    layout_lookups,
     patch_raw_features,
 )
 from docgrain.graph import patch_boxes
 from docgrain.model import Model, ModelConfig, normalized_coords
-from docgrain.tensor import Tensor, add, gather, matmul
+from docgrain.tensor import Tensor, add, add_lookups, gather, matmul
 from docgrain.vocab import SPECIALS, Vocab, build_vocab, tokenize, word_pieces
 
 
@@ -55,6 +55,12 @@ def text_page(*texts):
     words = [Word(t, BBox(10 + 30 * i, 10, 30 + 30 * i, 24), 0) for i, t in enumerate(texts)]
     seg = Segment(" ".join(texts), BBox(10, 10, 30 + 30 * (len(texts) - 1), 24), tuple(range(len(texts))))
     return Page(width=200, height=100, words=words, segments=[seg])
+
+
+def layout_rows(coords, tables):
+    """The layout term alone: the six lookups added to zero rows."""
+    coords = np.asarray(coords)
+    return add_lookups(Tensor(np.zeros((len(coords), tables.d))), layout_lookups(coords, tables)).data
 
 
 def layout_free(model):
@@ -164,30 +170,30 @@ class TestEmbedText:
 class TestEmbedLayout:
     def test_origin_box_uses_index_zero(self):
         t = make_tables(d=12)
-        out = embed_layout(np.array([[0, 0, 0, 0]]), t).data[0]
+        out = layout_rows([[0, 0, 0, 0]], t)[0]
         want = np.concatenate([t.coord_x.data[0]] * 3 + [t.coord_y.data[0]] * 3)
         assert np.array_equal(out, want)
 
     def test_width_height_slices(self):
         t = make_tables(d=12)
-        out = embed_layout(np.array([[10, 20, 110, 70]]), t).data[0]
+        out = layout_rows([[10, 20, 110, 70]], t)[0]
         c = 2
         assert np.array_equal(out[2 * c : 3 * c], t.coord_x.data[100])  # width slice
         assert np.array_equal(out[5 * c : 6 * c], t.coord_y.data[50])  # height slice
 
     def test_equal_boxes_equal_rows(self):
         t = make_tables()
-        out = embed_layout(np.array([[1, 2, 3, 4], [1, 2, 3, 4]]), t).data
+        out = layout_rows([[1, 2, 3, 4], [1, 2, 3, 4]], t)
         assert np.array_equal(out[0], out[1])
 
     def test_out_of_range_rejected(self):
         t = make_tables()
         with pytest.raises(ValueError, match="0..1000"):
-            embed_layout(np.array([[0, 0, 1500, 10]]), t)
+            layout_lookups(np.array([[0, 0, 1500, 10]]), t)
 
     def test_zero_padding_when_not_divisible(self):
         t = make_tables(d=16)  # coord width 2, 6*2=12 < 16
-        out = embed_layout(np.array([[1, 2, 3, 4]]), t).data
+        out = layout_rows([[1, 2, 3, 4]], t)
         assert out.shape == (1, 16)
         assert np.all(out[:, 12:] == 0.0)
 
@@ -300,7 +306,7 @@ class TestBuildFineInput:
             n = content.shape[0]
             out = add(content, gather(t.token_type, np.full(n, token_type)))
             out = add(out, gather(t.position, np.arange(n)))
-            return add(out, embed_layout(normalized_coords(boxes, page), t)).data
+            return add_lookups(out, layout_lookups(normalized_coords(boxes, page), t)).data
 
         want_text = rows(gather(t.word, seq.ids), TEXT_TYPE, seq.bboxes)
         want_visual = rows(features, VISUAL_TYPE, patch_boxes(page.width, page.height, 2, 2))

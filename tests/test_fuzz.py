@@ -3,7 +3,9 @@
 Whatever the bytes, ``load_checkpoint`` either loads or raises
 ``CheckpointError``, and ``parse_document`` either parses or raises
 ``DocumentParseError``; no other exception escapes. Every truncation of a
-valid checkpoint is already checked in test_training.py.
+valid checkpoint is already checked in test_training.py. A box coordinate
+that is not a JSON number, a numeric string or a boolean included, is
+always rejected.
 """
 
 import copy
@@ -116,3 +118,16 @@ def test_parse_mutated_document(mutations):
             continue  # an earlier mutation removed or retyped this location
     parse_only_typed(json.dumps(doc))
     parse_only_typed(doc)
+
+
+COORD_PATHS = [p for p in DOC_PATHS if len(p) == 4 and p[2] == "bbox"]
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(COORD_PATHS), st.booleans() | st.text(max_size=8) | st.floats().map(str) | st.integers().map(str))
+def test_parse_rejects_non_number_coordinate(path, value):
+    doc = copy.deepcopy(VALID_DOC)
+    kind, i, _, k = path
+    doc[kind][i]["bbox"][k] = value
+    with pytest.raises(DocumentParseError, match=rf"bbox at {kind}\[{i}\]: coordinates must be numbers"):
+        parse_document(json.dumps(doc))

@@ -11,7 +11,14 @@ from docgrain.tensor import Tensor, no_grad
 from docgrain.training import reference_model_config
 from docgrain.vocab import build_vocab
 
-from .reference_impls import aggregate_oracle, coarse_input_oracle, fine_input_oracle
+from .reference_impls import (
+    aggregate_oracle,
+    coarse_input_oracle,
+    composed_coarse_input,
+    composed_fine_input,
+    composed_fuse,
+    fine_input_oracle,
+)
 
 TINY = dict(d=12, heads=2, fine_layers=1, coarse_layers=1, vocab_size=64, max_len=64, grid=(2, 2), commonsense_k=4)
 
@@ -90,14 +97,10 @@ class TestCommonSense:
         assert inv.detect_all(["anything"]).shape == (1, 0)
 
     def test_detect_common_sense_vector(self):
-        from docgrain.commonsense import CommonSenseVector, detect_common_sense
-
         inv = make_inventory(None, 8)
-        vec = detect_common_sense("$12.50 on January 5", inv)
-        assert len(vec) == 8
-        assert vec.bits[inv.categories.index("MONEY")] == 1.0
-        with pytest.raises(ValueError, match="0 or 1"):
-            CommonSenseVector(np.array([0.0, 0.5]))
+        bits = inv.detect("$12.50 on January 5")
+        assert len(bits) == 8
+        assert bits[inv.categories.index("MONEY")] == 1.0
 
 
 class TestCommonsenseEmbed:
@@ -298,6 +301,77 @@ class TestStackedInputsMatchOracle:
         assert np.array_equal(stages["aggregated_visual"].data, agg[z:])
         for name in ("aggregated_text", "aggregated_visual"):
             assert stages[name]._backward is None and not stages[name].requires_grad
+
+
+def tape_nodes(root: Tensor) -> int:
+    """Interior nodes of the autodiff graph under ``root``: every recorded
+    op that carries a backward closure."""
+    seen: set[int] = set()
+    stack, count = [root], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            count += node._backward is not None
+            stack.extend(node._parents)
+    return count
+
+
+def random_bias_model(cfg, vocab) -> Model:
+    """A model whose relative-bias tables are drawn from N(0, 0.5), so the
+    spatial bias is live in every gradient."""
+    m = Model(cfg, vocab)
+    rng = np.random.default_rng(5)
+    for t in (m.bias_tables.rel_1d, m.bias_tables.rel_x, m.bias_tables.rel_y):
+        t.data[:] = rng.normal(0.0, 0.5, size=t.shape)
+    return m
+
+
+class TestLookupSumMatchesComposedChain:
+    """The ``add_lookups`` input, coarse-input and fuse stages against the
+    composed gather / column-concatenation / add chain they replaced."""
+
+    @pytest.mark.parametrize("aggregation", ["sum", "mean"])
+    @pytest.mark.parametrize("params, grid", [(SynthParams(), (4, 4)), (DENSE, (7, 7))], ids=["forms", "dense"])
+    def test_stages_loss_and_gradients(self, params, grid, aggregation):
+        pages = [generate_page(43, i, params) for i in range(3)]
+        cfg = replace(reference_model_config(), grid=grid, aggregation=aggregation)
+        vocab = build_vocab(pages, cfg.vocab_size)
+        m, oracle = random_bias_model(cfg, vocab), random_bias_model(cfg, vocab)
+        oracle.fine_input = lambda enc: composed_fine_input(oracle, enc)
+        oracle.coarse_input = lambda agg, enc: composed_coarse_input(oracle, agg, enc)
+        oracle.fuse = lambda h_fine, h_coarse, enc: composed_fuse(h_fine, h_coarse, enc)
+        for page in pages:
+            enc = m.encode_page(page)
+            runs = []
+            for model in (m, oracle):
+                model.zero_grad()
+                _, stages = model.forward_encoded(enc, collect=True)
+                loss = model.loss_encoded(enc)
+                loss.backward()
+                runs.append((loss, stages, {k: p.grad for k, p in model.params.items()}))
+            (loss, stages, grads), (want_loss, want_stages, want_grads) = runs
+            assert loss.data.tobytes() == want_loss.data.tobytes()
+            assert stages.keys() == want_stages.keys()
+            for name in stages:
+                assert stages[name].data.tobytes() == want_stages[name].data.tobytes(), name
+            for name, g in grads.items():
+                want = want_grads[name]
+                if name in ("emb.coord_x", "emb.coord_y"):
+                    # The coarse layout terms now reach the tables before
+                    # the fine ones: the same sums in another order.
+                    assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want)), name
+                else:
+                    assert g.tobytes() == want.tobytes(), name
+
+    def test_tape_nodes_per_document(self):
+        # Fine input 4 (word gather, patch linear, concat, lookups), one
+        # spatial bias and two fine layers of 13, aggregate 1, coarse input
+        # 4 (knowledge 2, add, lookups), one coarse layer 13, fuse 1, and
+        # slice, head and loss 3.
+        page = generate_page(10, 0, SynthParams())
+        m = Model(reference_model_config(), build_vocab([page], 2048))
+        assert tape_nodes(m.loss_encoded(m.encode_page(page))) == 53
 
 
 class TestForward:

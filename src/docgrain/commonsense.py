@@ -4,6 +4,9 @@ Each category fires on a text span; a segment gets a multi-hot vector over
 the configured inventory. Detectors are deterministic regex/gazetteer
 rules so the whole pipeline stays self-contained. The CARDINAL category is
 residual: it fires only on digit runs not claimed by another category.
+
+Every DATE, TIME, MONEY and PERCENT pattern needs a ``_DIGIT`` match, and
+so does CARDINAL, so a text without one skips those scans.
 """
 
 from __future__ import annotations
@@ -59,11 +62,15 @@ _PATTERNS: dict[str, list[re.Pattern]] = {
     ],
 }
 
+_DIGIT = re.compile(r"\d")
 _DIGIT_RUN = re.compile(r"\d+")
 _CAPITALIZED = re.compile(r"\b[A-Z][a-z]+\b")
 _WORD = re.compile(r"[A-Za-z]+")
 
 DEFAULT_CATEGORIES = ("PERSON", "ORG", "GPE", "DATE", "TIME", "MONEY", "PERCENT", "CARDINAL")
+
+# Pattern categories that cannot fire on a text without a ``_DIGIT`` match.
+_DIGIT_CATEGORIES = frozenset(("DATE", "TIME", "MONEY", "PERCENT"))
 
 
 def _pattern_spans(text: str, category: str) -> list[tuple[int, int]]:
@@ -123,17 +130,20 @@ class CommonSenseInventory:
     def detect(self, text: str) -> np.ndarray:
         """Multi-hot vector: bit k set iff detector k fires anywhere."""
         bits = np.zeros(self.size)
+        has_digit = _DIGIT.search(text) is not None
         claimed: list[tuple[int, int]] = []
         cardinal_slot = None
         for k, cat in enumerate(self.categories):
             if cat == "CARDINAL":
                 cardinal_slot = k
                 continue
+            if not has_digit and cat in _DIGIT_CATEGORIES:
+                continue
             spans = _SPAN_DETECTORS[cat](text)
             if spans:
                 bits[k] = 1.0
                 claimed.extend(spans)
-        if cardinal_slot is not None:
+        if cardinal_slot is not None and has_digit:
             for m in _DIGIT_RUN.finditer(text):
                 s, e = m.span()
                 if not any(cs <= s and e <= ce for cs, ce in claimed):

@@ -178,14 +178,23 @@ def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _parse_bbox(raw: object, where: str) -> BBox:
-    _require(isinstance(raw, (list, tuple)) and len(raw) == 4, f"bad bbox at {where}")
-    _require(all(_is_int(v) or isinstance(v, float) for v in raw), f"bad bbox at {where}: coordinates must be numbers")
+_JSON_NUMBERS = (int, float)
+
+
+def _parse_bbox(raw: object, kind: str, i: int) -> BBox:
+    """The box at ``kind[i]``. The cheap ``type()`` tests come first, and a
+    message is formatted only when its check fails."""
+    if not (isinstance(raw, (list, tuple)) and len(raw) == 4):
+        raise DocumentParseError(f"bad bbox at {kind}[{i}]")
+    for v in raw:
+        if not (type(v) in _JSON_NUMBERS or _is_int(v) or isinstance(v, float)):
+            raise DocumentParseError(f"bad bbox at {kind}[{i}]: coordinates must be numbers")
     try:
-        box = BBox(*[float(v) for v in raw])  # type: ignore[misc]
+        box = BBox(float(raw[0]), float(raw[1]), float(raw[2]), float(raw[3]))
     except (ValueError, OverflowError) as exc:
-        raise DocumentParseError(f"bad bbox at {where}: {exc}") from None
-    _require(all(map(math.isfinite, box.as_list())), f"non-finite bbox at {where}")
+        raise DocumentParseError(f"bad bbox at {kind}[{i}]: {exc}") from None
+    if not (math.isfinite(box.x0) and math.isfinite(box.y0) and math.isfinite(box.x1) and math.isfinite(box.y1)):
+        raise DocumentParseError(f"non-finite bbox at {kind}[{i}]")
     return box
 
 
@@ -193,7 +202,8 @@ def parse_document(data: bytes | str | dict) -> Page:
     """Parse and validate the document JSON interchange format.
 
     Raises DocumentParseError naming the offending record on any schema or
-    consistency violation.
+    consistency violation. The checks run in a fixed order and each message
+    is formatted only when its check fails.
     """
     if isinstance(data, (bytes, str)):
         try:
@@ -214,49 +224,70 @@ def parse_document(data: bytes | str | dict) -> Page:
     _require(isinstance(segments_raw, list), "'segments' must be a list")
     _require(isinstance(words_raw, list), "'words' must be a list")
 
+    n_segments = len(segments_raw)
     words: list[Word] = []
     for i, w in enumerate(words_raw):
-        _require(isinstance(w, dict), f"words[{i}] must be an object")
+        if not isinstance(w, dict):
+            raise DocumentParseError(f"words[{i}] must be an object")
         text = w.get("text")
-        _require(isinstance(text, str) and text.strip() != "", f"empty text at words[{i}]")
+        if not (isinstance(text, str) and text.strip() != ""):
+            raise DocumentParseError(f"empty text at words[{i}]")
         seg_id = w.get("segment_id")
-        _require(_is_int(seg_id), f"missing or non-integer segment_id at words[{i}]")
-        _require(0 <= seg_id < len(segments_raw), f"dangling segment_id at words[{i}]")
-        words.append(Word(text=text, bbox=_parse_bbox(w.get("bbox"), f"words[{i}]"), segment_id=seg_id))
+        if not _is_int(seg_id):
+            raise DocumentParseError(f"missing or non-integer segment_id at words[{i}]")
+        if not 0 <= seg_id < n_segments:
+            raise DocumentParseError(f"dangling segment_id at words[{i}]")
+        words.append(Word(text, _parse_bbox(w.get("bbox"), "words", i), seg_id))
 
+    n_words = len(words)
     segments: list[Segment] = []
     for i, s in enumerate(segments_raw):
-        _require(isinstance(s, dict), f"segments[{i}] must be an object")
+        if not isinstance(s, dict):
+            raise DocumentParseError(f"segments[{i}] must be an object")
         text = s.get("text")
-        _require(isinstance(text, str), f"missing text at segments[{i}]")
+        if not isinstance(text, str):
+            raise DocumentParseError(f"missing text at segments[{i}]")
         word_ids = s.get("word_ids")
-        _require(isinstance(word_ids, list) and len(word_ids) > 0, f"empty segment at segments[{i}]")
+        if not (isinstance(word_ids, list) and len(word_ids) > 0):
+            raise DocumentParseError(f"empty segment at segments[{i}]")
+        # The word envelope in the same pass: the first extreme wins, as
+        # with min() and max().
+        ex0 = ey0 = math.inf
+        ex1 = ey1 = -math.inf
         for wid in word_ids:
-            _require(_is_int(wid) and 0 <= wid < len(words), f"bad word id {wid} at segments[{i}]")
-            _require(words[wid].segment_id == i, f"segments[{i}] lists word {wid} whose segment_id is {words[wid].segment_id}")
-        bbox = _parse_bbox(s.get("bbox"), f"segments[{i}]")
-        envelope = union_box([words[wid].bbox for wid in word_ids])
-        for got, want, edge in (
-            (bbox.x0, envelope.x0, "x0"),
-            (bbox.y0, envelope.y0, "y0"),
-            (bbox.x1, envelope.x1, "x1"),
-            (bbox.y1, envelope.y1, "y1"),
-        ):
-            _require(abs(got - want) <= _ENVELOPE_TOL, f"segments[{i}].bbox {edge} deviates from word envelope by more than 1 pixel")
-        segments.append(Segment(text=text, bbox=bbox, word_ids=tuple(word_ids)))
+            if not (_is_int(wid) and 0 <= wid < n_words):
+                raise DocumentParseError(f"bad word id {wid} at segments[{i}]")
+            word = words[wid]
+            if word.segment_id != i:
+                raise DocumentParseError(f"segments[{i}] lists word {wid} whose segment_id is {word.segment_id}")
+            b = word.bbox
+            if b.x0 < ex0:
+                ex0 = b.x0
+            if b.y0 < ey0:
+                ey0 = b.y0
+            if b.x1 > ex1:
+                ex1 = b.x1
+            if b.y1 > ey1:
+                ey1 = b.y1
+        bbox = _parse_bbox(s.get("bbox"), "segments", i)
+        for got, want, edge in ((bbox.x0, ex0, "x0"), (bbox.y0, ey0, "y0"), (bbox.x1, ex1, "x1"), (bbox.y1, ey1, "y1")):
+            if not abs(got - want) <= _ENVELOPE_TOL:
+                raise DocumentParseError(f"segments[{i}].bbox {edge} deviates from word envelope by more than 1 pixel")
+        segments.append(Segment(text, bbox, tuple(word_ids)))
 
     # Segments must partition the words.
     seen: set[int] = set()
-    for i, s in enumerate(segments):
+    for s in segments:
         for wid in s.word_ids:
-            _require(wid not in seen, f"word {wid} listed by more than one segment")
+            if wid in seen:
+                raise DocumentParseError(f"word {wid} listed by more than one segment")
             seen.add(wid)
-    _require(len(seen) == len(words), "segments do not cover every word")
+    _require(len(seen) == n_words, "segments do not cover every word")
 
     labels = raw.get("labels")
     if labels is not None:
         _require(isinstance(labels, list) and all(isinstance(t, str) for t in labels), "'labels' must be a list of strings")
-        _require(len(labels) == len(words), f"labels length {len(labels)} != word count {len(words)}")
+        _require(len(labels) == n_words, f"labels length {len(labels)} != word count {n_words}")
         labels = list(labels)
 
     image_path = raw.get("image")

@@ -127,8 +127,17 @@ def load_image(path: str) -> np.ndarray:
 
 
 def _read_ppm(path: str) -> np.ndarray:
+    """Netpbm P6 (binary, 8- or 16-bit big-endian samples) or P3 (plain).
+
+    Raises ValueError on a malformed header, a maxval outside 1..65535, a
+    sample above maxval or a short payload.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
+
+    def bad(why: str) -> ValueError:
+        return ValueError(f"cannot read image '{path}': {why}")
+
     fields: list[bytes] = []
     pos = 0
     while len(fields) < 4:
@@ -142,13 +151,32 @@ def _read_ppm(path: str) -> np.ndarray:
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
         fields.append(raw[start:pos])
-    magic, width, height, maxval = fields[0], int(fields[1]), int(fields[2]), int(fields[3])
+    magic = fields[0]
+    if magic not in (b"P6", b"P3"):
+        raise bad(f"unsupported PPM magic {magic!r}")
+    if not all(f.isdigit() for f in fields[1:]):
+        raise bad("width, height and maxval must be decimal integers")
+    width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    if width < 1 or height < 1:
+        raise bad(f"image size {width}x{height} is empty")
+    if not 1 <= maxval <= 65535:
+        raise bad(f"maxval {maxval} outside 1..65535")
+    count = width * height * 3
     if magic == b"P6":
-        data = np.frombuffer(raw, dtype=np.uint8, count=width * height * 3, offset=pos + 1)
-        pixels = data.reshape(height, width, 3).astype(np.float64)
-    elif magic == b"P3":
-        values = [int(v) for v in raw[pos:].split()]
-        pixels = np.asarray(values, dtype=np.float64).reshape(height, width, 3)
+        dtype = np.dtype(np.uint8) if maxval < 256 else np.dtype(">u2")
+        start = pos + 1  # one whitespace byte ends the header
+        if len(raw) - start < count * dtype.itemsize:
+            raise bad(f"payload holds {max(len(raw) - start, 0)} bytes, {count * dtype.itemsize} needed")
+        samples = np.frombuffer(raw, dtype=dtype, count=count, offset=start)
+        top = int(samples.max())
     else:
-        raise ValueError(f"cannot read image '{path}': unsupported PPM magic {magic!r}")
-    return pixels / float(maxval)
+        tokens = raw[pos:].split()
+        if len(tokens) != count:
+            raise bad(f"payload holds {len(tokens)} samples, {count} needed")
+        if not all(t.isdigit() for t in tokens):
+            raise bad("samples must be decimal integers")
+        samples = [int(t) for t in tokens]
+        top = max(samples)
+    if top > maxval:
+        raise bad(f"sample {top} above maxval {maxval}")
+    return np.array(samples, dtype=np.float64).reshape(height, width, 3) / float(maxval)

@@ -13,17 +13,33 @@ numpy are kept here (``dbscan_loop``, ``assign_patch_loop``,
 vectorized code is held to byte-equal outputs against them. So is the
 composed input chain that ``add_lookups`` replaced (``composed_fine_input``,
 ``composed_coarse_input``, ``composed_fuse``): six coordinate ``gather``s
-joined by a column-concatenation op, then one ``add`` per term.
+joined by a column-concatenation op, then one ``add`` per term. So are the
+knowledge detector without its digit gate (``detect_reference``)
+and the document parser that formatted every message up front
+(``parse_document_reference``).
 """
 
 from __future__ import annotations
 
+import json
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from docgrain.attention import SpatialIndices, rel_bucket
-from docgrain.document import BBox, boundary_distance, iou, normalize_box
+from docgrain.commonsense import _DIGIT_RUN, _SPAN_DETECTORS
+from docgrain.document import (
+    BBox,
+    DocumentParseError,
+    Page,
+    Segment,
+    Word,
+    boundary_distance,
+    iou,
+    normalize_box,
+    union_box,
+)
 from docgrain.embeddings import TEXT_TYPE, VISUAL_TYPE
 from docgrain.tensor import Tensor, _make, add, concat_rows, gather, linear
 
@@ -320,3 +336,126 @@ def composed_coarse_input(model, agg: Tensor, enc) -> Tensor:
 
 def composed_fuse(h_fine: Tensor, h_coarse: Tensor, enc) -> Tensor:
     return add(h_fine, gather(h_coarse, enc.parent_row))
+
+
+def detect_reference(categories: tuple[str, ...], text: str) -> np.ndarray:
+    """Every category's scan on every text, then the residual CARDINAL."""
+    bits = np.zeros(len(categories))
+    claimed: list[tuple[int, int]] = []
+    cardinal_slot = None
+    for k, cat in enumerate(categories):
+        if cat == "CARDINAL":
+            cardinal_slot = k
+            continue
+        spans = _SPAN_DETECTORS[cat](text)
+        if spans:
+            bits[k] = 1.0
+            claimed.extend(spans)
+    if cardinal_slot is not None:
+        for m in _DIGIT_RUN.finditer(text):
+            s, e = m.span()
+            if not any(cs <= s and e <= ce for cs, ce in claimed):
+                bits[cardinal_slot] = 1.0
+                break
+    return bits
+
+
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise DocumentParseError(message)
+
+
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _parse_bbox_reference(raw: object, where: str) -> BBox:
+    _require(isinstance(raw, (list, tuple)) and len(raw) == 4, f"bad bbox at {where}")
+    _require(all(_is_int(v) or isinstance(v, float) for v in raw), f"bad bbox at {where}: coordinates must be numbers")
+    try:
+        box = BBox(*[float(v) for v in raw])  # type: ignore[misc]
+    except (ValueError, OverflowError) as exc:
+        raise DocumentParseError(f"bad bbox at {where}: {exc}") from None
+    _require(all(map(math.isfinite, box.as_list())), f"non-finite bbox at {where}")
+    return box
+
+
+def parse_document_reference(data) -> Page:
+    """Every check through ``_require``, its message formatted first."""
+    if isinstance(data, (bytes, str)):
+        try:
+            raw = json.loads(data)
+        except (ValueError, RecursionError) as exc:
+            raise DocumentParseError(f"invalid JSON: {exc}") from None
+    else:
+        raw = data
+    _require(isinstance(raw, dict), "document must be a JSON object")
+    for key in ("width", "height", "words", "segments"):
+        _require(key in raw, f"missing field '{key}'")
+    width, height = raw["width"], raw["height"]
+    _require(_is_int(width) and _is_int(height), "width/height must be integers")
+    _require(width > 0 and height > 0, f"non-positive page dimensions: {width}x{height}")
+
+    segments_raw = raw["segments"]
+    words_raw = raw["words"]
+    _require(isinstance(segments_raw, list), "'segments' must be a list")
+    _require(isinstance(words_raw, list), "'words' must be a list")
+
+    words: list[Word] = []
+    for i, w in enumerate(words_raw):
+        _require(isinstance(w, dict), f"words[{i}] must be an object")
+        text = w.get("text")
+        _require(isinstance(text, str) and text.strip() != "", f"empty text at words[{i}]")
+        seg_id = w.get("segment_id")
+        _require(_is_int(seg_id), f"missing or non-integer segment_id at words[{i}]")
+        _require(0 <= seg_id < len(segments_raw), f"dangling segment_id at words[{i}]")
+        words.append(Word(text=text, bbox=_parse_bbox_reference(w.get("bbox"), f"words[{i}]"), segment_id=seg_id))
+
+    segments: list[Segment] = []
+    for i, s in enumerate(segments_raw):
+        _require(isinstance(s, dict), f"segments[{i}] must be an object")
+        text = s.get("text")
+        _require(isinstance(text, str), f"missing text at segments[{i}]")
+        word_ids = s.get("word_ids")
+        _require(isinstance(word_ids, list) and len(word_ids) > 0, f"empty segment at segments[{i}]")
+        for wid in word_ids:
+            _require(_is_int(wid) and 0 <= wid < len(words), f"bad word id {wid} at segments[{i}]")
+            _require(words[wid].segment_id == i, f"segments[{i}] lists word {wid} whose segment_id is {words[wid].segment_id}")
+        bbox = _parse_bbox_reference(s.get("bbox"), f"segments[{i}]")
+        envelope = union_box([words[wid].bbox for wid in word_ids])
+        for got, want, edge in (
+            (bbox.x0, envelope.x0, "x0"),
+            (bbox.y0, envelope.y0, "y0"),
+            (bbox.x1, envelope.x1, "x1"),
+            (bbox.y1, envelope.y1, "y1"),
+        ):
+            _require(abs(got - want) <= 1.0, f"segments[{i}].bbox {edge} deviates from word envelope by more than 1 pixel")
+        segments.append(Segment(text=text, bbox=bbox, word_ids=tuple(word_ids)))
+
+    seen: set[int] = set()
+    for i, s in enumerate(segments):
+        for wid in s.word_ids:
+            _require(wid not in seen, f"word {wid} listed by more than one segment")
+            seen.add(wid)
+    _require(len(seen) == len(words), "segments do not cover every word")
+
+    labels = raw.get("labels")
+    if labels is not None:
+        _require(isinstance(labels, list) and all(isinstance(t, str) for t in labels), "'labels' must be a list of strings")
+        _require(len(labels) == len(words), f"labels length {len(labels)} != word count {len(words)}")
+        labels = list(labels)
+
+    image_path = raw.get("image")
+    if image_path is not None:
+        _require(isinstance(image_path, str), "'image' must be a path string")
+
+    return Page(width=width, height=height, words=words, segments=segments, labels=labels, image_path=image_path)
+
+
+def parse_outcome(parse, data) -> tuple[str, str]:
+    """``("page", repr(page))`` or ``("error", message)`` of one parser,
+    so two parsers compare by value, float types and message."""
+    try:
+        return "page", repr(parse(data))
+    except DocumentParseError as exc:
+        return "error", str(exc)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -208,6 +209,16 @@ class TestTrainEvalCli:
         assert "fine_encoded" in stages and "coarse_encoded" in stages
         for info in stages.values():
             assert set(info) == {"shape", "norm"}
+
+    def test_eval_bad_image_is_validation_error(self, trained, tmp_path, capsys):
+        root, corpus, ckpt, log = trained
+        shutil.copytree(corpus, tmp_path / "corpus")
+        image = tmp_path / "zero.ppm"
+        image.write_bytes(b"P6 1 1 0\n" + bytes(3))  # maxval 0 once read as NaN pixels
+        page = tmp_path / "corpus" / "doc_00000.json"
+        page.write_text(json.dumps(json.loads(page.read_text()) | {"image": str(image)}))
+        assert run(["eval", "--checkpoint", ckpt, "--corpus", str(tmp_path / "corpus")]) == 1
+        assert "maxval 0" in capsys.readouterr().err
 
     def test_eval_missing_checkpoint(self, tmp_path):
         assert run(["eval", "--checkpoint", str(tmp_path / "no.ckpt"), "--corpus", str(tmp_path)]) == 1

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,9 @@ from docgrain.document import (
     serialize_document,
     union_box,
 )
+from docgrain.synth import SynthParams, synth_generate
+
+from .reference_impls import parse_document_reference, parse_outcome
 
 
 def box(x0, y0, x1, y1):
@@ -270,3 +274,39 @@ def test_synth_pages_reparse_identically(seed):
     page = generate_page(seed % 1000, seed % 7, SynthParams())
     blob = document_to_json(page)
     assert serialize_document(parse_document(blob)) == serialize_document(page)
+
+
+FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.json"))
+DENSE = SynthParams(page_height=2600, min_kv_pairs=12, max_kv_pairs=24, max_list_blocks=6, max_noise_lines=6)
+
+
+class TestParserMatchesReference:
+    """The parser returns the reference parser's page, or raises its message."""
+
+    @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.name)
+    def test_fixtures(self, path):
+        blob = path.read_bytes()
+        assert parse_outcome(parse_document, blob) == parse_outcome(parse_document_reference, blob)
+
+    @pytest.mark.parametrize("params", [SynthParams(), DENSE, SynthParams(variant="region_cue")], ids=["forms", "dense", "region_cue"])
+    def test_synthetic_pages(self, params):
+        for page in synth_generate(3, 16, params).pages:
+            blob = document_to_json(page)
+            assert parse_outcome(parse_document, blob) == parse_outcome(parse_document_reference, blob)
+
+    @pytest.mark.parametrize("value", [
+        [1, 2, 3, 4], [1.5, 2, 3, 4.5], [-0.0, 0.0, 0.0, -0.0], (10, 10, 38, 24), [3, 0, 1, 4], [0, 4, 1, 3],
+        [float("nan"), 0, 1, 1], [0, 0, float("inf"), 1], [float("-inf"), 0, 0, 0], [10**400, 0, 10**400, 0],
+        [1e308, 1e308, 1e308, 1e308], [True, 0, 1, 1], ["1", 0, 1, 1], [1, 2, 3], [1, 2, 3, 4, 5], None,
+    ])
+    @pytest.mark.parametrize("where", ["words", "segments"])
+    def test_box_values(self, value, where):
+        doc = json.loads(json.dumps(MINIMAL_DOC))
+        doc[where][0]["bbox"] = value
+        assert parse_outcome(parse_document, doc) == parse_outcome(parse_document_reference, doc)
+
+    @pytest.mark.parametrize("word_ids", [[0, 1, 1], [1, 0], [0, 0, 1], [1, 1]])
+    def test_word_id_lists(self, word_ids):
+        doc = json.loads(json.dumps(MINIMAL_DOC))
+        doc["segments"][0]["word_ids"] = word_ids
+        assert parse_outcome(parse_document, doc) == parse_outcome(parse_document_reference, doc)

@@ -11,6 +11,7 @@ from docgrain.embeddings import (
     VISUAL_TYPE,
     EmbeddingTables,
     layout_lookups,
+    load_image,
     patch_raw_features,
 )
 from docgrain.graph import patch_boxes
@@ -317,3 +318,58 @@ class TestBuildFineInput:
         model = fax_model(max_len=5)
         with pytest.raises(ValueError, match="exceed max_len"):
             model.encode_page(fax_page())
+
+
+class TestReadPpm:
+    """Netpbm P3 and P6 rasters: 8- and 16-bit samples, comments, bad headers."""
+
+    @staticmethod
+    def load(tmp_path, blob: bytes) -> np.ndarray:
+        path = tmp_path / "image.ppm"
+        path.write_bytes(blob)
+        return load_image(str(path))
+
+    def test_p6_8bit(self, tmp_path):
+        image = self.load(tmp_path, b"P6\n2 1\n255\n" + bytes([255, 0, 51, 0, 102, 255]))
+        assert image.shape == (1, 2, 3)
+        assert image.tolist() == [[[1.0, 0.0, 0.2], [0.0, 0.4, 1.0]]]
+
+    def test_p6_16bit_is_big_endian(self, tmp_path):
+        payload = (65535).to_bytes(2, "big") + (0).to_bytes(2, "big") + (32768).to_bytes(2, "big")
+        image = self.load(tmp_path, b"P6 1 1 65535\n" + payload)
+        assert image.tolist() == [[[1.0, 0.0, 32768 / 65535]]]
+
+    def test_p6_low_maxval(self, tmp_path):
+        image = self.load(tmp_path, b"P6 1 1 4\n" + bytes([4, 2, 0]))
+        assert image.tolist() == [[[1.0, 0.5, 0.0]]]
+
+    def test_p3_with_comments(self, tmp_path):
+        blob = b"P3\n# made by hand\n2 # width\n2\n# maxval next\n1000\n0 500 1000  1000 0 0\n0 0 0  250 250 250\n"
+        image = self.load(tmp_path, blob)
+        assert image.shape == (2, 2, 3)
+        assert image[0, 0].tolist() == [0.0, 0.5, 1.0]
+        assert image[1, 1].tolist() == [0.25, 0.25, 0.25]
+
+    def test_p3_16bit(self, tmp_path):
+        assert self.load(tmp_path, b"P3 1 1 65535 65535 0 1").tolist() == [[[1.0, 0.0, 1 / 65535]]]
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"P6 1 1 0\n" + bytes(3), "maxval 0"),
+        (b"P3 1 1 0 0 0 0", "maxval 0"),
+        (b"P6 1 1 65536\n" + bytes(6), "maxval 65536"),
+        (b"P6 0 1 255\n", "empty"),
+        (b"P3 1 0 255\n", "empty"),
+        (b"P3 1 1 255 0 256 0", "sample 256 above maxval 255"),
+        (b"P6 1 1 100\n" + bytes([0, 101, 0]), "sample 101 above maxval 100"),
+        (b"P6 1 1 65535\n" + b"\xff\xff" * 2 + b"\xff", "payload holds 5 bytes, 6 needed"),
+        (b"P6 2 2 255\n" + bytes(11), "payload holds 11 bytes, 12 needed"),
+        (b"P3 1 1 255 1 2", "payload holds 2 samples, 3 needed"),
+        (b"P3 1 1 255 1 2 -3", "samples must be decimal integers"),
+        (b"P6 1 1 255", "payload holds 0 bytes, 3 needed"),
+        (b"P6 -1 1 255\n", "must be decimal integers"),
+        (b"P6 1 1", "must be decimal integers"),
+        (b"P5 1 1 255\n" + bytes(1), "unsupported PPM magic"),
+    ])
+    def test_bad_file_raises_value_error(self, tmp_path, blob, message):
+        with pytest.raises(ValueError, match=message):
+            self.load(tmp_path, blob)

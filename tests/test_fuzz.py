@@ -1,11 +1,13 @@
-"""Fuzzing the two input boundaries: checkpoint files and document JSON.
+"""Fuzzing the input boundaries: checkpoint files, document JSON and images.
 
 Whatever the bytes, ``load_checkpoint`` either loads or raises
-``CheckpointError``, and ``parse_document`` either parses or raises
-``DocumentParseError``; no other exception escapes. Every truncation of a
-valid checkpoint is already checked in test_training.py. A box coordinate
-that is not a JSON number, a numeric string or a boolean included, is
-always rejected.
+``CheckpointError``, ``parse_document`` either parses or raises
+``DocumentParseError``, and ``load_image`` reads a PPM file or raises
+``ValueError``; no other exception escapes. ``parse_document`` also returns
+the page, or raises the message, that ``parse_document_reference`` does.
+Every truncation of a valid checkpoint is already checked in
+test_training.py. A box coordinate that is not a JSON number, a numeric
+string or a boolean included, is always rejected.
 """
 
 import copy
@@ -18,7 +20,10 @@ from hypothesis import strategies as st
 
 from docgrain.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from docgrain.document import DocumentParseError, parse_document, serialize_document
+from docgrain.embeddings import load_image
 from docgrain.synth import SynthParams, generate_page
+
+from .reference_impls import parse_document_reference, parse_outcome
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -66,24 +71,23 @@ def test_checkpoint_every_single_bit_flip(tmp_path_factory, checkpoint_bytes):
         load_bytes(tmp_path_factory, bytes(flipped))
 
 
-def parse_only_typed(data) -> None:
-    try:
-        parse_document(data)
-    except DocumentParseError:
-        pass
+def assert_parses_like_reference(data) -> None:
+    """Parse ``data``; a DocumentParseError is allowed, and either outcome
+    must equal the reference parser's."""
+    assert parse_outcome(parse_document, data) == parse_outcome(parse_document_reference, data)
 
 
 @settings(max_examples=300)
 @given(json_values)
 def test_parse_random_json(value):
-    parse_only_typed(json.dumps(value))
-    parse_only_typed(value)
+    assert_parses_like_reference(json.dumps(value))
+    assert_parses_like_reference(value)
 
 
 @settings(max_examples=100)
 @given(st.binary(max_size=64))
 def test_parse_random_bytes(blob):
-    parse_only_typed(blob)
+    assert_parses_like_reference(blob)
 
 
 VALID_DOC = serialize_document(generate_page(0, 0, SynthParams()))
@@ -116,8 +120,8 @@ def test_parse_mutated_document(mutations):
                 parent[path[-1]] = value
         except (KeyError, IndexError, TypeError):
             continue  # an earlier mutation removed or retyped this location
-    parse_only_typed(json.dumps(doc))
-    parse_only_typed(doc)
+    assert_parses_like_reference(json.dumps(doc))
+    assert_parses_like_reference(doc)
 
 
 COORD_PATHS = [p for p in DOC_PATHS if len(p) == 4 and p[2] == "bbox"]
@@ -131,3 +135,19 @@ def test_parse_rejects_non_number_coordinate(path, value):
     doc[kind][i]["bbox"][k] = value
     with pytest.raises(DocumentParseError, match=rf"bbox at {kind}\[{i}\]: coordinates must be numbers"):
         parse_document(json.dumps(doc))
+
+
+PPM_HEADERS = [b"P6 2 2 255\n", b"P6\n# c\n1 3\n65535\n", b"P3 2 1 255\n", b"P3\n2 2\n7\n", b"P6 1 1 0\n"]
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(PPM_HEADERS) | st.binary(max_size=24), st.binary(max_size=48))
+def test_load_image_random_payload(tmp_path_factory, header, payload):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.ppm"
+    path.write_bytes(header + payload)
+    try:
+        image = load_image(str(path))
+    except ValueError:
+        return
+    assert image.ndim == 3 and image.shape[2] == 3 and image.size > 0
+    assert np.all((image >= 0.0) & (image <= 1.0))

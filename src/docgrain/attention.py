@@ -28,7 +28,6 @@ from .tensor import (
     Tensor,
     add,
     attention_weights,
-    dropout,
     gather_heads,
     gelu,
     layer_norm,
@@ -36,7 +35,6 @@ from .tensor import (
     matmul,
     merge_heads,
     project_heads,
-    relu,
 )
 
 
@@ -168,26 +166,11 @@ def multi_head_attention(h: Tensor, params: LayerParams, heads: int, bias: Tenso
     return merge_heads(matmul(weights, v), params.wo, params.bo)
 
 
-def feed_forward(h: Tensor, params: LayerParams, activation: str = "gelu") -> Tensor:
-    act = gelu if activation == "gelu" else relu
-    return linear(act(linear(h, params.ffn_w1, params.ffn_b1)), params.ffn_w2, params.ffn_b2)
+def feed_forward(h: Tensor, params: LayerParams) -> Tensor:
+    return linear(gelu(linear(h, params.ffn_w1, params.ffn_b1)), params.ffn_w2, params.ffn_b2)
 
 
-def transformer_layer(
-    h: Tensor,
-    params: LayerParams,
-    heads: int,
-    bias: Tensor | None = None,
-    activation: str = "gelu",
-    dropout_rate: float = 0.0,
-    dropout_rng: np.random.Generator | None = None,
-) -> Tensor:
+def transformer_layer(h: Tensor, params: LayerParams, heads: int, bias: Tensor | None = None) -> Tensor:
     """LN(FFN(LN(MHA))) with residual paths around the MHA and the FFN."""
-    attended = multi_head_attention(h, params, heads, bias)
-    if dropout_rate > 0.0:
-        attended = dropout(attended, dropout_rate, dropout_rng)
-    u = layer_norm(add(h, attended), params.ln1_gain, params.ln1_bias)
-    inner = feed_forward(u, params, activation)
-    if dropout_rate > 0.0:
-        inner = dropout(inner, dropout_rate, dropout_rng)
-    return layer_norm(add(u, inner), params.ln2_gain, params.ln2_bias)
+    u = layer_norm(add(h, multi_head_attention(h, params, heads, bias)), params.ln1_gain, params.ln1_bias)
+    return layer_norm(add(u, feed_forward(u, params)), params.ln2_gain, params.ln2_bias)

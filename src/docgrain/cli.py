@@ -1,6 +1,6 @@
 """Command-line surface for the pipeline.
 
-Exit codes: 0 success, 1 validation or usage error, 2 internal error.
+Exit codes: 0 success, 1 validation, usage or out-of-memory error, 2 internal error.
 """
 
 from __future__ import annotations
@@ -208,6 +208,9 @@ def run(argv: list[str] | None = None) -> int:
         return 1
     except (DocumentParseError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a config too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - internal failures
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

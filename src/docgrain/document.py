@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,8 +145,9 @@ class Page:
     """A parsed OCR page: words in reading order, segments, optional raster.
 
     ``labels`` carries one BIO tag per word when the page is annotated.
-    ``image`` is an in-memory (height, width, 3) array; ``image_path``
-    points at an on-disk raster referenced from the JSON form.
+    ``image`` is an in-memory (height, width, 3) array of 8-bit integer
+    samples or floats in [0, 1]; ``image_path`` points at an on-disk raster
+    referenced from the JSON form, relative to the document file.
     """
 
     width: int
@@ -322,9 +324,17 @@ def document_to_json(page: Page) -> str:
     return json.dumps(serialize_document(page), indent=None, separators=(",", ":"))
 
 
+def image_beside(page: Page, doc_path: str) -> Page:
+    """Resolve a relative ``image`` path against the document file's
+    directory; ``os.path.join`` keeps an absolute one as it is."""
+    if page.image_path is not None:
+        page.image_path = os.path.join(os.path.dirname(doc_path), page.image_path)
+    return page
+
+
 def load_document(path: str) -> Page:
     with open(path, "rb") as fh:
-        return parse_document(fh.read())
+        return image_beside(parse_document(fh.read()), path)
 
 
 def save_document(page: Page, path: str) -> None:

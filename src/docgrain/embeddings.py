@@ -105,10 +105,16 @@ def patch_raw_features(page: Page, grid_w: int, grid_h: int) -> np.ndarray:
 
 def _page_image(page: Page) -> np.ndarray | None:
     if page.image is not None:
-        image = np.asarray(page.image, dtype=np.float64)
+        # The dtype, never the values, fixes the scale: 8-bit integers or [0, 1] floats.
+        image = np.asarray(page.image)
         if image.ndim != 3 or image.shape[2] != 3:
             raise ValueError(f"page image must be (H, W, 3), got {image.shape}")
-        return image if image.max() <= 1.0 else image / 255.0
+        if image.dtype.kind not in "iuf":
+            raise ValueError(f"page image must hold integers or floats, got {image.dtype}")
+        top = 255.0 if image.dtype.kind in "iu" else 1.0
+        if not np.all((image >= 0) & (image <= top)):
+            raise ValueError(f"page image of {image.dtype} must lie in 0..{top:g}")
+        return image.astype(np.float64) / top
     if page.image_path is not None:
         return load_image(page.image_path)
     return None

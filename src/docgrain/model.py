@@ -79,6 +79,11 @@ def check_field_types(config) -> None:
             raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
 
 
+# Fields older checkpoints carry, at the only value the model implements (a GELU
+# FFN 4d wide, d-wide knowledge vectors, no masking); ``from_dict`` drops them.
+_RETIRED_FIELDS = {"activation": "gelu", "dropout": 0.0, "ffn_width": None, "commonsense_dim": None}
+
+
 @dataclass
 class ModelConfig:
     """Every architectural hyperparameter; JSON configs mirror these names."""
@@ -87,21 +92,17 @@ class ModelConfig:
     heads: int = 4
     fine_layers: int = 2
     coarse_layers: int = 1
-    ffn_width: int | None = None
     vocab_size: int = 2048
     max_len: int = 512
     grid: tuple[int, int] = (7, 7)
     commonsense_k: int = 8
-    commonsense_dim: int | None = None
     radius: float = 30.0
     min_pts: int = 1
     rel_buckets: int = 32
     rel_max_distance: int = 1000
-    dropout: float = 0.0
     seed: int = 0
     aggregation: str = "sum"
     use_cross_grained: bool = True
-    activation: str = "gelu"
 
     def __post_init__(self) -> None:
         check_field_types(self)
@@ -113,8 +114,8 @@ class ModelConfig:
         self.grid = (int(grid[0]), int(grid[1]))
         if self.d < 6:
             raise ValueError(f"model width must be at least 6, got {self.d}")
-        if min(self.heads, self.vocab_size, self.max_len, self.ffn, self.cs_dim) < 1:
-            raise ValueError("heads, vocab_size, max_len, ffn_width and commonsense_dim must be positive")
+        if min(self.heads, self.vocab_size, self.max_len) < 1:
+            raise ValueError("heads, vocab_size and max_len must be positive")
         if self.d % self.heads != 0:
             raise ValueError(f"width {self.d} not divisible by {self.heads} heads")
         if self.fine_layers < 1:
@@ -131,20 +132,8 @@ class ModelConfig:
             raise ValueError(f"radius must be finite and >= 0, got {self.radius}")
         if self.min_pts < 0:
             raise ValueError(f"min_pts must be >= 0, got {self.min_pts}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.aggregation not in ("sum", "mean"):
             raise ValueError(f"aggregation must be 'sum' or 'mean', got '{self.aggregation}'")
-        if self.activation not in ("gelu", "relu"):
-            raise ValueError(f"activation must be 'gelu' or 'relu', got '{self.activation}'")
-
-    @property
-    def ffn(self) -> int:
-        return self.ffn_width if self.ffn_width is not None else 4 * self.d
-
-    @property
-    def cs_dim(self) -> int:
-        return self.commonsense_dim if self.commonsense_dim is not None else self.d
 
     @property
     def coord_width(self) -> int:
@@ -161,8 +150,12 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        data = dict(data)
+        for key, implemented in _RETIRED_FIELDS.items():
+            value = data.pop(key, implemented)
+            if isinstance(value, bool) or value != implemented:
+                raise ValueError(f"retired model config field '{key}' must be {implemented!r}, got {value!r}")
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown model config fields: {sorted(unknown)}")
         return cls(**data)
@@ -251,9 +244,6 @@ class Model:
         if self.inventory.size != config.commonsense_k:
             raise ValueError(f"inventory size {self.inventory.size} != configured k {config.commonsense_k}")
         self.params: dict[str, Tensor] = {}
-        # Dropout fires only during training passes; evaluation stays exact.
-        self.train_mode = False
-        self._dropout_rng = np.random.default_rng([config.seed, 0xD0])
         self._build_params()
 
     # -- parameter construction -------------------------------------------
@@ -279,7 +269,7 @@ class Model:
         return self._param(name, np.ones(shape))
 
     def _layer(self, prefix: str) -> LayerParams:
-        d, ffn = self.config.d, self.config.ffn
+        d, ffn = self.config.d, 4 * self.config.d
         return LayerParams(
             wq=self._weight(f"{prefix}.wq", (d, d)),
             bq=self._zeros(f"{prefix}.bq", (d,)),
@@ -318,11 +308,9 @@ class Model:
         self.fine_stack = [self._layer(f"fine.{i}") for i in range(cfg.fine_layers)]
         self.coarse_stack = [self._layer(f"coarse.{i}") for i in range(cfg.coarse_layers)]
         if cfg.commonsense_k > 0:
-            self.cs_emb = self._weight("cs.emb", (cfg.commonsense_k, cfg.cs_dim))
+            self.cs_emb = self._weight("cs.emb", (cfg.commonsense_k, cfg.d))
             # Near-identity start so the knowledge term begins as a gentle additive hint.
-            proj = np.zeros((cfg.cs_dim, cfg.d))
-            np.fill_diagonal(proj, 1.0)
-            self.cs_proj = self._param("cs.proj", proj + trunc_normal(self._rng_for("cs.proj"), (cfg.cs_dim, cfg.d)))
+            self.cs_proj = self._param("cs.proj", np.eye(cfg.d) + trunc_normal(self._rng_for("cs.proj"), (cfg.d, cfg.d)))
         else:
             self.cs_emb = None
             self.cs_proj = None
@@ -400,13 +388,10 @@ class Model:
         ])
 
     def fine_encode(self, h: Tensor, enc: EncodedDoc) -> Tensor:
-        rate = self.config.dropout if self.train_mode else 0.0
         # One bias for every fine layer: the relative tables are shared.
         bias = spatial_bias(self.bias_tables, enc.fine_indices)
         for layer in self.fine_stack:
-            h = transformer_layer(
-                h, layer, self.config.heads, bias, self.config.activation, rate, self._dropout_rng,
-            )
+            h = transformer_layer(h, layer, self.config.heads, bias)
         return h
 
     def aggregate(self, h_fine: Tensor, enc: EncodedDoc) -> Tensor:
@@ -424,12 +409,8 @@ class Model:
         return add_lookups(agg, layout_lookups(enc.coarse_boxes, self.tables))
 
     def coarse_encode(self, h: Tensor) -> Tensor:
-        rate = self.config.dropout if self.train_mode else 0.0
         for layer in self.coarse_stack:
-            h = transformer_layer(
-                h, layer, self.config.heads, activation=self.config.activation,
-                dropout_rate=rate, dropout_rng=self._dropout_rng,
-            )
+            h = transformer_layer(h, layer, self.config.heads)
         return h
 
     def fuse(self, h_fine: Tensor, h_coarse: Tensor, enc: EncodedDoc) -> Tensor:

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .clustering import ClusterParams, detect_salient_regions
-from .document import BBox, Page, Segment, Word, parse_document, serialize_document
+from .document import BBox, Page, Segment, Word, image_beside, parse_document, serialize_document, union_box
 
 CHAR_W = 7
 LINE_H = 14
@@ -130,21 +130,14 @@ class _Builder:
 
     def build(self) -> Page:
         words = [Word(text=t, bbox=b, segment_id=s) for t, b, s in self.words]
-        segments = []
-        for word_ids in self.segment_words:
-            boxes = [words[i].bbox for i in word_ids]
-            segments.append(
-                Segment(
-                    text=" ".join(words[i].text for i in word_ids),
-                    bbox=BBox(
-                        min(b.x0 for b in boxes),
-                        min(b.y0 for b in boxes),
-                        max(b.x1 for b in boxes),
-                        max(b.y1 for b in boxes),
-                    ),
-                    word_ids=tuple(word_ids),
-                )
+        segments = [
+            Segment(
+                text=" ".join(words[i].text for i in word_ids),
+                bbox=union_box([words[i].bbox for i in word_ids]),
+                word_ids=tuple(word_ids),
             )
+            for word_ids in self.segment_words
+        ]
         return Page(
             width=self.width,
             height=self.height,
@@ -381,6 +374,7 @@ def load_corpus(corpus_dir: str) -> list[Page]:
         raise ValueError(f"no documents found in {corpus_dir}")
     pages = []
     for name in names:
-        with open(os.path.join(corpus_dir, name), "rb") as fh:
-            pages.append(parse_document(fh.read()))
+        path = os.path.join(corpus_dir, name)
+        with open(path, "rb") as fh:
+            pages.append(image_beside(parse_document(fh.read()), path))
     return pages

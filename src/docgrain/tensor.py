@@ -462,29 +462,6 @@ def gelu(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def relu(a: Tensor) -> Tensor:
-    data = np.maximum(a.data, 0.0)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g * (a.data > 0.0))
-
-    return _make(data, (a,), backward)
-
-
-def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when p == 0 so defaults stay deterministic."""
-    if p <= 0.0:
-        return a
-    if p >= 1.0:
-        raise ValueError("dropout rate must be < 1")
-    mask = (rng.random(a.shape) >= p) / (1.0 - p)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g * mask)
-
-    return _make(a.data * mask, (a,), backward)
-
-
 IGNORE_INDEX = -100
 
 

@@ -150,7 +150,6 @@ def train(
     )
     optimizer = Adam(model.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
-    model.train_mode = True
 
     log: list[dict] = []
     best_f1 = -1.0
@@ -177,9 +176,7 @@ def train(
             optimizer.step(lr=lr_schedule(step, cfg))
             last_loss = batch_loss
         if (epoch + 1) % cfg.eval_every == 0 or epoch + 1 == cfg.epochs:
-            model.train_mode = False
             report = evaluate_model(model, eval_pages) if eval_pages else None
-            model.train_mode = True
             f1 = report.micro_f1 if report else 0.0
             log.append(
                 {"step": step, "loss": round(last_loss, 6), "f1": round(f1, 6), "lr": lr_schedule(step, cfg)}
@@ -187,7 +184,6 @@ def train(
             if report and f1 > best_f1:
                 best_f1 = f1
                 best_state = {name: p.data.copy() for name, p in model.params.items()}
-    model.train_mode = False
     if best_state is not None:
         for name, p in model.params.items():
             p.data = best_state[name]

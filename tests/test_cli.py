@@ -157,10 +157,16 @@ class TestConfigErrors:
             {"model": {"rel_max_distance": 8}},
             {"model": {"radius": -1}},
             {"model": {"min_pts": -1}},
+            {"model": {"activation": "relu"}},
+            {"model": {"dropout": 0.1}},
+            {"model": {"dropout": False}},
+            {"model": {"ffn_width": 128}},
+            {"model": {"commonsense_dim": 32}},
         ],
         ids=[
             "grid-int", "d-string", "heads-zero", "grid-one", "model-int", "lr-string", "epochs-float", "clip-string",
             "buckets-odd", "max-distance-short", "radius-negative", "min-pts-negative",
+            "retired-relu", "retired-dropout", "retired-dropout-bool", "retired-ffn-width", "retired-cs-dim",
         ],
     )
     def test_malformed_config_is_validation_error(self, corpus, tmp_path, capsys, config):
@@ -169,6 +175,17 @@ class TestConfigErrors:
         assert run(["train", "--corpus", corpus, "--config", str(path), "--out", str(tmp_path / "m.ckpt")]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "m.ckpt").exists()
+
+    def test_out_of_memory_is_validation_error(self, corpus, tmp_path, monkeypatch, capsys):
+        import docgrain.cli as cli
+
+        def oom(*args, **kwargs):
+            raise MemoryError("Unable to allocate 477. GiB for an array")
+
+        monkeypatch.setattr(cli, "train", oom)
+        assert run(["train", "--corpus", corpus, "--out", str(tmp_path / "m.ckpt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "477. GiB" in err
 
 
 class TestTrainEvalCli:
@@ -219,6 +236,17 @@ class TestTrainEvalCli:
         page.write_text(json.dumps(json.loads(page.read_text()) | {"image": str(image)}))
         assert run(["eval", "--checkpoint", ckpt, "--corpus", str(tmp_path / "corpus")]) == 1
         assert "maxval 0" in capsys.readouterr().err
+
+    def test_eval_relative_image_beside_documents(self, trained, tmp_path, monkeypatch, capsys):
+        root, corpus, ckpt, log = trained
+        shutil.copytree(corpus, tmp_path / "corpus")
+        (tmp_path / "corpus" / "img.ppm").write_bytes(b"P6 2 2 255\n" + bytes(range(12)))
+        page = tmp_path / "corpus" / "doc_00000.json"
+        page.write_text(json.dumps(json.loads(page.read_text()) | {"image": "img.ppm"}))
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert run(["eval", "--checkpoint", ckpt, "--corpus", str(tmp_path / "corpus")]) == 0
+        assert "micro:" in capsys.readouterr().out
 
     def test_eval_missing_checkpoint(self, tmp_path):
         assert run(["eval", "--checkpoint", str(tmp_path / "no.ckpt"), "--corpus", str(tmp_path)]) == 1

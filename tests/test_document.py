@@ -12,6 +12,7 @@ from docgrain.document import (
     boundary_distance,
     document_to_json,
     iou,
+    load_document,
     normalize_box,
     parse_document,
     serialize_document,
@@ -274,6 +275,15 @@ def test_synth_pages_reparse_identically(seed):
     page = generate_page(seed % 1000, seed % 7, SynthParams())
     blob = document_to_json(page)
     assert serialize_document(parse_document(blob)) == serialize_document(page)
+
+
+@pytest.mark.parametrize("image", ["img.ppm", "sub/img.ppm", "/abs/img.ppm"])
+def test_load_document_reads_image_path_beside_the_document(tmp_path, image):
+    doc = json.loads((Path(__file__).parent / "fixtures" / "three_blocks.json").read_text())
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc | {"image": image}))
+    # Joined to the document's directory; an absolute path stays as it is.
+    assert load_document(str(path)).image_path == str(tmp_path / image)
 
 
 FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.json"))

@@ -213,6 +213,31 @@ class TestPatchFeatures:
         assert np.allclose(raw[:, :3], 128 / 255.0)
         assert len({tuple(r) for r in np.round(raw[:, :3], 12)}) == 1
 
+    def test_dark_uint8_image_is_scaled_by_dtype(self):
+        # An 8-bit image of all 1s is near black, however small its values.
+        page = Page(width=4, height=4, image=np.ones((4, 4, 3), dtype=np.uint8))
+        raw = patch_raw_features(page, 1, 1)
+        assert raw[0, :3].tolist() == [1 / 255.0] * 3
+
+    def test_float_image_is_read_as_unit_range(self):
+        page = Page(width=4, height=4, image=np.full((4, 4, 3), 0.25))
+        assert patch_raw_features(page, 2, 2)[:, :3].tolist() == [[0.25] * 3] * 4
+
+    @pytest.mark.parametrize(
+        "image",
+        [
+            np.full((4, 4, 3), 2.0),
+            np.full((4, 4, 3), np.nan),
+            np.full((4, 4, 3), 256, dtype=np.int64),
+            np.full((4, 4, 3), -1, dtype=np.int16),
+            np.ones((4, 4, 3), dtype=bool),
+        ],
+        ids=["float-above-one", "float-nan", "int-above-255", "int-negative", "bool"],
+    )
+    def test_out_of_range_image_rejected(self, image):
+        with pytest.raises(ValueError, match="page image"):
+            patch_raw_features(Page(width=4, height=4, image=image), 2, 2)
+
     def test_checker_image_matches_pixel_loop(self):
         rng = np.random.default_rng(7)
         img = rng.integers(0, 256, size=(12, 16, 3)).astype(np.uint8)

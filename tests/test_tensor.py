@@ -22,7 +22,6 @@ from docgrain.tensor import (
     mul,
     no_grad,
     project_heads,
-    relu,
     scale,
     slice_rows,
 )
@@ -297,11 +296,6 @@ class TestGradients:
     def test_gelu(self):
         check_op(lambda t: gelu(t), rand(4, 6))
 
-    def test_relu_away_from_kink(self):
-        x = RNG.normal(size=(4, 4))
-        x[np.abs(x) < 0.1] = 0.5
-        check_op(lambda t: relu(t), Tensor(x, requires_grad=True))
-
     def test_cross_entropy(self):
         logits = rand(5, 4)
         targets = np.array([0, 3, IGNORE_INDEX, 2, 1])
@@ -365,9 +359,3 @@ class TestTapeMechanics:
             y = add(y, x)
         y.sum().backward()
         assert x.grad[0] == pytest.approx(3001.0)
-
-    def test_dropout_identity_at_zero(self):
-        from docgrain.tensor import dropout
-
-        x = rand(3, 3)
-        assert dropout(x, 0.0, np.random.default_rng(0)) is x

@@ -223,6 +223,33 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="invalid checkpoint config"):
             load_model(path)
 
+    @pytest.mark.parametrize("dropout", [0.0, 0])
+    def test_retired_fields_at_old_defaults_load(self, tmp_path, dropout):
+        page = probe_page()
+        model = Model(ModelConfig(seed=3, **SMALL_MODEL), build_vocab([page], SMALL_MODEL["vocab_size"]))
+        path = str(tmp_path / "model.ckpt")
+        model.save(path)
+        tensors, config = load_checkpoint(path)
+        # Older checkpoints store four retired fields, always at these values.
+        config["model"] |= {"activation": "gelu", "dropout": dropout, "ffn_width": None, "commonsense_dim": None}
+        save_checkpoint(path, tensors, config)
+        again = load_model(path)
+        assert again.config == model.config
+        for name, p in model.params.items():
+            assert again.params[name].data.tobytes() == p.data.tobytes()
+        assert again.predict_word_tags(again.encode_page(page)) == model.predict_word_tags(model.encode_page(page))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("activation", "relu"), ("dropout", 0.1), ("dropout", False), ("ffn_width", 128), ("commonsense_dim", 32)],
+    )
+    def test_retired_field_at_other_value_rejected(self, tmp_path, key, value):
+        path, tensors, config = self.saved_model(tmp_path)
+        config["model"][key] = value
+        save_checkpoint(path, tensors, config)
+        with pytest.raises(CheckpointError, match=f"invalid checkpoint config: retired .*'{key}'"):
+            load_model(path)
+
     def test_failed_save_leaves_existing_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "ck.bin"
         save_checkpoint(str(path), {"w": np.ones(4)}, {"n": 1})

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -171,12 +172,14 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if not 0 < args.threshold < math.inf:
+        raise UsageError(f"--threshold must be a finite number > 0, got {args.threshold}")
     probe = probe_page()
     cfg = gradcheck_config(seed=args.seed)
     model = Model(cfg, build_vocab([probe], size=cfg.vocab_size))
     max_err, _ = finite_difference_check(model, probe)
     print(f"max relative error: {max_err:.3e}")
-    if max_err >= args.threshold:
+    if not max_err < args.threshold:
         print(f"gradient check FAILED (threshold {args.threshold:g})", file=sys.stderr)
         return 1
     return 0

@@ -157,11 +157,8 @@ class CommonSenseInventory:
         return np.stack([self.detect(t) for t in texts])
 
 
-def make_inventory(categories: tuple[str, ...] | None, k: int) -> CommonSenseInventory:
-    """Inventory for a configured size k; k = 0 disables the subsystem."""
-    if k == 0:
-        return CommonSenseInventory(categories=())
-    cats = DEFAULT_CATEGORIES if categories is None else tuple(categories)
-    if len(cats) < k:
-        raise ValueError(f"inventory has {len(cats)} categories but k={k}")
-    return CommonSenseInventory(categories=cats[:k])
+def make_inventory(k: int) -> CommonSenseInventory:
+    """The first k default detectors; k = 0 disables the subsystem."""
+    if not 0 <= k <= len(DEFAULT_CATEGORIES):
+        raise ValueError(f"inventory has {len(DEFAULT_CATEGORIES)} categories but k={k}")
+    return CommonSenseInventory(categories=DEFAULT_CATEGORIES[:k])

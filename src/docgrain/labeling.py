@@ -1,8 +1,7 @@
 """Sequence labeling: BIO tags, entity-level F1, ANLS, and the head.
 
-Decoding is lenient by default (an I- tag without a matching open entity
-starts one), which is how common evaluation tooling behaves; strict mode
-raises instead.
+Decoding is lenient: an I- tag without a matching open entity starts one,
+which is how common evaluation tooling behaves.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ def _split_tag(tag: str) -> tuple[str, str]:
     raise ValueError(f"unknown tag '{tag}'")
 
 
-def bio_decode(tags: list[str], strict: bool = False) -> list[Entity]:
+def bio_decode(tags: list[str]) -> list[Entity]:
     """Maximal B-/I- runs of one type become entities."""
     entities: list[Entity] = []
     open_type: str | None = None
@@ -78,11 +77,7 @@ def bio_decode(tags: list[str], strict: bool = False) -> list[Entity]:
         if open_type is not None:
             entities.append(Entity(open_type, start, i))
             open_type = None
-        if marker == "B":
-            open_type, start = etype, i
-        elif marker == "I":
-            if strict:
-                raise ValueError(f"stray I- tag '{tag}' at position {i} (strict mode)")
+        if marker != OUTSIDE:
             open_type, start = etype, i
     if open_type is not None:
         entities.append(Entity(open_type, start, len(tags)))

@@ -33,7 +33,7 @@ from .attention import (
 )
 from .checkpoint import CheckpointError
 from .clustering import ClusterParams
-from .commonsense import CommonSenseInventory, make_inventory
+from .commonsense import DEFAULT_CATEGORIES, CommonSenseInventory, make_inventory
 from .document import BBox, Page, box_array
 from .embeddings import (
     COORD_RANGE,
@@ -79,9 +79,30 @@ def check_field_types(config) -> None:
             raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
 
 
+def config_from_dict(cls, data: dict, retired: dict, kind: str):
+    """``cls(**data)`` once the ``retired`` keys are dropped; ValueError
+    naming the key if one holds anything but the value the code implements,
+    or if a key is unknown."""
+    data = dict(data)
+    for key, implemented in retired.items():
+        value = data.pop(key, implemented)
+        if isinstance(value, bool) or value != implemented:
+            raise ValueError(f"retired {kind} config field '{key}' must be {implemented!r}, got {value!r}")
+    unknown = set(data) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown {kind} config fields: {sorted(unknown)}")
+    return cls(**data)
+
+
 # Fields older checkpoints carry, at the only value the model implements (a GELU
-# FFN 4d wide, d-wide knowledge vectors, no masking); ``from_dict`` drops them.
-_RETIRED_FIELDS = {"activation": "gelu", "dropout": 0.0, "ffn_width": None, "commonsense_dim": None}
+# FFN 4d wide, d-wide knowledge vectors, no masking, summed children).
+_RETIRED_FIELDS = {
+    "activation": "gelu",
+    "dropout": 0.0,
+    "ffn_width": None,
+    "commonsense_dim": None,
+    "aggregation": "sum",
+}
 
 
 @dataclass
@@ -101,7 +122,6 @@ class ModelConfig:
     rel_buckets: int = 32
     rel_max_distance: int = 1000
     seed: int = 0
-    aggregation: str = "sum"
     use_cross_grained: bool = True
 
     def __post_init__(self) -> None:
@@ -122,8 +142,8 @@ class ModelConfig:
             raise ValueError("at least one fine layer is required")
         if not 0 <= self.coarse_layers <= 5:
             raise ValueError(f"coarse_layers must be in [0, 5], got {self.coarse_layers}")
-        if self.commonsense_k < 0:
-            raise ValueError("commonsense_k must be >= 0")
+        if not 0 <= self.commonsense_k <= len(DEFAULT_CATEGORIES):
+            raise ValueError(f"commonsense_k must be in [0, {len(DEFAULT_CATEGORIES)}], got {self.commonsense_k}")
         if self.rel_buckets % 2 != 0 or self.rel_buckets < 4:
             raise ValueError(f"rel_buckets must be even and >= 4, got {self.rel_buckets}")
         if self.rel_max_distance <= self.rel_buckets // 4:
@@ -132,8 +152,6 @@ class ModelConfig:
             raise ValueError(f"radius must be finite and >= 0, got {self.radius}")
         if self.min_pts < 0:
             raise ValueError(f"min_pts must be >= 0, got {self.min_pts}")
-        if self.aggregation not in ("sum", "mean"):
-            raise ValueError(f"aggregation must be 'sum' or 'mean', got '{self.aggregation}'")
 
     @property
     def coord_width(self) -> int:
@@ -150,15 +168,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        data = dict(data)
-        for key, implemented in _RETIRED_FIELDS.items():
-            value = data.pop(key, implemented)
-            if isinstance(value, bool) or value != implemented:
-                raise ValueError(f"retired model config field '{key}' must be {implemented!r}, got {value!r}")
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown model config fields: {sorted(unknown)}")
-        return cls(**data)
+        return config_from_dict(cls, data, _RETIRED_FIELDS, "model")
 
 
 def gradcheck_config(seed: int = 0) -> ModelConfig:
@@ -210,7 +220,7 @@ class EncodedDoc:
     fine_boxes: np.ndarray  # (L + WH, 4) normalized coordinates
     positions: np.ndarray  # (L + WH,) 1D positions, restarting at 0 for patches
     fine_indices: SpatialIndices
-    agg: np.ndarray  # (Z + P, L + WH) one-hot (or mean) columns of parent_row
+    agg: np.ndarray  # (Z + P, L + WH) one-hot columns of parent_row
     cs_bits: np.ndarray  # (Z + P, K) knowledge bits, zero rows for regions
     coarse_boxes: np.ndarray  # (Z + P, 4) normalized coordinates
     parent_row: np.ndarray  # (L + WH,) rows into the coarse stack
@@ -240,7 +250,7 @@ class Model:
         self.config = config
         self.vocab = vocab
         self.tag_set = tag_set if tag_set is not None else BioTagSet()
-        self.inventory = inventory if inventory is not None else make_inventory(None, config.commonsense_k)
+        self.inventory = inventory if inventory is not None else make_inventory(config.commonsense_k)
         if self.inventory.size != config.commonsense_k:
             raise ValueError(f"inventory size {self.inventory.size} != configured k {config.commonsense_k}")
         self.params: dict[str, Tensor] = {}
@@ -344,9 +354,6 @@ class Model:
         ])
         agg = np.zeros((n_seg + n_reg, n_text + n_visual))
         agg[parent_row, np.arange(n_text + n_visual)] = 1.0
-        if cfg.aggregation == "mean":
-            counts = agg.sum(axis=1, keepdims=True)
-            np.divide(agg, counts, out=agg, where=counts > 0)
 
         cs_bits = np.zeros((n_seg + n_reg, self.inventory.size))
         cs_bits[:n_seg] = self.inventory.detect_all([s.text for s in page.segments])
@@ -395,7 +402,7 @@ class Model:
         return h
 
     def aggregate(self, h_fine: Tensor, enc: EncodedDoc) -> Tensor:
-        """The stacked [segments; regions] sums (or means) of fine children."""
+        """The stacked [segments; regions] sums of fine children."""
         return matmul(Tensor(enc.agg), h_fine)
 
     def commonsense_embed(self, cs_bits: np.ndarray) -> Tensor:

@@ -1,4 +1,4 @@
-"""Adam with decoupled weight decay, plus gradient clipping."""
+"""Adam with decoupled weight decay, plus the global gradient norm."""
 
 from __future__ import annotations
 
@@ -65,14 +65,3 @@ def global_grad_norm(params: dict[str, Tensor]) -> float:
         if p.grad is not None:
             total += float((p.grad**2).sum())
     return math.sqrt(total)
-
-
-def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients so the global norm is at most max_norm."""
-    norm = global_grad_norm(params)
-    if norm > max_norm and norm > 0.0:
-        factor = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= factor
-    return norm

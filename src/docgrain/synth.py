@@ -28,6 +28,11 @@ from .document import BBox, Page, Segment, Word, image_beside, parse_document, s
 CHAR_W = 7
 LINE_H = 14
 WORD_GAP = 4
+PAGE_WIDTH = 800
+# The clustering that region-cue labels are computed with; the cue step
+# patterns below are tuned to its radius.
+REFERENCE_CLUSTERING = ClusterParams(radius=30.0, min_pts=1)
+CUE_BLOCKS = 3
 
 _HEADERS = [
     ["MEMORANDUM"],
@@ -69,25 +74,18 @@ _YEARS = [str(y) for y in range(1986, 1998)]
 class SynthParams:
     """Layout and content knobs for the generator."""
 
-    page_width: int = 800
     page_height: int = 1000
     variant: str = "plain"  # "plain" or "region_cue"
-    reference_radius: float = 30.0
-    reference_min_pts: int = 1
     min_kv_pairs: int = 3
     max_kv_pairs: int = 6
     max_list_blocks: int = 2
     max_noise_lines: int = 2
-    min_cue_blocks: int = 3
-    max_cue_blocks: int = 5
 
     def __post_init__(self) -> None:
         if self.variant not in ("plain", "region_cue"):
             raise ValueError(f"unknown variant '{self.variant}'")
         if self.min_kv_pairs < 0 or self.max_kv_pairs < self.min_kv_pairs:
             raise ValueError("bad kv pair bounds")
-        if self.min_cue_blocks < 1 or self.max_cue_blocks < self.min_cue_blocks:
-            raise ValueError("bad cue block bounds")
 
 
 @dataclass
@@ -210,7 +208,7 @@ def _generate_plain(rng: np.random.Generator, params: SynthParams, builder: _Bui
     header = [str(w) for w in _pick(rng, _HEADERS)]
     builder.add_line(header, _entity(header, "HEADER"), 280.0 + float(rng.integers(0, 60)), 30.0)
 
-    flow = _ColumnFlow(rng, params.page_width, params.page_height, 140.0)
+    flow = _ColumnFlow(rng, PAGE_WIDTH, params.page_height, 140.0)
     n_kv = int(rng.integers(params.min_kv_pairs, params.max_kv_pairs + 1))
     n_lists = int(rng.integers(0, params.max_list_blocks + 1))
     n_noise = int(rng.integers(1, params.max_noise_lines + 1))
@@ -267,11 +265,11 @@ def _generate_region_cue(rng: np.random.Generator, params: SynthParams, builder:
     header = [str(w) for w in _pick(rng, _HEADERS)]
     builder.add_line(header, _entity(header, "HEADER"), 280.0 + float(rng.integers(0, 60)), 30.0)
 
-    flow = _ColumnFlow(rng, params.page_width, params.page_height, 140.0)
+    flow = _ColumnFlow(rng, PAGE_WIDTH, params.page_height, 140.0)
     dense = bool(rng.integers(0, 2))
     steps = _CUE_CHAIN_STEPS if dense else _CUE_SPLIT_STEPS
     block_h = 4 * LINE_H + sum(steps)
-    for _ in range(params.min_cue_blocks):
+    for _ in range(CUE_BLOCKS):
         spot = flow.place(block_h)
         if spot is None:
             break
@@ -297,10 +295,8 @@ def _generate_region_cue(rng: np.random.Generator, params: SynthParams, builder:
         builder.add_line(line, ["O"] * len(line), x, y)
 
 
-def _apply_region_cue_labels(builder: _Builder, page: Page, params: SynthParams) -> None:
-    regions = detect_salient_regions(
-        page.segments, ClusterParams(params.reference_radius, params.reference_min_pts)
-    )
+def _apply_region_cue_labels(builder: _Builder, page: Page) -> None:
+    regions = detect_salient_regions(page.segments, REFERENCE_CLUSTERING)
     region_size: dict[int, int] = {}
     for region in regions:
         for seg in region.member_segment_ids:
@@ -327,14 +323,14 @@ def probe_page() -> Page:
 def generate_page(seed: int, index: int, params: SynthParams) -> Page:
     """One labeled page; (seed, index) fully determines the output."""
     rng = np.random.default_rng([seed, index])
-    builder = _Builder(params.page_width, params.page_height)
+    builder = _Builder(PAGE_WIDTH, params.page_height)
     if params.variant == "plain":
         _generate_plain(rng, params, builder)
     else:
         _generate_region_cue(rng, params, builder)
     page = builder.build()
     if params.variant == "region_cue":
-        _apply_region_cue_labels(builder, page, params)
+        _apply_region_cue_labels(builder, page)
     return page
 
 

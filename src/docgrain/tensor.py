@@ -503,7 +503,8 @@ def grad_check(
 
     ``f`` must be a deterministic scalar-valued function of ``theta``.
     ``coords`` restricts which entries are perturbed (all by default);
-    the relative error denominator is max(|analytic|, |numeric|, 1e-8).
+    the relative error denominator is max(|analytic|, |numeric|, 1e-8),
+    and a non-finite error counts as infinite.
     """
     theta.zero_grad()
     out = f(theta)
@@ -527,6 +528,6 @@ def grad_check(
             numeric = (up - down) / (2.0 * h)
             a = float(analytic[c])
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, err)
+            worst = max(worst, err if math.isfinite(err) else math.inf)
     theta.zero_grad()
     return worst

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .labeling import F1Accumulator, bio_decode
-from .model import Model, ModelConfig, check_field_types, load_model
-from .optim import Adam, clip_grad_norm
+from .model import Model, ModelConfig, check_field_types, config_from_dict, load_model
+from .optim import Adam
 from .synth import load_corpus
 from .vocab import build_vocab
 
@@ -29,19 +29,22 @@ COMPONENT_RUNS = (
 )
 
 
+# Keys older config files may carry; unset (null) is the only value the
+# loop implements: the schedule spans every epoch and nothing is clipped.
+_RETIRED_FIELDS = {"total_steps": None, "grad_clip": None}
+
+
 @dataclass
 class TrainConfig:
     """Optimization hyperparameters; JSON configs mirror these names."""
 
     lr: float = 5e-5
     warmup_steps: int = 100
-    total_steps: int | None = None  # derived from epochs when unset
     weight_decay: float = 0.01
     batch_size: int = 8
     epochs: int = 20
     seed: int = 0
     eval_every: int = 2  # epochs between held-out evaluations
-    grad_clip: float | None = None
 
     def __post_init__(self) -> None:
         check_field_types(self)
@@ -49,29 +52,22 @@ class TrainConfig:
             raise ValueError("lr, batch_size, epochs, and eval_every must be positive")
         if self.warmup_steps < 0:
             raise ValueError("warmup_steps must be >= 0")
-        if self.total_steps is not None and self.warmup_steps > self.total_steps:
-            raise ValueError("warmup_steps must not exceed total_steps")
-        if self.weight_decay < 0 or (self.grad_clip is not None and self.grad_clip <= 0):
-            raise ValueError("weight_decay must be >= 0 and grad_clip positive")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown train config fields: {sorted(unknown)}")
-        return cls(**data)
+        return config_from_dict(cls, data, _RETIRED_FIELDS, "train")
 
 
-def lr_schedule(step: int, cfg: TrainConfig) -> float:
-    """Linear warmup to the peak, then linear decay to zero at total_steps."""
-    if cfg.total_steps is None:
-        raise ValueError("total_steps must be set before scheduling")
-    total, warmup = cfg.total_steps, cfg.warmup_steps
+def lr_schedule(step: int, lr: float, warmup: int, total: int) -> float:
+    """Linear warmup to ``lr`` over ``warmup`` steps, then linear decay to
+    zero at step ``total``; ``warmup`` must not exceed ``total``."""
     if step >= total:
         return 0.0
     if step <= warmup:
-        return cfg.lr * step / max(warmup, 1)
-    return cfg.lr * (total - step) / (total - warmup)
+        return lr * step / max(warmup, 1)
+    return lr * (total - step) / (total - warmup)
 
 
 @dataclass
@@ -142,24 +138,20 @@ def train(
     encoded = [model.encode_page(p) for p in train_pages]
 
     steps_per_epoch = (len(encoded) + train_cfg.batch_size - 1) // train_cfg.batch_size
-    total_steps = train_cfg.total_steps or steps_per_epoch * train_cfg.epochs
-    cfg = replace(
-        train_cfg,
-        total_steps=total_steps,
-        warmup_steps=min(train_cfg.warmup_steps, total_steps),
-    )
-    optimizer = Adam(model.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    rng = np.random.default_rng(cfg.seed)
+    total = steps_per_epoch * train_cfg.epochs
+    warmup = min(train_cfg.warmup_steps, total)
+    optimizer = Adam(model.params, lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
+    rng = np.random.default_rng(train_cfg.seed)
 
     log: list[dict] = []
     best_f1 = -1.0
     best_state: dict[str, np.ndarray] | None = None
     step = 0
     last_loss = float("nan")
-    for epoch in range(cfg.epochs):
+    for epoch in range(train_cfg.epochs):
         order = rng.permutation(len(encoded))
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
+        for start in range(0, len(order), train_cfg.batch_size):
+            batch = order[start : start + train_cfg.batch_size]
             optimizer.zero_grad()
             batch_loss = 0.0
             for i in batch:
@@ -170,17 +162,14 @@ def train(
                     )
                 loss.backward()
                 batch_loss += loss.item()
-            if cfg.grad_clip is not None:
-                clip_grad_norm(model.params, cfg.grad_clip)
             step += 1
-            optimizer.step(lr=lr_schedule(step, cfg))
+            optimizer.step(lr=lr_schedule(step, train_cfg.lr, warmup, total))
             last_loss = batch_loss
-        if (epoch + 1) % cfg.eval_every == 0 or epoch + 1 == cfg.epochs:
+        if (epoch + 1) % train_cfg.eval_every == 0 or epoch + 1 == train_cfg.epochs:
             report = evaluate_model(model, eval_pages) if eval_pages else None
             f1 = report.micro_f1 if report else 0.0
-            log.append(
-                {"step": step, "loss": round(last_loss, 6), "f1": round(f1, 6), "lr": lr_schedule(step, cfg)}
-            )
+            lr = lr_schedule(step, train_cfg.lr, warmup, total)
+            log.append({"step": step, "loss": round(last_loss, 6), "f1": round(f1, 6), "lr": lr})
             if report and f1 > best_f1:
                 best_f1 = f1
                 best_state = {name: p.data.copy() for name, p in model.params.items()}

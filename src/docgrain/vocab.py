@@ -78,7 +78,6 @@ class TokenSeq:
     """Tokenized page text: ids plus per-token provenance."""
 
     ids: list[int]
-    pieces: list[str]
     bboxes: list[BBox]
     word_index: list[int]
     first_subtoken: list[bool]
@@ -90,14 +89,12 @@ class TokenSeq:
 def tokenize(words: list[Word], vocab: Vocab, max_len: int) -> TokenSeq:
     """Tokenize words in reading order; fails rather than truncating."""
     ids: list[int] = []
-    pieces: list[str] = []
     bboxes: list[BBox] = []
     word_index: list[int] = []
     first: list[bool] = []
     for wi, word in enumerate(words):
         for pi, piece in enumerate(word_pieces(word.text)):
             ids.append(vocab.token_to_id(piece))
-            pieces.append(piece)
             bboxes.append(word.bbox)
             word_index.append(wi)
             first.append(pi == 0)
@@ -105,4 +102,4 @@ def tokenize(words: list[Word], vocab: Vocab, max_len: int) -> TokenSeq:
         raise ValueError(
             f"token sequence length {len(ids)} exceeds max_len {max_len}; truncate the document before tokenizing"
         )
-    return TokenSeq(ids=ids, pieces=pieces, bboxes=bboxes, word_index=word_index, first_subtoken=first)
+    return TokenSeq(ids=ids, bboxes=bboxes, word_index=word_index, first_subtoken=first)

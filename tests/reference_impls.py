@@ -176,9 +176,9 @@ def fine_input_oracle(model, enc) -> np.ndarray:
     ])
 
 
-def aggregate_oracle(enc, h: np.ndarray, mean: bool) -> np.ndarray:
+def aggregate_oracle(enc, h: np.ndarray) -> np.ndarray:
     """Two per-modality blocks: segments from their tokens, regions from
-    their patches, each a 0/1 (or 1/children) matrix product; stacked."""
+    their patches, each a 0/1 matrix product; stacked."""
     g, n_text = enc.graph, len(enc.tokens.ids)
     text = np.zeros((g.n_coarse_text, n_text))
     for tok, word in enumerate(enc.tokens.word_index):
@@ -186,12 +186,7 @@ def aggregate_oracle(enc, h: np.ndarray, mean: bool) -> np.ndarray:
     visual = np.zeros((g.n_coarse_visual, len(g.visual_parent)))
     for patch, region in enumerate(g.visual_parent):
         visual[region, patch] = 1.0
-    blocks = []
-    for mat, rows in ((text, h[:n_text]), (visual, h[n_text:])):
-        if mean:
-            mat = mat / np.maximum(mat.sum(axis=1, keepdims=True), 1.0)
-        blocks.append(mat @ rows)
-    return np.vstack(blocks)
+    return np.vstack([text @ h[:n_text], visual @ h[n_text:]])
 
 
 def coarse_input_oracle(model, enc, agg: np.ndarray) -> np.ndarray:

@@ -162,11 +162,16 @@ class TestConfigErrors:
             {"model": {"dropout": False}},
             {"model": {"ffn_width": 128}},
             {"model": {"commonsense_dim": 32}},
+            {"model": {"aggregation": "mean"}},
+            {"model": {"commonsense_k": 9}},
+            {"train": {"total_steps": 100}},
+            {"train": {"grad_clip": 1.0}},
         ],
         ids=[
             "grid-int", "d-string", "heads-zero", "grid-one", "model-int", "lr-string", "epochs-float", "clip-string",
             "buckets-odd", "max-distance-short", "radius-negative", "min-pts-negative",
             "retired-relu", "retired-dropout", "retired-dropout-bool", "retired-ffn-width", "retired-cs-dim",
+            "retired-mean", "cs-k-nine", "retired-total-steps", "retired-clip",
         ],
     )
     def test_malformed_config_is_validation_error(self, corpus, tmp_path, capsys, config):
@@ -281,3 +286,15 @@ class TestGradcheckCli:
         assert "max relative error" in out
         value = float(out.strip().rsplit(" ", 1)[1])
         assert value < 1e-4
+
+    def test_nan_error_fails(self, monkeypatch, capsys):
+        import docgrain.cli as cli
+
+        monkeypatch.setattr(cli, "finite_difference_check", lambda model, page: (float("nan"), {}))
+        assert run(["gradcheck"]) == 1
+        assert "gradient check FAILED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1e-4"])
+    def test_threshold_must_be_finite_and_positive(self, capsys, threshold):
+        assert run(["gradcheck", f"--threshold={threshold}"]) == 1
+        assert capsys.readouterr().err.startswith("error: --threshold must be a finite number > 0")

@@ -100,7 +100,7 @@ class TestTokenizer:
         ]
         v = Vocab(list(SPECIALS) + ["fax", ":", "123"])
         seq = tokenize(words, v, max_len=16)
-        assert seq.pieces == ["fax", ":", "123"]
+        assert seq.ids == [v.token_to_id(p) for p in ("fax", ":", "123")]
         assert seq.word_index == [0, 0, 1]
         assert seq.first_subtoken == [True, False, True]
         assert seq.bboxes[0] == seq.bboxes[1] == words[0].bbox

@@ -49,10 +49,6 @@ class TestBioDecode:
     def test_lenient_stray_inside(self):
         assert bio_decode(["I-ANSWER", "O"]) == [Entity("ANSWER", 0, 1)]
 
-    def test_strict_stray_inside_raises(self):
-        with pytest.raises(ValueError, match="stray I- tag"):
-            bio_decode(["I-ANSWER", "O"], strict=True)
-
     def test_adjacent_b_tags(self):
         assert bio_decode(["B-QUESTION", "B-QUESTION"]) == [
             Entity("QUESTION", 0, 1),

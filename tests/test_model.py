@@ -37,8 +37,13 @@ class TestModelConfig:
             ModelConfig(fine_layers=0)
         with pytest.raises(ValueError, match=r"\[0, 5\]"):
             ModelConfig(coarse_layers=6)
-        with pytest.raises(ValueError, match="aggregation"):
-            ModelConfig(aggregation="median")
+
+    def test_commonsense_k_bounded_by_detectors(self):
+        # Checked with the rest of the config, before any vocabulary or model.
+        for k in (-1, 9):
+            with pytest.raises(ValueError, match=r"commonsense_k must be in \[0, 8\]"):
+                ModelConfig(commonsense_k=k)
+        assert ModelConfig(commonsense_k=8).commonsense_k == 8
 
     @pytest.mark.parametrize("field, bad, good", [
         ("rel_buckets", [5, 2, 0, -4], [4, 32]),
@@ -65,16 +70,16 @@ class TestModelConfig:
 
 class TestCommonSense:
     def test_date_detected(self):
-        inv = make_inventory(None, 8)
+        inv = make_inventory(8)
         bits = inv.detect("January 5, 1989")
         assert bits[inv.categories.index("DATE")] == 1.0
 
     def test_empty_text(self):
-        inv = make_inventory(None, 8)
+        inv = make_inventory(8)
         assert np.all(inv.detect("") == 0.0)
 
     def test_multi_hot(self):
-        inv = make_inventory(None, 8)
+        inv = make_inventory(8)
         bits = inv.detect("$12.50 on January 5")
         assert bits[inv.categories.index("DATE")] == 1.0
         assert bits[inv.categories.index("MONEY")] == 1.0
@@ -82,22 +87,22 @@ class TestCommonSense:
         assert bits[inv.categories.index("CARDINAL")] == 0.0
 
     def test_cardinal_residual(self):
-        inv = make_inventory(None, 8)
+        inv = make_inventory(8)
         assert inv.detect("volume 42")[inv.categories.index("CARDINAL")] == 1.0
 
     def test_person_org_gpe(self):
-        inv = make_inventory(None, 8)
+        inv = make_inventory(8)
         assert inv.detect("Mr. Smith")[inv.categories.index("PERSON")] == 1.0
         assert inv.detect("Acme Corp.")[inv.categories.index("ORG")] == 1.0
         assert inv.detect("Richmond Virginia")[inv.categories.index("GPE")] == 1.0
 
     def test_k_zero_inventory(self):
-        inv = make_inventory(None, 0)
+        inv = make_inventory(0)
         assert inv.size == 0
         assert inv.detect_all(["anything"]).shape == (1, 0)
 
     def test_detect_common_sense_vector(self):
-        inv = make_inventory(None, 8)
+        inv = make_inventory(8)
         bits = inv.detect("$12.50 on January 5")
         assert len(bits) == 8
         assert bits[inv.categories.index("MONEY")] == 1.0
@@ -177,10 +182,9 @@ class TestStages:
         agg_s = ms.aggregate(hs, encs).data[: encs.graph.n_coarse_text]
         assert np.array_equal(agg_s[0], hs.data[0])
 
-    @pytest.mark.parametrize("aggregation", ["sum", "mean"])
-    def test_parent_map_matches_loop_reference(self, aggregation):
+    def test_parent_map_matches_loop_reference(self):
         page = generate_page(4, 0, SynthParams())
-        m = tiny_model(page, max_len=256, grid=(3, 2), aggregation=aggregation)
+        m = tiny_model(page, max_len=256, grid=(3, 2))
         enc = m.encode_page(page)
         g, n_text, n_visual = enc.graph, enc.n_text, enc.n_visual
         n_seg = g.n_coarse_text
@@ -193,10 +197,6 @@ class TestStages:
         for p in range(n_visual):
             parent_row[n_text + p] = n_seg + g.visual_parent[p]
             agg_visual[g.visual_parent[p], p] = 1.0
-        if aggregation == "mean":
-            for mat in (agg_text, agg_visual):
-                counts = mat.sum(axis=1, keepdims=True)
-                np.divide(mat, counts, out=mat, where=counts > 0)  # childless nodes stay zero
         # The one matrix is the two per-modality blocks on its diagonal.
         agg = np.zeros((n_seg + g.n_coarse_visual, n_text + n_visual))
         agg[:n_seg, :n_text] = agg_text
@@ -204,12 +204,6 @@ class TestStages:
         for got, want in ((enc.parent_row, parent_row), (enc.agg, agg)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-
-    def test_mean_aggregation_flag(self):
-        page = probe_page()
-        m = tiny_model(page, aggregation="mean")
-        enc = m.encode_page(page)
-        assert np.allclose(enc.agg[: enc.graph.n_coarse_text].sum(axis=1), 1.0)
 
     def test_coarse_encode_m0_identity(self):
         page = probe_page()
@@ -272,11 +266,10 @@ class TestStackedInputsMatchOracle:
     """The stacked [text; visual] stages equal the per-row, per-modality
     numpy oracle byte for byte."""
 
-    @pytest.mark.parametrize("aggregation", ["sum", "mean"])
-    @pytest.mark.parametrize("params, grid", [(SynthParams(), (4, 4)), (DENSE, (7, 7))], ids=["forms", "dense"])
-    def test_fine_input_aggregate_coarse_input(self, params, grid, aggregation):
+    @pytest.mark.parametrize("params, grid", [(SynthParams(), (4, 4)), (DENSE, (7, 7))], ids=["forms-sum", "dense-sum"])
+    def test_fine_input_aggregate_coarse_input(self, params, grid):
         pages = [generate_page(41, i, params) for i in range(2)]
-        cfg = replace(reference_model_config(), grid=grid, aggregation=aggregation)
+        cfg = replace(reference_model_config(), grid=grid)
         m = Model(cfg, build_vocab(pages, cfg.vocab_size))
         for page in pages:
             enc = m.encode_page(page)
@@ -286,7 +279,7 @@ class TestStackedInputsMatchOracle:
                 agg = m.aggregate(h, enc)
                 coarse = m.coarse_input(agg, enc)
             assert h0.data.tobytes() == fine_input_oracle(m, enc).tobytes()
-            want_agg = aggregate_oracle(enc, h.data, aggregation == "mean")
+            want_agg = aggregate_oracle(enc, h.data)
             assert agg.data.tobytes() == want_agg.tobytes()
             assert coarse.data.tobytes() == coarse_input_oracle(m, enc, want_agg).tobytes()
 
@@ -331,11 +324,10 @@ class TestLookupSumMatchesComposedChain:
     """The ``add_lookups`` input, coarse-input and fuse stages against the
     composed gather / column-concatenation / add chain they replaced."""
 
-    @pytest.mark.parametrize("aggregation", ["sum", "mean"])
-    @pytest.mark.parametrize("params, grid", [(SynthParams(), (4, 4)), (DENSE, (7, 7))], ids=["forms", "dense"])
-    def test_stages_loss_and_gradients(self, params, grid, aggregation):
+    @pytest.mark.parametrize("params, grid", [(SynthParams(), (4, 4)), (DENSE, (7, 7))], ids=["forms-sum", "dense-sum"])
+    def test_stages_loss_and_gradients(self, params, grid):
         pages = [generate_page(43, i, params) for i in range(3)]
-        cfg = replace(reference_model_config(), grid=grid, aggregation=aggregation)
+        cfg = replace(reference_model_config(), grid=grid)
         vocab = build_vocab(pages, cfg.vocab_size)
         m, oracle = random_bias_model(cfg, vocab), random_bias_model(cfg, vocab)
         oracle.fine_input = lambda enc: composed_fine_input(oracle, enc)

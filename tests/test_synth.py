@@ -3,10 +3,11 @@ from collections import Counter
 
 import pytest
 
-from docgrain.clustering import ClusterParams, detect_salient_regions
+from docgrain.clustering import detect_salient_regions
 from docgrain.document import document_to_json, parse_document
 from docgrain.labeling import bio_decode
 from docgrain.synth import (
+    REFERENCE_CLUSTERING,
     SynthParams,
     generate_page,
     load_corpus,
@@ -73,9 +74,7 @@ class TestRegionCue:
         params = SynthParams(variant="region_cue")
         for idx in range(20):
             page = generate_page(13, idx, params)
-            regions = detect_salient_regions(
-                page.segments, ClusterParams(params.reference_radius, params.reference_min_pts)
-            )
+            regions = detect_salient_regions(page.segments, REFERENCE_CLUSTERING)
             size_of_segment = {}
             for r in regions:
                 for s in r.member_segment_ids:

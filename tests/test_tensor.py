@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from docgrain.tensor import (
+    _make,
     IGNORE_INDEX,
     Tensor,
     add,
@@ -321,6 +322,14 @@ class TestGradients:
         theta = Tensor([3.0], requires_grad=True)
         err = grad_check(lambda t: mul(t, t).sum(), theta)
         assert err < 1e-8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_grad_check_nonfinite_gradient_counts_as_infinite(self, bad):
+        def op(t):
+            return _make(t.data * 2.0, (t,), lambda g: t._accumulate(np.full_like(t.data, bad)))
+
+        theta = Tensor([1.0, 2.0], requires_grad=True)
+        assert grad_check(lambda t: op(t).sum(), theta) == math.inf
 
     def test_grad_check_rejects_nonfinite(self):
         theta = Tensor([1.0], requires_grad=True)

@@ -7,7 +7,7 @@ import pytest
 
 from docgrain.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from docgrain.model import Model, ModelConfig, load_model
-from docgrain.optim import Adam, clip_grad_norm, global_grad_norm
+from docgrain.optim import Adam
 from docgrain.synth import SynthParams, generate_page, probe_page
 from docgrain.tensor import Tensor
 from docgrain.training import (
@@ -30,37 +30,38 @@ def small_corpus(n=16, seed=0, variant="plain"):
 
 
 class TestLrSchedule:
-    def cfg(self, **kw):
-        base = dict(lr=1e-3, warmup_steps=10, total_steps=100)
-        base.update(kw)
-        return TrainConfig(**base)
+    @staticmethod
+    def lr(step):
+        return lr_schedule(step, 1e-3, 10, 100)
 
     def test_endpoints(self):
-        cfg = self.cfg()
-        assert lr_schedule(0, cfg) == 0.0
-        assert lr_schedule(10, cfg) == pytest.approx(1e-3)
-        assert lr_schedule(100, cfg) == 0.0
+        assert self.lr(0) == 0.0
+        assert self.lr(10) == pytest.approx(1e-3)
+        assert self.lr(100) == 0.0
 
     def test_clamps_past_total(self):
-        assert lr_schedule(1000, self.cfg()) == 0.0
+        assert self.lr(1000) == 0.0
 
     def test_piecewise_linear_and_continuous(self):
-        cfg = self.cfg()
         for step in range(1, 10):
-            assert lr_schedule(step, cfg) == pytest.approx(1e-3 * step / 10)
+            assert self.lr(step) == pytest.approx(1e-3 * step / 10)
         for step in range(11, 100):
-            assert lr_schedule(step, cfg) == pytest.approx(1e-3 * (100 - step) / 90)
-        left = lr_schedule(10, cfg)
+            assert self.lr(step) == pytest.approx(1e-3 * (100 - step) / 90)
+        left = self.lr(10)
         right = 1e-3 * (100 - 10) / (100 - 10)
         assert left == pytest.approx(right)
 
-    def test_requires_total(self):
-        with pytest.raises(ValueError, match="total_steps"):
-            lr_schedule(1, TrainConfig(lr=1e-3, warmup_steps=0))
-
     def test_warmup_bounds_validated(self):
-        with pytest.raises(ValueError):
-            TrainConfig(warmup_steps=200, total_steps=100)
+        with pytest.raises(ValueError, match="warmup_steps"):
+            TrainConfig(warmup_steps=-1)
+
+    def test_warmup_clamped_to_run_length(self):
+        # 16 pages in batches of 8 for 3 epochs is 6 steps, all inside the
+        # 500-step warmup: the rate climbs to the peak at the last step.
+        pages = small_corpus(16)
+        cfg = TrainConfig(lr=1e-3, warmup_steps=500, epochs=3, batch_size=8, eval_every=1)
+        result = train(pages, [], ModelConfig(**SMALL_MODEL), cfg)
+        assert [r["lr"] for r in result.metric_log] == pytest.approx([1e-3 * 2 / 6, 1e-3 * 4 / 6, 0.0])
 
 
 class TestAdam:
@@ -97,17 +98,6 @@ class TestAdam:
             return p.data.tobytes()
 
         assert run() == run()
-
-    def test_clip_never_increases_norm(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            p = Tensor(np.zeros(6), requires_grad=True)
-            p.grad = rng.normal(size=6) * rng.uniform(0.1, 10)
-            before = global_grad_norm({"p": p})
-            clip_grad_norm({"p": p}, 1.0)
-            after = global_grad_norm({"p": p})
-            assert after <= before + 1e-12
-            assert after <= 1.0 + 1e-12
 
 
 class TestCheckpointFormat:
@@ -230,8 +220,14 @@ class TestCheckpointFormat:
         path = str(tmp_path / "model.ckpt")
         model.save(path)
         tensors, config = load_checkpoint(path)
-        # Older checkpoints store four retired fields, always at these values.
-        config["model"] |= {"activation": "gelu", "dropout": dropout, "ffn_width": None, "commonsense_dim": None}
+        # Older checkpoints store five retired fields, always at these values.
+        config["model"] |= {
+            "activation": "gelu",
+            "dropout": dropout,
+            "ffn_width": None,
+            "commonsense_dim": None,
+            "aggregation": "sum",
+        }
         save_checkpoint(path, tensors, config)
         again = load_model(path)
         assert again.config == model.config
@@ -241,7 +237,14 @@ class TestCheckpointFormat:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("activation", "relu"), ("dropout", 0.1), ("dropout", False), ("ffn_width", 128), ("commonsense_dim", 32)],
+        [
+            ("activation", "relu"),
+            ("dropout", 0.1),
+            ("dropout", False),
+            ("ffn_width", 128),
+            ("commonsense_dim", 32),
+            ("aggregation", "mean"),
+        ],
     )
     def test_retired_field_at_other_value_rejected(self, tmp_path, key, value):
         path, tensors, config = self.saved_model(tmp_path)
@@ -438,3 +441,12 @@ class TestHelpers:
             json.dump({"optimizer": {}}, fh)
         with pytest.raises(ValueError, match="unknown config sections"):
             load_config_file(path)
+
+    def test_retired_train_keys_load_only_when_null(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"train": {"epochs": 3, "total_steps": None, "grad_clip": None}}))
+        assert load_config_file(str(path))[1] == TrainConfig(epochs=3)
+        for key, value in (("total_steps", 100), ("grad_clip", 1.0), ("grad_clip", False)):
+            path.write_text(json.dumps({"train": {key: value}}))
+            with pytest.raises(ValueError, match=f"retired train config field '{key}' must be None"):
+                load_config_file(str(path))

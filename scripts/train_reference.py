@@ -11,7 +11,6 @@ import sys
 
 from docgrain.synth import SynthParams, save_corpus, synth_generate
 from docgrain.training import (
-    evaluate_model,
     reference_model_config,
     reference_train_config,
     split_corpus,
@@ -41,7 +40,7 @@ def main() -> int:
     )
     result.write_log(os.path.join(args.out, "metrics.jsonl"))
 
-    report = evaluate_model(result.model, eval_pages)
+    report = result.report
     print(f"held-out micro: P={report.micro_precision:.4f} R={report.micro_recall:.4f} F1={report.micro_f1:.4f}")
     for etype, (p, r, f1) in sorted(report.per_type.items()):
         print(f"  {etype}: P={p:.4f} R={r:.4f} F1={f1:.4f}")

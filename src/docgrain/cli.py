@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import __version__
@@ -36,6 +37,13 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # A negative float literal (exponent form, -inf and -nan included)
+        # is a value, so `--threshold -1e-4` reaches the range check instead
+        # of reading as an option; argparse's own pattern knows only `-1` and `-.5`.
+        self._negative_number_matcher = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf(inity)?|nan)$", re.I)
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
 

@@ -336,7 +336,3 @@ def load_document(path: str) -> Page:
     with open(path, "rb") as fh:
         return image_beside(parse_document(fh.read()), path)
 
-
-def save_document(page: Page, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(document_to_json(page))

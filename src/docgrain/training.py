@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .labeling import F1Accumulator, bio_decode
-from .model import Model, ModelConfig, check_field_types, config_from_dict, load_model
+from .model import EncodedDoc, Model, ModelConfig, check_field_types, config_from_dict, load_model
 from .optim import Adam
 from .synth import load_corpus
 from .vocab import build_vocab
@@ -76,24 +77,21 @@ class EvalReport:
     micro_recall: float
     micro_f1: float
     per_type: dict[str, tuple[float, float, float]]
-    n_docs: int
 
 
-def evaluate_model(model: Model, pages: list) -> EvalReport:
-    """Entity-level scores of argmax predictions against gold labels."""
+def evaluate_model(model: Model, docs: Iterable[EncodedDoc]) -> EvalReport:
+    """Entity-level scores of argmax predictions against gold labels.
+
+    ``docs`` are the model's own encodings; a label outside its tag set
+    already failed in ``Model.encode_page``.
+    """
     micro = F1Accumulator()
     per_type: dict[str, F1Accumulator] = {t: F1Accumulator() for t in model.tag_set.types}
-    for page in pages:
-        if page.labels is None:
+    for enc in docs:
+        if enc.page.labels is None:
             raise ValueError("evaluation corpus must carry gold labels")
-        for tag in page.labels:
-            if tag != "O" and tag[2:] not in model.tag_set.types:
-                raise ValueError(
-                    f"corpus label '{tag}' not covered by checkpoint tag set {model.tag_set.types}"
-                )
-        enc = model.encode_page(page)
         pred = bio_decode(model.predict_word_tags(enc))
-        gold = bio_decode(page.labels)
+        gold = bio_decode(enc.page.labels)
         micro.add(pred, gold)
         for t in per_type:
             per_type[t].add([e for e in pred if e.type == t], [e for e in gold if e.type == t])
@@ -103,15 +101,18 @@ def evaluate_model(model: Model, pages: list) -> EvalReport:
         micro_recall=r,
         micro_f1=f1,
         per_type={t: acc.scores() for t, acc in per_type.items()},
-        n_docs=len(pages),
     )
 
 
 @dataclass
 class TrainResult:
     model: Model
-    best_f1: float
+    report: EvalReport | None  # held-out scores of the kept parameters; None without held-out pages
     metric_log: list[dict] = field(default_factory=list)
+
+    @property
+    def best_f1(self) -> float:
+        return self.report.micro_f1 if self.report is not None else 0.0
 
     def write_log(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -129,13 +130,14 @@ def train(
     """Train from scratch on labeled pages; keeps the best-F1 parameters."""
     if not train_pages:
         raise ValueError("training corpus is empty")
-    for page in train_pages:
-        if page.labels is None:
-            raise ValueError("training corpus must carry gold labels")
+    for pages, kind in ((train_pages, "training"), (eval_pages, "evaluation")):
+        if any(page.labels is None for page in pages):
+            raise ValueError(f"{kind} corpus must carry gold labels")
 
     vocab = build_vocab(train_pages, size=model_cfg.vocab_size)
     model = Model(model_cfg, vocab)
     encoded = [model.encode_page(p) for p in train_pages]
+    held_out = [model.encode_page(p) for p in eval_pages]
 
     steps_per_epoch = (len(encoded) + train_cfg.batch_size - 1) // train_cfg.batch_size
     total = steps_per_epoch * train_cfg.epochs
@@ -144,7 +146,7 @@ def train(
     rng = np.random.default_rng(train_cfg.seed)
 
     log: list[dict] = []
-    best_f1 = -1.0
+    best: EvalReport | None = None
     best_state: dict[str, np.ndarray] | None = None
     step = 0
     last_loss = float("nan")
@@ -166,26 +168,24 @@ def train(
             optimizer.step(lr=lr_schedule(step, train_cfg.lr, warmup, total))
             last_loss = batch_loss
         if (epoch + 1) % train_cfg.eval_every == 0 or epoch + 1 == train_cfg.epochs:
-            report = evaluate_model(model, eval_pages) if eval_pages else None
+            report = evaluate_model(model, held_out) if held_out else None
             f1 = report.micro_f1 if report else 0.0
             lr = lr_schedule(step, train_cfg.lr, warmup, total)
             log.append({"step": step, "loss": round(last_loss, 6), "f1": round(f1, 6), "lr": lr})
-            if report and f1 > best_f1:
-                best_f1 = f1
+            if report is not None and (best is None or f1 > best.micro_f1):
+                best = report
                 best_state = {name: p.data.copy() for name, p in model.params.items()}
     if best_state is not None:
         for name, p in model.params.items():
             p.data = best_state[name]
-    else:
-        best_f1 = 0.0
     if checkpoint_path is not None:
         model.save(checkpoint_path)
-    return TrainResult(model=model, best_f1=max(best_f1, 0.0), metric_log=log)
+    return TrainResult(model=model, report=best, metric_log=log)
 
 
 def evaluate_checkpoint(checkpoint_path: str, corpus_dir: str) -> EvalReport:
     model = load_model(checkpoint_path)
-    return evaluate_model(model, load_corpus(corpus_dir))
+    return evaluate_model(model, map(model.encode_page, load_corpus(corpus_dir)))
 
 
 def reference_model_config(seed: int = 0) -> ModelConfig:
@@ -246,6 +246,8 @@ def ablate(
     """
     if axis not in ABLATION_AXES:
         raise ValueError(f"axis must be one of {ABLATION_AXES}, got '{axis}'")
+    if not eval_pages:
+        raise ValueError("an ablation needs held-out pages to score")
     if axis == "components":
         variants = [(run, _component_config(base_model_cfg, run)) for run in COMPONENT_RUNS]
     elif axis == "coarse_layers":
@@ -257,8 +259,7 @@ def ablate(
     for run, model_cfg in variants:
         for seed in seeds:
             cfg = replace(model_cfg, seed=seed)
-            result = train(train_pages, eval_pages, cfg, replace(base_train_cfg, seed=seed))
-            report = evaluate_model(result.model, eval_pages)
+            report = train(train_pages, eval_pages, cfg, replace(base_train_cfg, seed=seed)).report
             rows.append(
                 {
                     "run": run,

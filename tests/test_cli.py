@@ -49,9 +49,11 @@ class TestBuildGraph:
 
     def test_nan_radius_is_validation_error(self, tmp_path, capsys):
         out = tmp_path / "g.json"
-        assert run(["build-graph", "--input", THREE_BLOCKS, "--radius", "nan", "--output", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: radius")
-        assert not out.exists()
+        # A negative exponent literal is a value, not an option, in either form.
+        for argv in (["--radius", "nan"], ["--radius", "-1e-3"], ["--radius=-1e-3"]):
+            assert run(["build-graph", "--input", THREE_BLOCKS, *argv, "--output", str(out)]) == 1
+            assert capsys.readouterr().err.startswith("error: radius")
+            assert not out.exists()
 
 
 class TestRender:
@@ -294,7 +296,8 @@ class TestGradcheckCli:
         assert run(["gradcheck"]) == 1
         assert "gradient check FAILED" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1e-4"])
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1e-4", "-5E+2", "-inf", "-Infinity", "-nan"])
     def test_threshold_must_be_finite_and_positive(self, capsys, threshold):
-        assert run(["gradcheck", f"--threshold={threshold}"]) == 1
-        assert capsys.readouterr().err.startswith("error: --threshold must be a finite number > 0")
+        for argv in ([f"--threshold={threshold}"], ["--threshold", threshold]):
+            assert run(["gradcheck", *argv]) == 1
+            assert capsys.readouterr().err.startswith("error: --threshold must be a finite number > 0")

@@ -37,3 +37,21 @@ def test_train_reference_writes_checkpoint_and_log(tmp_path):
     assert (out / "model.ckpt").stat().st_size > 0
     assert (out / "metrics.jsonl").read_text().strip()
     assert "held-out micro:" in proc.stdout
+
+
+def test_run_ablations_writes_one_row_per_component_run(tmp_path):
+    out = tmp_path / "ablations"
+    proc = run_script(
+        "run_ablations.py", "--count", "16", "--epochs", "1", "--seeds", "0", "--axes", "components",
+        "--out", str(out), cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = (out / "components.csv").read_text().splitlines()
+    assert lines[0] == "run,seed,f1,precision,recall"
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "full",
+        "w/o Coarse-grained Encoder",
+        "w/o Common Sense Enhancement",
+        "w/o Aggregation with Cross-grained Edges",
+    ]
+    assert "== components (region_cue corpus)" in proc.stdout

@@ -12,6 +12,7 @@ from docgrain.synth import SynthParams, generate_page, probe_page
 from docgrain.tensor import Tensor
 from docgrain.training import (
     TrainConfig,
+    ablate,
     evaluate_model,
     load_config_file,
     lr_schedule,
@@ -98,6 +99,21 @@ class TestAdam:
             return p.data.tobytes()
 
         assert run() == run()
+
+    def test_steps_match_the_textbook_formula_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        p = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        opt = Adam({"p": p}, lr=1e-3, weight_decay=0.01)
+        w, m, v = p.data.copy(), np.zeros((4, 4)), np.zeros((4, 4))
+        for t in range(1, 6):
+            g = rng.normal(size=(4, 4))
+            p.grad = g.copy()
+            opt.step()
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            update = (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8) + 0.01 * w
+            w = w - 1e-3 * update
+            assert p.data.tobytes() == w.tobytes()
 
 
 class TestCheckpointFormat:
@@ -380,7 +396,7 @@ class TestEvaluate:
             return list(enc.page.labels)
 
         model.predict_word_tags = fake
-        report = evaluate_model(model, pages)
+        report = evaluate_model(model, map(model.encode_page, pages))
         assert report.micro_f1 == 1.0
         model.predict_word_tags = real
 
@@ -389,19 +405,61 @@ class TestEvaluate:
         pages[0].labels[0] = "B-BOGUS"
         cfg = ModelConfig(seed=0, **SMALL_MODEL)
         model = Model(cfg, build_vocab(pages, SMALL_MODEL["vocab_size"]))
-        with pytest.raises(ValueError, match="not covered"):
-            evaluate_model(model, pages)
+        with pytest.raises(ValueError, match="unknown tag 'B-BOGUS'"):
+            evaluate_model(model, map(model.encode_page, pages))
 
     def test_checkpoint_roundtrip_reproduces_metrics(self, tmp_path):
         pages = small_corpus(8)
         cfg = ModelConfig(seed=0, **SMALL_MODEL)
         tc = TrainConfig(lr=1e-3, warmup_steps=2, epochs=2, batch_size=4, eval_every=2)
         result = train(pages[:6], pages[6:], cfg, tc)
-        before = evaluate_model(result.model, pages[6:])
+        before = evaluate_model(result.model, map(result.model.encode_page, pages[6:]))
         path = str(tmp_path / "m.ckpt")
         result.model.save(path)
-        after = evaluate_model(load_model(path), pages[6:])
+        loaded = load_model(path)
+        after = evaluate_model(loaded, map(loaded.encode_page, pages[6:]))
         assert after == before
+
+    def test_held_out_pages_encoded_once(self, monkeypatch):
+        pages = small_corpus(8)
+        encodes: dict[int, int] = {}
+        real = Model.encode_page
+
+        def counting(self, page):
+            encodes[id(page)] = encodes.get(id(page), 0) + 1
+            return real(self, page)
+
+        monkeypatch.setattr(Model, "encode_page", counting)
+        tc = TrainConfig(lr=1e-3, warmup_steps=2, epochs=8, batch_size=4, eval_every=2)
+        result = train(pages[:6], pages[6:], ModelConfig(seed=0, **SMALL_MODEL), tc)
+        assert len(result.metric_log) == 4
+        assert [encodes[id(p)] for p in pages] == [1] * 8
+
+    def test_report_describes_kept_parameters(self):
+        pages = small_corpus(8)
+        tc = TrainConfig(lr=1e-3, warmup_steps=2, epochs=4, batch_size=4, eval_every=1)
+        result = train(pages[:6], pages[6:], ModelConfig(seed=0, **SMALL_MODEL), tc)
+        model = result.model
+        assert result.report == evaluate_model(model, map(model.encode_page, pages[6:]))
+        # The best evaluation is not the last one, so the kept parameters were restored.
+        f1s = [r["f1"] for r in result.metric_log]
+        assert round(result.best_f1, 6) == max(f1s) > f1s[-1]
+
+    def test_no_held_out_pages_no_report(self):
+        tc = TrainConfig(lr=1e-3, warmup_steps=1, epochs=1, batch_size=4)
+        result = train(small_corpus(4), [], ModelConfig(seed=0, **SMALL_MODEL), tc)
+        assert result.report is None and result.best_f1 == 0.0
+
+    def test_unlabeled_held_out_page_rejected_before_training(self, monkeypatch):
+        pages = small_corpus(3)
+        pages[2].labels = None
+        monkeypatch.setattr(Model, "loss_encoded", lambda self, enc: pytest.fail("trained"))
+        with pytest.raises(ValueError, match="evaluation corpus must carry gold labels"):
+            train(pages[:2], pages[2:], ModelConfig(seed=0, **SMALL_MODEL), TrainConfig())
+
+    def test_ablation_needs_held_out_pages(self):
+        with pytest.raises(ValueError, match="held-out pages"):
+            ablate(small_corpus(2), [], ModelConfig(seed=0, **SMALL_MODEL), TrainConfig(), "components")
 
 
 class TestHelpers:

@@ -23,8 +23,8 @@ from .document import (
     serialize_document,
     union_box,
 )
-from .graph import DocumentGraph, NodeKind, NodeRef, assign_patches, build_graph, patch_boxes
-from .labeling import BioTagSet, Entity, anls, bio_decode, bio_encode, entity_f1, levenshtein
+from .graph import DocumentGraph, assign_patches, build_graph, patch_boxes
+from .labeling import BioTagSet, Entity, anls, bio_decode, entity_f1, levenshtein
 from .model import Model, ModelConfig, finite_difference_check, load_model
 from .synth import SynthParams, generate_page, load_corpus, save_corpus, synth_generate
 from .tensor import Tensor, grad_check, no_grad
@@ -41,8 +41,6 @@ __all__ = [
     "Entity",
     "Model",
     "ModelConfig",
-    "NodeKind",
-    "NodeRef",
     "Page",
     "SalientRegion",
     "Segment",
@@ -55,7 +53,6 @@ __all__ = [
     "anls",
     "assign_patches",
     "bio_decode",
-    "bio_encode",
     "boundary_distance",
     "build_graph",
     "build_vocab",

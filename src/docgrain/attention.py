@@ -5,10 +5,12 @@ pre-softmax scores: a 1D-index term and 2D terms over top-left corner
 differences. Raw offsets are mapped to a bounded table through a
 sign-symmetric bucket scheme (exact near zero, logarithmic further out),
 so the bias depends only on coordinate differences and is translation
-invariant by construction. ``spatial_indices`` reads the buckets from a
-table of ``rel_bucket`` over every offset up to max(1000, max_distance),
-built once per configuration; longer offsets all share the saturated end
-buckets.
+invariant by construction. ``spatial_indices(coords, positions,
+buckets, max_distance)`` takes ``ModelConfig.rel_buckets`` and
+``rel_max_distance`` as they are, and reads the buckets from a table of
+``rel_bucket`` over every offset up to max(1000, max_distance), built once
+per (buckets, max_distance) pair; longer offsets all share the saturated
+end buckets.
 
 All heads run at once on head-major stacks: Q and V are (heads, n, d_k)
 and K is (heads, d_k, n). The summed relative bias of all three tables is
@@ -60,13 +62,6 @@ def rel_bucket(offset, buckets: int = 32, max_distance: int = 1000):
     return int(out) if np.isscalar(offset) or np.ndim(offset) == 0 else out
 
 
-@dataclass(frozen=True)
-class AttentionConfig:
-    heads: int
-    rel_buckets: int = 32
-    rel_max_distance: int = 1000
-
-
 @dataclass
 class RelativeBiasTables:
     """Per-head learnable scalars indexed by bucket, shape (buckets, heads)."""
@@ -106,16 +101,16 @@ def _bucketed(values: np.ndarray, table: np.ndarray, span: int) -> np.ndarray:
     return table[shifted]
 
 
-def spatial_indices(coords: np.ndarray, positions, cfg: AttentionConfig) -> SpatialIndices:
+def spatial_indices(coords: np.ndarray, positions, buckets: int, max_distance: int) -> SpatialIndices:
     """Bucketized (j - i) offsets for 1D positions and top-left corners,
     from an (n, 4) int array of normalized (x0, y0, x1, y1) coordinates,
-    read from one bucket table per configuration."""
+    read from one bucket table per (buckets, max_distance) pair."""
     pos = np.asarray(positions, dtype=np.int64)
     coords = np.asarray(coords, dtype=np.int64)
     if coords.shape != (pos.shape[0], 4):
         raise ValueError(f"coordinates of shape {coords.shape} vs {pos.shape[0]} positions")
-    span = max(_TABLE_SPAN, cfg.rel_max_distance)
-    table = bucket_table(cfg.rel_buckets, cfg.rel_max_distance, span)
+    span = max(_TABLE_SPAN, max_distance)
+    table = bucket_table(buckets, max_distance, span)
     return SpatialIndices(
         idx_1d=_bucketed(pos, table, span),
         idx_x=_bucketed(coords[:, 0], table, span),

@@ -320,10 +320,6 @@ def serialize_document(page: Page) -> dict:
     return out
 
 
-def document_to_json(page: Page) -> str:
-    return json.dumps(serialize_document(page), indent=None, separators=(",", ":"))
-
-
 def image_beside(page: Page, doc_path: str) -> Page:
     """Resolve a relative ``image`` path against the document file's
     directory; ``os.path.join`` keeps an absolute one as it is."""

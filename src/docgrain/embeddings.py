@@ -47,10 +47,6 @@ class EmbeddingTables:
     patch_proj_b: Tensor
 
     @property
-    def d(self) -> int:
-        return self.word.shape[1]
-
-    @property
     def coord_width(self) -> int:
         return self.coord_x.shape[1]
 

@@ -1,8 +1,12 @@
 """The four-node-set document graph and its fine-to-coarse edge map.
 
 Fine nodes are words and image patches; coarse nodes are text segments and
-salient regions. Only the cross-grained parent relation is materialized:
-same-granularity connectivity is realized as self-attention downstream.
+salient regions. Only the cross-grained parent relation is materialized,
+as two index lists: ``text_parent`` (word -> segment) and
+``visual_parent`` (patch -> region), which ``Model.encode_page`` stacks
+into its ``parent_row`` for aggregation and fusion. Same-granularity
+connectivity is realized as self-attention downstream. ``graph_to_json``
+writes the regions, the patch grid and both lists.
 
 Patches attach to regions through one (patches x regions) IOU matrix,
 ``document.iou_matrix``, which keeps ``document.iou``'s operation order so
@@ -11,7 +15,6 @@ every decision matches the scalar definition.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass
@@ -20,19 +23,6 @@ import numpy as np
 
 from .clustering import ClusterParams, SalientRegion, detect_salient_regions
 from .document import BBox, Page, axis_gaps, box_array, iou_matrix
-
-
-class NodeKind(enum.Enum):
-    FINE_TEXT = "fine_text"
-    FINE_VISUAL = "fine_visual"
-    COARSE_TEXT = "coarse_text"
-    COARSE_VISUAL = "coarse_visual"
-
-
-@dataclass(frozen=True)
-class NodeRef:
-    kind: NodeKind
-    index: int
 
 
 def patch_boxes(page_w: float, page_h: float, grid_w: int, grid_h: int) -> list[BBox]:
@@ -84,42 +74,12 @@ class DocumentGraph:
     visual_parent: list[int]  # patch index -> region index
 
     @property
-    def n_fine_text(self) -> int:
-        return len(self.text_parent)
-
-    @property
-    def n_fine_visual(self) -> int:
-        return len(self.visual_parent)
-
-    @property
     def n_coarse_text(self) -> int:
         return len(self.page.segments)
 
     @property
     def n_coarse_visual(self) -> int:
         return len(self.regions)
-
-    def parent_of(self, node: NodeRef) -> NodeRef:
-        if node.kind is NodeKind.FINE_TEXT:
-            return NodeRef(NodeKind.COARSE_TEXT, self.text_parent[node.index])
-        if node.kind is NodeKind.FINE_VISUAL:
-            return NodeRef(NodeKind.COARSE_VISUAL, self.visual_parent[node.index])
-        raise ValueError(f"coarse node {node} has no parent")
-
-    def children_of(self, node: NodeRef) -> list[NodeRef]:
-        if node.kind is NodeKind.COARSE_TEXT:
-            return [
-                NodeRef(NodeKind.FINE_TEXT, i)
-                for i, p in enumerate(self.text_parent)
-                if p == node.index
-            ]
-        if node.kind is NodeKind.COARSE_VISUAL:
-            return [
-                NodeRef(NodeKind.FINE_VISUAL, i)
-                for i, p in enumerate(self.visual_parent)
-                if p == node.index
-            ]
-        raise ValueError(f"fine node {node} has no children")
 
 
 def build_graph(page: Page, params: ClusterParams, grid: tuple[int, int]) -> DocumentGraph:
@@ -152,20 +112,3 @@ def graph_to_dict(graph: DocumentGraph) -> dict:
 
 def graph_to_json(graph: DocumentGraph) -> str:
     return json.dumps(graph_to_dict(graph), separators=(",", ":"))
-
-
-def graph_from_dict(page: Page, data: dict) -> DocumentGraph:
-    """Rebuild a DocumentGraph from its serialized form and its page."""
-    regions = [
-        SalientRegion(bbox=BBox(*r["bbox"]), member_segment_ids=tuple(r["segments"]))
-        for r in data["regions"]
-    ]
-    grid = (int(data["patch_grid"][0]), int(data["patch_grid"][1]))
-    return DocumentGraph(
-        page=page,
-        regions=regions,
-        grid=grid,
-        patch_bboxes=patch_boxes(page.width, page.height, grid[0], grid[1]),
-        text_parent=[int(v) for v in data["text_parent"]],
-        visual_parent=[int(v) for v in data["visual_parent"]],
-    )

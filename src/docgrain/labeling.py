@@ -22,6 +22,10 @@ class BioTagSet:
 
     types: tuple[str, ...] = DEFAULT_ENTITY_TYPES
 
+    def __post_init__(self) -> None:
+        if not all(isinstance(t, str) for t in self.types):
+            raise ValueError(f"entity types must be strings, got {self.types!r}")
+
     @cached_property
     def tags(self) -> tuple[str, ...]:
         return (OUTSIDE, *(f"{marker}-{t}" for t in self.types for marker in ("B", "I")))
@@ -82,21 +86,6 @@ def bio_decode(tags: list[str]) -> list[Entity]:
     if open_type is not None:
         entities.append(Entity(open_type, start, len(tags)))
     return entities
-
-
-def bio_encode(entities: list[Entity], length: int) -> list[str]:
-    """Inverse of bio_decode for non-overlapping entities."""
-    tags = [OUTSIDE] * length
-    for e in sorted(entities, key=lambda x: x.start):
-        if e.end > length:
-            raise ValueError(f"entity {e} exceeds sequence length {length}")
-        for i in range(e.start, e.end):
-            if tags[i] != OUTSIDE:
-                raise ValueError(f"overlapping entities at position {i}")
-        tags[e.start] = f"B-{e.type}"
-        for i in range(e.start + 1, e.end):
-            tags[i] = f"I-{e.type}"
-    return tags
 
 
 def entity_f1(pred: list[Entity], gold: list[Entity]) -> tuple[float, float, float]:

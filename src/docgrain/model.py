@@ -23,7 +23,6 @@ import numpy as np
 
 from . import checkpoint
 from .attention import (
-    AttentionConfig,
     LayerParams,
     RelativeBiasTables,
     SpatialIndices,
@@ -156,10 +155,6 @@ class ModelConfig:
     @property
     def coord_width(self) -> int:
         return self.d // 6
-
-    @property
-    def attention_config(self) -> AttentionConfig:
-        return AttentionConfig(self.heads, self.rel_buckets, self.rel_max_distance)
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -342,7 +337,7 @@ class Model:
             raise ValueError(f"{n_text} text + {n_visual} visual tokens exceed max_len {cfg.max_len}")
         fine_boxes = normalized_coords([*tokens.bboxes, *graph.patch_bboxes], page)
         positions = np.concatenate([np.arange(n_text), np.arange(n_visual)]).astype(np.int64)
-        fine_idx = spatial_indices(fine_boxes, positions, cfg.attention_config)
+        fine_idx = spatial_indices(fine_boxes, positions, cfg.rel_buckets, cfg.rel_max_distance)
 
         # Row of each fine element's parent in the stacked [segments; regions]
         # coarse sequence; the aggregation matrix is its one-hot columns.

@@ -1,8 +1,6 @@
-"""Adam with decoupled weight decay, plus the global gradient norm."""
+"""Adam with decoupled weight decay."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -14,22 +12,20 @@ EPS = 1e-8
 
 
 class Adam:
-    """Bias-corrected Adam; weight decay is decoupled from the moments."""
+    """Bias-corrected Adam; weight decay is decoupled from the moments.
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3, weight_decay: float = 0.0):
+    The caller owns the learning rate and its schedule and passes it to
+    every ``step``; it also clears the gradients between steps.
+    """
+
+    def __init__(self, params: dict[str, Tensor], weight_decay: float = 0.0):
         self.params = params
-        self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
-
-    def step(self, lr: float | None = None) -> None:
-        lr = self.lr if lr is None else lr
+    def step(self, lr: float) -> None:
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - BETA1**t
@@ -50,11 +46,3 @@ class Adam:
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
             p.data -= lr * update
-
-
-def global_grad_norm(params: dict[str, Tensor]) -> float:
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float((p.grad**2).sum())
-    return math.sqrt(total)

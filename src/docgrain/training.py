@@ -83,11 +83,14 @@ def evaluate_model(model: Model, docs: Iterable[EncodedDoc]) -> EvalReport:
     """Entity-level scores of argmax predictions against gold labels.
 
     ``docs`` are the model's own encodings; a label outside its tag set
-    already failed in ``Model.encode_page``.
+    already failed in ``Model.encode_page``. Zero documents raise
+    ``ValueError``: they hold nothing to score, and ``F1Accumulator``
+    would read them as perfect.
     """
     micro = F1Accumulator()
     per_type: dict[str, F1Accumulator] = {t: F1Accumulator() for t in model.tag_set.types}
-    for enc in docs:
+    n_docs = 0
+    for n_docs, enc in enumerate(docs, 1):
         if enc.page.labels is None:
             raise ValueError("evaluation corpus must carry gold labels")
         pred = bio_decode(model.predict_word_tags(enc))
@@ -95,6 +98,8 @@ def evaluate_model(model: Model, docs: Iterable[EncodedDoc]) -> EvalReport:
         micro.add(pred, gold)
         for t in per_type:
             per_type[t].add([e for e in pred if e.type == t], [e for e in gold if e.type == t])
+    if n_docs == 0:
+        raise ValueError("evaluation needs at least one document")
     p, r, f1 = micro.scores()
     return EvalReport(
         micro_precision=p,
@@ -142,7 +147,7 @@ def train(
     steps_per_epoch = (len(encoded) + train_cfg.batch_size - 1) // train_cfg.batch_size
     total = steps_per_epoch * train_cfg.epochs
     warmup = min(train_cfg.warmup_steps, total)
-    optimizer = Adam(model.params, lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
+    optimizer = Adam(model.params, weight_decay=train_cfg.weight_decay)
     rng = np.random.default_rng(train_cfg.seed)
 
     log: list[dict] = []
@@ -154,7 +159,7 @@ def train(
         order = rng.permutation(len(encoded))
         for start in range(0, len(order), train_cfg.batch_size):
             batch = order[start : start + train_cfg.batch_size]
-            optimizer.zero_grad()
+            model.zero_grad()
             batch_loss = 0.0
             for i in batch:
                 loss = model.loss_encoded(encoded[i]) * (1.0 / len(batch))

@@ -46,18 +46,6 @@ class Vocab:
     def token_to_id(self, token: str) -> int:
         return self.ids.get(token, self.unk_id)
 
-    def id_to_token(self, idx: int) -> str:
-        return self.tokens[idx]
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.tokens) + "\n")
-
-    @classmethod
-    def load(cls, path: str) -> "Vocab":
-        with open(path, encoding="utf-8") as fh:
-            return cls([line.rstrip("\n") for line in fh if line.rstrip("\n")])
-
 
 def build_vocab(pages: list[Page], size: int = 8192) -> Vocab:
     """Frequency-ranked vocabulary over every word piece in the corpus.

@@ -17,6 +17,9 @@ joined by a column-concatenation op, then one ``add`` per term. So are the
 knowledge detector without its digit gate (``detect_reference``)
 and the document parser that formatted every message up front
 (``parse_document_reference``).
+
+``document_to_json`` is the compact JSON text of a page, the bytes
+``save_corpus`` writes for it; tests compare pages through it.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from docgrain.document import (
     boundary_distance,
     iou,
     normalize_box,
+    serialize_document,
     union_box,
 )
 from docgrain.embeddings import TEXT_TYPE, VISUAL_TYPE
@@ -158,7 +162,7 @@ def _layout_row(tables, box: BBox, page) -> np.ndarray:
     """The six coordinate lookups of one page-space box, zero-padded to d."""
     x0, y0, x1, y1 = (int(v) for v in normalize_box(box, page.width, page.height).as_list())
     cx, cy = tables.coord_x.data, tables.coord_y.data
-    pad = np.zeros(tables.d - 6 * tables.coord_width)
+    pad = np.zeros(tables.word.shape[1] - 6 * tables.coord_width)
     return np.concatenate([cx[x0], cx[x1], cx[x1 - x0], cy[y0], cy[y1], cy[y1 - y0], pad])
 
 
@@ -263,15 +267,15 @@ def normalized_coords_loop(boxes: list[BBox], page) -> np.ndarray:
     return np.array(coords, dtype=np.int64).reshape(-1, 4)
 
 
-def spatial_indices_direct(coords: np.ndarray, positions, cfg) -> SpatialIndices:
+def spatial_indices_direct(coords: np.ndarray, positions, buckets: int, max_distance: int) -> SpatialIndices:
     """``rel_bucket`` applied to every (j - i) offset matrix."""
     pos = np.asarray(positions, dtype=np.int64)
     coords = np.asarray(coords, dtype=np.int64)
     x0, y0 = coords[:, 0], coords[:, 1]
     return SpatialIndices(
-        idx_1d=rel_bucket(pos[None, :] - pos[:, None], cfg.rel_buckets, cfg.rel_max_distance),
-        idx_x=rel_bucket(x0[None, :] - x0[:, None], cfg.rel_buckets, cfg.rel_max_distance),
-        idx_y=rel_bucket(y0[None, :] - y0[:, None], cfg.rel_buckets, cfg.rel_max_distance),
+        idx_1d=rel_bucket(pos[None, :] - pos[:, None], buckets, max_distance),
+        idx_x=rel_bucket(x0[None, :] - x0[:, None], buckets, max_distance),
+        idx_y=rel_bucket(y0[None, :] - y0[:, None], buckets, max_distance),
     )
 
 
@@ -306,7 +310,7 @@ def composed_layout(coords: np.ndarray, tables) -> Tensor:
         gather(tables.coord_y, y1),
         gather(tables.coord_y, y1 - y0),
     ]
-    pad = tables.d - 6 * tables.coord_width
+    pad = tables.word.shape[1] - 6 * tables.coord_width
     if pad:
         parts.append(Tensor(np.zeros((len(coords), pad))))
     return concat_cols(parts)
@@ -454,3 +458,8 @@ def parse_outcome(parse, data) -> tuple[str, str]:
         return "page", repr(parse(data))
     except DocumentParseError as exc:
         return "error", str(exc)
+
+
+def document_to_json(page: Page) -> str:
+    """The page as compact JSON, byte for byte what ``save_corpus`` writes."""
+    return json.dumps(serialize_document(page), separators=(",", ":"))

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import docgrain as dg
-from docgrain.attention import AttentionConfig, multi_head_attention, spatial_bias, spatial_indices
+from docgrain.attention import multi_head_attention, spatial_bias, spatial_indices
 from docgrain.clustering import ClusterParams, dbscan, detect_salient_regions
 from docgrain.document import BBox, boundary_distance, iou
-from docgrain.graph import NodeKind, NodeRef, build_graph
+from docgrain.graph import build_graph
 from docgrain.labeling import Entity, anls, entity_f1
 from docgrain.model import Model, ModelConfig, finite_difference_check, gradcheck_config, load_model
 from docgrain.synth import SynthParams, generate_page, probe_page
@@ -96,39 +96,36 @@ def test_graph_partition_invariants():
             assert 0 <= parent < graph.n_coarse_text
         for parent in graph.visual_parent:
             assert 0 <= parent < graph.n_coarse_visual
-        text_children = sum(
-            len(graph.children_of(NodeRef(NodeKind.COARSE_TEXT, z))) for z in range(graph.n_coarse_text)
-        )
-        visual_children = sum(
-            len(graph.children_of(NodeRef(NodeKind.COARSE_VISUAL, r))) for r in range(graph.n_coarse_visual)
-        )
-        assert text_children == graph.n_fine_text
-        assert visual_children == graph.n_fine_visual
+        # Children per coarse node, summed over the coarse nodes.
+        text_children = np.bincount(graph.text_parent, minlength=graph.n_coarse_text)[: graph.n_coarse_text].sum()
+        visual_children = np.bincount(graph.visual_parent, minlength=graph.n_coarse_visual)[: graph.n_coarse_visual].sum()
+        assert text_children == len(graph.text_parent)
+        assert visual_children == len(graph.visual_parent)
 
 
 @pytest.mark.criterion(4, "spatial attention invariants: zero-bias reduction, translation, row sums")
 def test_attention_invariants():
     rng = np.random.default_rng(3)
-    cfg = AttentionConfig(heads=4)
+    heads, buckets, max_distance = 4, 32, 1000
     params = make_layer(16, rng=np.random.default_rng(5))
     h = Tensor(rng.normal(size=(9, 16)))
     coords = [(int(x), int(y)) for x, y in rng.integers(0, 900, size=(9, 2))]
     boxes = norm_boxes(coords)
     positions = list(range(9))
 
-    zero_bias = make_bias(cfg.rel_buckets, cfg.heads, zero=True)
-    got = multi_head_attention(h, params, cfg.heads, spatial_bias(zero_bias, spatial_indices(boxes, positions, cfg))).data
-    want = multi_head_attention(h, params, cfg.heads).data
+    zero_bias = make_bias(buckets, heads, zero=True)
+    got = multi_head_attention(h, params, heads, spatial_bias(zero_bias, spatial_indices(boxes, positions, buckets, max_distance))).data
+    want = multi_head_attention(h, params, heads).data
     assert np.max(np.abs(got - want)) < 1e-12
 
-    live_bias = make_bias(cfg.rel_buckets, cfg.heads, zero=False, rng=np.random.default_rng(6))
+    live_bias = make_bias(buckets, heads, zero=False, rng=np.random.default_rng(6))
     moved = boxes + [7, 11, 7, 11]
-    base = multi_head_attention(h, params, cfg.heads, spatial_bias(live_bias, spatial_indices(boxes, positions, cfg))).data
-    shifted = multi_head_attention(h, params, cfg.heads, spatial_bias(live_bias, spatial_indices(moved, positions, cfg))).data
+    base = multi_head_attention(h, params, heads, spatial_bias(live_bias, spatial_indices(boxes, positions, buckets, max_distance))).data
+    shifted = multi_head_attention(h, params, heads, spatial_bias(live_bias, spatial_indices(moved, positions, buckets, max_distance))).data
     assert np.array_equal(base, shifted)
 
-    idx = spatial_indices(boxes, positions, cfg)
-    for head in range(cfg.heads):
+    idx = spatial_indices(boxes, positions, buckets, max_distance)
+    for head in range(heads):
         scores = rng.normal(size=(9, 9)) * 30
         biased = (
             scores

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from docgrain.attention import (
-    AttentionConfig,
     LayerParams,
     RelativeBiasTables,
     multi_head_attention,
@@ -18,6 +17,7 @@ from docgrain.tensor import Tensor, grad_check
 from .reference_impls import attention_oracle
 
 RNG = np.random.default_rng(1)
+BUCKETS, MAX_DISTANCE = 32, 1000  # the ModelConfig defaults
 
 
 def make_layer(d, ffn=None, rng=None, zero_outputs=False):
@@ -140,26 +140,25 @@ class TestAttention:
 
 class TestSpatialMha:
     def setup_case(self, n=5, d=8, heads=2, zero_bias=True):
-        cfg = AttentionConfig(heads=heads)
         params = make_layer(d)
-        bias = make_bias(cfg.rel_buckets, heads, zero=zero_bias)
+        bias = make_bias(BUCKETS, heads, zero=zero_bias)
         coords = [(int(x), int(y)) for x, y in RNG.integers(0, 900, size=(n, 2))]
         boxes = norm_boxes(coords)
         positions = list(range(n))
         h = Tensor(RNG.normal(size=(n, d)))
-        return cfg, params, bias, boxes, positions, h
+        return heads, params, bias, boxes, positions, h
 
     def test_zero_bias_tables_reduce_to_canonical(self):
-        cfg, params, bias, boxes, positions, h = self.setup_case(zero_bias=True)
-        got = multi_head_attention(h, params, cfg.heads, spatial_bias(bias, spatial_indices(boxes, positions, cfg))).data
-        want = multi_head_attention(h, params, cfg.heads).data
+        heads, params, bias, boxes, positions, h = self.setup_case(zero_bias=True)
+        got = multi_head_attention(h, params, heads, spatial_bias(bias, spatial_indices(boxes, positions, BUCKETS, MAX_DISTANCE))).data
+        want = multi_head_attention(h, params, heads).data
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_translation_invariance_exact(self):
-        cfg, params, bias, boxes, positions, h = self.setup_case(zero_bias=False)
+        heads, params, bias, boxes, positions, h = self.setup_case(zero_bias=False)
         moved = boxes + [7, 11, 7, 11]
-        a = multi_head_attention(h, params, cfg.heads, spatial_bias(bias, spatial_indices(boxes, positions, cfg))).data
-        b = multi_head_attention(h, params, cfg.heads, spatial_bias(bias, spatial_indices(moved, positions, cfg))).data
+        a = multi_head_attention(h, params, heads, spatial_bias(bias, spatial_indices(boxes, positions, BUCKETS, MAX_DISTANCE))).data
+        b = multi_head_attention(h, params, heads, spatial_bias(bias, spatial_indices(moved, positions, BUCKETS, MAX_DISTANCE))).data
         assert np.array_equal(a, b)
 
     def test_hand_computed_two_by_two(self):
@@ -172,17 +171,16 @@ class TestSpatialMha:
         params.wo.data[:] = [[1.0]]
         for b in (params.bq, params.bk, params.bv, params.bo):
             b.data[:] = 0.0
-        cfg = AttentionConfig(heads=heads)
-        bias = make_bias(cfg.rel_buckets, heads, zero=True)
+        bias = make_bias(BUCKETS, heads, zero=True)
         b_1d, b_x, b_y = 0.3, -0.2, 0.5
         h = Tensor(np.array([[1.0], [2.0]]))
         boxes = norm_boxes([(0, 0), (40, 10)])
         positions = [0, 1]
-        idx = spatial_indices(boxes, positions, cfg)
+        idx = spatial_indices(boxes, positions, BUCKETS, MAX_DISTANCE)
         bias.rel_1d.data[idx.idx_1d[0, 1], 0] = b_1d
         bias.rel_x.data[idx.idx_x[0, 1], 0] = b_x
         bias.rel_y.data[idx.idx_y[0, 1], 0] = b_y
-        got = multi_head_attention(h, params, cfg.heads, spatial_bias(bias, spatial_indices(boxes, positions, cfg))).data
+        got = multi_head_attention(h, params, heads, spatial_bias(bias, spatial_indices(boxes, positions, BUCKETS, MAX_DISTANCE))).data
 
         # row 0: scores [q0*k0, q0*k1 + biases] with q=k=v=h and dk=1
         s00, s01 = 1.0 * 1.0, 1.0 * 2.0 + b_1d + b_x + b_y
@@ -196,42 +194,42 @@ class TestSpatialMha:
         assert got[1, 0] == pytest.approx(want1, abs=1e-12)
 
     def test_matches_naive_loop_oracle_with_bias(self):
-        cfg, params, bias, boxes, positions, h = self.setup_case(n=4, zero_bias=False)
-        idx = spatial_indices(boxes, positions, cfg)
+        heads, params, bias, boxes, positions, h = self.setup_case(n=4, zero_bias=False)
+        idx = spatial_indices(boxes, positions, BUCKETS, MAX_DISTANCE)
         n = len(boxes)
         bias_mats = [
             bias.rel_1d.data[idx.idx_1d, hd] + bias.rel_x.data[idx.idx_x, hd] + bias.rel_y.data[idx.idx_y, hd]
-            for hd in range(cfg.heads)
+            for hd in range(heads)
         ]
-        got = multi_head_attention(h, params, cfg.heads, spatial_bias(bias, spatial_indices(boxes, positions, cfg))).data
+        got = multi_head_attention(h, params, heads, spatial_bias(bias, spatial_indices(boxes, positions, BUCKETS, MAX_DISTANCE))).data
         want = attention_oracle(
             h.data.tolist(),
             params.wq.data.tolist(), params.bq.data.tolist(),
             params.wk.data.tolist(), params.bk.data.tolist(),
             params.wv.data.tolist(), params.bv.data.tolist(),
             params.wo.data.tolist(), params.bo.data.tolist(),
-            cfg.heads,
+            heads,
             bias=[m.tolist() for m in bias_mats],
         )
         assert np.max(np.abs(got - np.asarray(want))) < 1e-12
 
     def test_constant_score_shift_leaves_output_unchanged(self):
-        cfg, params, bias, boxes, positions, h = self.setup_case(zero_bias=True)
-        base = multi_head_attention(h, params, cfg.heads, spatial_bias(bias, spatial_indices(boxes, positions, cfg))).data
+        heads, params, bias, boxes, positions, h = self.setup_case(zero_bias=True)
+        base = multi_head_attention(h, params, heads, spatial_bias(bias, spatial_indices(boxes, positions, BUCKETS, MAX_DISTANCE))).data
         for t in (bias.rel_1d, bias.rel_x, bias.rel_y):
             t.data += 2.5  # constant over all buckets shifts every score row
-        shifted = multi_head_attention(h, params, cfg.heads, spatial_bias(bias, spatial_indices(boxes, positions, cfg))).data
+        shifted = multi_head_attention(h, params, heads, spatial_bias(bias, spatial_indices(boxes, positions, BUCKETS, MAX_DISTANCE))).data
         assert np.max(np.abs(base - shifted)) < 1e-12
 
     def test_attention_rows_sum_to_one_after_bias(self):
         # probe the attention weights through a constant-value trick:
         # with V rows all ones, output rows equal the row sums of A
-        cfg, params, bias, boxes, positions, h = self.setup_case(zero_bias=False)
+        heads, params, bias, boxes, positions, h = self.setup_case(zero_bias=False)
         params.wv.data[:] = 0.0
         params.bv.data[:] = 1.0
         params.wo.data[:] = np.eye(8)
         params.bo.data[:] = 0.0
-        out = multi_head_attention(h, params, cfg.heads, spatial_bias(bias, spatial_indices(boxes, positions, cfg))).data
+        out = multi_head_attention(h, params, heads, spatial_bias(bias, spatial_indices(boxes, positions, BUCKETS, MAX_DISTANCE))).data
         assert np.max(np.abs(out - 1.0)) < 1e-9
 
 
@@ -256,10 +254,9 @@ class TestTransformerLayer:
     def test_grad_check_through_layer(self):
         d = 8
         params = make_layer(d)
-        cfg = AttentionConfig(heads=2)
-        bias = make_bias(cfg.rel_buckets, 2, zero=False)
+        bias = make_bias(BUCKETS, 2, zero=False)
         boxes = norm_boxes([(0, 0), (50, 20), (100, 700)])
-        idx = spatial_indices(boxes, [0, 1, 2], cfg)
+        idx = spatial_indices(boxes, [0, 1, 2], BUCKETS, MAX_DISTANCE)
         h = Tensor(RNG.normal(size=(3, d)), requires_grad=True)
         w = Tensor(RNG.normal(size=(3, d)))
 

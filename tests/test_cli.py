@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from docgrain.checkpoint import load_checkpoint, save_checkpoint
 from docgrain.cli import run
 from docgrain.render import count_region_rects
 
@@ -279,6 +280,16 @@ class TestTrainEvalCli:
         assert run(["eval", "--checkpoint", str(bad), "--corpus", corpus]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(bad) in err
+
+
+    def test_eval_non_string_label_type_is_validation_error(self, trained, tmp_path, capsys):
+        root, corpus, ckpt, log = trained
+        tensors, config = load_checkpoint(ckpt)
+        config["label_types"][0] = []  # once an internal error (exit 2) when scoring
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(str(bad), tensors, config)
+        assert run(["eval", "--checkpoint", str(bad), "--corpus", corpus]) == 1
+        assert "entity types must be strings" in capsys.readouterr().err
 
 
 class TestGradcheckCli:

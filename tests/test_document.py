@@ -10,7 +10,6 @@ from docgrain.document import (
     BBox,
     DocumentParseError,
     boundary_distance,
-    document_to_json,
     iou,
     load_document,
     normalize_box,
@@ -20,7 +19,7 @@ from docgrain.document import (
 )
 from docgrain.synth import SynthParams, synth_generate
 
-from .reference_impls import parse_document_reference, parse_outcome
+from .reference_impls import document_to_json, parse_document_reference, parse_outcome
 
 
 def box(x0, y0, x1, y1):

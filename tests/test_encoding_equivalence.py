@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from docgrain.attention import AttentionConfig, spatial_indices
+from docgrain.attention import spatial_indices
 from docgrain.clustering import ClusterParams, SalientRegion, dbscan
 from docgrain.document import BBox, Page, axis_gaps, box_array, boundary_distance, iou, iou_matrix
 from docgrain.graph import assign_patches, patch_boxes
@@ -75,7 +75,7 @@ class TestSyntheticPages:
             coarse = normalized_coords_loop([s.bbox for s in page.segments] + [r.bbox for r in g.regions], page)
             assert same_bytes(enc.fine_boxes, fine)
             assert same_bytes(enc.coarse_boxes, coarse)
-            assert same_indices(enc.fine_indices, spatial_indices_direct(fine, enc.positions, cfg.attention_config))
+            assert same_indices(enc.fine_indices, spatial_indices_direct(fine, enc.positions, cfg.rel_buckets, cfg.rel_max_distance))
             targets = np.full(enc.n_text, -100, dtype=np.int64)
             for t in range(enc.n_text):
                 if enc.tokens.first_subtoken[t]:
@@ -211,20 +211,21 @@ class TestSpatialIndicesEdgeCases:
     def test_max_len_beyond_1001(self, buckets, max_distance):
         rng = np.random.default_rng(buckets)
         n = 1500
-        cfg = AttentionConfig(heads=2, rel_buckets=buckets, rel_max_distance=max_distance)
         positions = np.concatenate([np.arange(n - 40), np.arange(40)])
         coords = rng.integers(0, 1001, size=(n, 4))
-        got = spatial_indices(coords, positions, cfg)
-        assert same_indices(got, spatial_indices_direct(coords, positions, cfg))
+        got = spatial_indices(coords, positions, buckets, max_distance)
+        assert same_indices(got, spatial_indices_direct(coords, positions, buckets, max_distance))
 
     def test_coordinates_outside_the_grid(self):
-        cfg = ModelConfig().attention_config
+        cfg = ModelConfig()
         coords = np.array([[-3000, 5, 0, 0], [0, 0, 0, 0], [2500, -7000, 0, 0], [999, 1000, 0, 0]])
         positions = [0, 1, 2, 3]
-        assert same_indices(spatial_indices(coords, positions, cfg), spatial_indices_direct(coords, positions, cfg))
+        args = (cfg.rel_buckets, cfg.rel_max_distance)
+        assert same_indices(spatial_indices(coords, positions, *args), spatial_indices_direct(coords, positions, *args))
 
     def test_empty_sequence(self):
-        cfg = ModelConfig().attention_config
-        got = spatial_indices(np.zeros((0, 4), dtype=np.int64), [], cfg)
-        assert same_indices(got, spatial_indices_direct(np.zeros((0, 4), dtype=np.int64), [], cfg))
+        cfg = ModelConfig()
+        args = (cfg.rel_buckets, cfg.rel_max_distance)
+        got = spatial_indices(np.zeros((0, 4), dtype=np.int64), [], *args)
+        assert same_indices(got, spatial_indices_direct(np.zeros((0, 4), dtype=np.int64), [], *args))
 

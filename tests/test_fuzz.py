@@ -8,6 +8,11 @@ the page, or raises the message, that ``parse_document_reference`` does.
 Every truncation of a valid checkpoint is already checked in
 test_training.py. A box coordinate that is not a JSON number, a numeric
 string or a boolean included, is always rejected.
+
+``cli.run`` is driven end to end with mutated documents and options
+(``build-graph``, ``render``) and with random, bit-flipped or
+config-mutated checkpoints (``eval``): it exits 0 or 1, never 2. The
+``train`` command is left out, since a random config can run for hours.
 """
 
 import copy
@@ -15,13 +20,16 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from docgrain.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
+from docgrain.cli import run
 from docgrain.document import DocumentParseError, parse_document, serialize_document
 from docgrain.embeddings import load_image
-from docgrain.synth import SynthParams, generate_page
+from docgrain.model import Model, ModelConfig
+from docgrain.synth import SynthParams, generate_page, save_corpus, synth_generate
+from docgrain.vocab import build_vocab
 
 from .reference_impls import parse_document_reference, parse_outcome
 
@@ -105,12 +113,12 @@ def paths(node, prefix=()):
 DOC_PATHS = list(paths(VALID_DOC))
 
 
-@settings(max_examples=300)
-@given(st.lists(st.tuples(st.sampled_from(DOC_PATHS), st.sampled_from(["replace", "delete"]), json_values), min_size=1, max_size=3))
-def test_parse_mutated_document(mutations):
-    doc = copy.deepcopy(VALID_DOC)
+def mutate(node, mutations):
+    """A deep copy of ``node`` with each (path, "replace" | "delete", value)
+    applied in turn."""
+    node = copy.deepcopy(node)
     for path, action, value in mutations:
-        parent = doc
+        parent = node
         try:
             for key in path[:-1]:
                 parent = parent[key]
@@ -120,6 +128,18 @@ def test_parse_mutated_document(mutations):
                 parent[path[-1]] = value
         except (KeyError, IndexError, TypeError):
             continue  # an earlier mutation removed or retyped this location
+    return node
+
+
+def mutations_of(node_paths, values, min_size=1):
+    actions = st.tuples(st.sampled_from(node_paths), st.sampled_from(["replace", "delete"]), values)
+    return st.lists(actions, min_size=min_size, max_size=3)
+
+
+@settings(max_examples=300)
+@given(mutations_of(DOC_PATHS, json_values))
+def test_parse_mutated_document(mutations):
+    doc = mutate(VALID_DOC, mutations)
     assert_parses_like_reference(json.dumps(doc))
     assert_parses_like_reference(doc)
 
@@ -151,3 +171,80 @@ def test_load_image_random_payload(tmp_path_factory, header, payload):
         return
     assert image.ndim == 3 and image.shape[2] == 3 and image.size > 0
     assert np.all((image >= 0.0) & (image <= 1.0))
+
+
+# -- the CLI end to end --------------------------------------------------------
+
+CLI_SETTINGS = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+# Model sizes stay small whatever a mutated config asks for.
+small_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 64) | st.floats(-1e3, 1e3) | st.sampled_from([1e308, float("nan")])
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def assert_exit_0_or_1(argv) -> None:
+    code = run(argv)
+    assert code in (0, 1), f"exit {code} for {argv}"
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """An untrained small-model checkpoint, its config and a two-page corpus."""
+    root = tmp_path_factory.mktemp("cli_fuzz")
+    bundle = synth_generate(9, 2, SynthParams())
+    save_corpus(bundle, str(root / "corpus"))
+    cfg = ModelConfig(d=12, heads=2, fine_layers=1, coarse_layers=1, vocab_size=128, max_len=128, grid=(2, 2), commonsense_k=4)
+    model = Model(cfg, build_vocab(bundle.pages, cfg.vocab_size))
+    model.save(str(root / "model.ckpt"))
+    return root
+
+
+@CLI_SETTINGS
+@given(
+    mutations_of(DOC_PATHS, st.floats(-1e4, 1e4) | st.integers(-10**6, 10**6) | json_values, min_size=0),
+    st.floats(0, 500) | st.sampled_from([float("nan"), float("inf"), -1.0, 1e-300, 1e308]),
+    st.integers(-1, 6),
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+)
+def test_cli_build_graph_and_render_mutated_document(cli_files, mutations, radius, min_pts, grid):
+    doc = cli_files / "doc.json"
+    doc.write_text(json.dumps(mutate(VALID_DOC, mutations)))
+    common = ["--input", str(doc), f"--radius={radius}", f"--min-pts={min_pts}"]
+    assert_exit_0_or_1(["build-graph", *common, f"--grid={grid[0]}x{grid[1]}", "--output", str(cli_files / "g.json")])
+    assert_exit_0_or_1(["render", *common, "--svg-out", str(cli_files / "p.svg")])
+
+
+def eval_bytes(cli_files, blob: bytes) -> None:
+    path = cli_files / "fuzzed.ckpt"
+    path.write_bytes(blob)
+    assert_exit_0_or_1(["eval", "--checkpoint", str(path), "--corpus", str(cli_files / "corpus")])
+
+
+@CLI_SETTINGS
+@given(st.binary(max_size=256) | st.binary(max_size=256).map(lambda b: MAGIC + b))
+def test_cli_eval_random_checkpoint_bytes(cli_files, blob):
+    eval_bytes(cli_files, blob)
+
+
+@CLI_SETTINGS
+@given(st.data())
+def test_cli_eval_bit_flipped_checkpoint(cli_files, data):
+    blob = bytearray((cli_files / "model.ckpt").read_bytes())
+    bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+    blob[bit // 8] ^= 1 << (bit % 8)
+    eval_bytes(cli_files, bytes(blob))
+
+
+@CLI_SETTINGS
+@given(st.data())
+def test_cli_eval_mutated_checkpoint_config(cli_files, data):
+    tensors, config = load_checkpoint(str(cli_files / "model.ckpt"))
+    config = mutate(config, data.draw(mutations_of(list(paths(config)), small_values)))
+    config = json.loads(json.dumps(config))  # an integer key became a string key, as in any JSON file
+    path = cli_files / "mutated.ckpt"
+    save_checkpoint(str(path), tensors, config)
+    assert_exit_0_or_1(["eval", "--checkpoint", str(path), "--corpus", str(cli_files / "corpus")])

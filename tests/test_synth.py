@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from docgrain.clustering import detect_salient_regions
-from docgrain.document import document_to_json, parse_document
+from docgrain.document import parse_document
 from docgrain.labeling import bio_decode
 from docgrain.synth import (
     REFERENCE_CLUSTERING,
@@ -15,6 +15,8 @@ from docgrain.synth import (
     save_corpus,
     synth_generate,
 )
+
+from .reference_impls import document_to_json
 
 
 class TestGeneratorBasics:

@@ -69,33 +69,33 @@ class TestAdam:
     def test_first_step_magnitude(self):
         p = Tensor([1.0], requires_grad=True)
         p.grad = np.array([0.5])
-        opt = Adam({"p": p}, lr=1e-2, weight_decay=0.0)
+        opt = Adam({"p": p}, weight_decay=0.0)
         before = p.data.copy()
-        opt.step()
+        opt.step(1e-2)
         assert abs(before[0] - p.data[0]) == pytest.approx(1e-2, rel=1e-6)
 
     def test_zero_grad_zero_decay_unchanged(self):
         p = Tensor([2.0], requires_grad=True)
         p.grad = np.zeros(1)
-        opt = Adam({"p": p}, lr=1e-2, weight_decay=0.0)
-        opt.step()
+        opt = Adam({"p": p}, weight_decay=0.0)
+        opt.step(1e-2)
         assert p.data[0] == 2.0
 
     def test_weight_decay_decoupled(self):
         p = Tensor([2.0], requires_grad=True)
         p.grad = np.zeros(1)
-        opt = Adam({"p": p}, lr=0.1, weight_decay=0.01)
-        opt.step()
+        opt = Adam({"p": p}, weight_decay=0.01)
+        opt.step(0.1)
         assert p.data[0] == pytest.approx(2.0 - 0.1 * 0.01 * 2.0)
 
     def test_deterministic(self):
         def run():
             rng = np.random.default_rng(0)
             p = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-            opt = Adam({"p": p}, lr=1e-3)
+            opt = Adam({"p": p})
             for _ in range(5):
                 p.grad = rng.normal(size=(4, 4))
-                opt.step()
+                opt.step(1e-3)
             return p.data.tobytes()
 
         assert run() == run()
@@ -103,12 +103,12 @@ class TestAdam:
     def test_steps_match_the_textbook_formula_bit_for_bit(self):
         rng = np.random.default_rng(0)
         p = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-        opt = Adam({"p": p}, lr=1e-3, weight_decay=0.01)
+        opt = Adam({"p": p}, weight_decay=0.01)
         w, m, v = p.data.copy(), np.zeros((4, 4)), np.zeros((4, 4))
         for t in range(1, 6):
             g = rng.normal(size=(4, 4))
             p.grad = g.copy()
-            opt.step()
+            opt.step(1e-3)
             m = 0.9 * m + (1.0 - 0.9) * g
             v = 0.999 * v + (1.0 - 0.999) * g * g
             update = (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8) + 0.01 * w
@@ -407,6 +407,13 @@ class TestEvaluate:
         model = Model(cfg, build_vocab(pages, SMALL_MODEL["vocab_size"]))
         with pytest.raises(ValueError, match="unknown tag 'B-BOGUS'"):
             evaluate_model(model, map(model.encode_page, pages))
+
+    @pytest.mark.parametrize("docs", [[], iter(())], ids=["list", "iterator"])
+    def test_zero_documents_rejected(self, docs):
+        pages = small_corpus(2)
+        model = Model(ModelConfig(seed=0, **SMALL_MODEL), build_vocab(pages, SMALL_MODEL["vocab_size"]))
+        with pytest.raises(ValueError, match="at least one document"):
+            evaluate_model(model, docs)
 
     def test_checkpoint_roundtrip_reproduces_metrics(self, tmp_path):
         pages = small_corpus(8)

@@ -73,7 +73,7 @@ class RelativeBiasTables:
 
 @dataclass
 class SpatialIndices:
-    """Precomputed bucket index matrices for one sequence."""
+    """Bucket index matrices for one sequence, built once per forward pass."""
 
     idx_1d: np.ndarray
     idx_x: np.ndarray

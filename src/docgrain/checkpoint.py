@@ -5,8 +5,8 @@ header (tensor names, shapes, byte offsets, config snapshot, and the
 ``zlib.crc32`` of the payload), then the raw little-endian float64 payloads
 back to back. Round trips are bit-exact. A save writes a temporary file
 beside the target, fsyncs it and renames it onto the target. A truncated
-or malformed file, a payload whose checksum does not match, and bytes
-after the last tensor raise ``CheckpointError``.
+or malformed file, entries that repeat a name or do not tile the payload
+in header order, a bad checksum and trailing bytes raise ``CheckpointError``.
 """
 
 from __future__ import annotations
@@ -77,11 +77,15 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     end = 0
     for entry in header["tensors"]:
         name, shape, offset, nbytes = _tensor_entry(path, entry)
+        if name in tensors:
+            raise CheckpointError(f"{path}: duplicate tensor '{name}'")
+        if offset != end:
+            raise CheckpointError(f"{path}: tensor '{name}' starts at byte {offset}, expected {end}")
         blob = raw[pos + offset : pos + offset + nbytes]
         if len(blob) != nbytes:
             raise CheckpointError(f"{path}: truncated payload for tensor '{name}'")
         tensors[name] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
-        end = max(end, offset + nbytes)
+        end = offset + nbytes
     if len(raw) != pos + end:
         raise CheckpointError(f"{path}: {len(raw) - pos - end} bytes after the last tensor")
     if zlib.crc32(memoryview(raw)[pos:]) != header["crc32"]:

@@ -22,7 +22,7 @@ from .tensor import no_grad
 from .training import (
     TrainConfig,
     ablate,
-    evaluate_checkpoint,
+    evaluate_model,
     load_config_file,
     seed_averages,
     split_corpus,
@@ -154,12 +154,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    report = evaluate_checkpoint(args.checkpoint, args.corpus)
+    model = load_model(args.checkpoint)
+    pages = load_corpus(args.corpus)
+    report = evaluate_model(model, map(model.encode_page, pages))
     if args.dump_intermediates:
-        model = load_model(args.checkpoint)
-        page = load_corpus(args.corpus)[0]
         with no_grad():
-            _, stages = model.forward(page, collect=True)
+            _, stages = model.forward_encoded(model.encode_page(pages[0]), collect=True)
         with open(args.dump_intermediates, "w", encoding="utf-8") as fh:
             json.dump(stage_summary(stages), fh, indent=2, sort_keys=True)
     print(f"micro: P={report.micro_precision:.4f} R={report.micro_recall:.4f} F1={report.micro_f1:.4f}")

@@ -6,16 +6,16 @@ edges, knowledge-enhanced coarse encoding with canonical attention, and
 fusion of each coarse feature back onto its fine children. Coordinates
 reach the model only through the shared layout tables.
 
-``Model.encode_page`` computes everything constant per page (graph,
-normalized coordinates, bucket indices, aggregation matrix, targets) with
-whole-array numpy; each array equals its per-element definition bit for
-bit.
+``Model.encode_page`` computes the O(n) facts of a page (graph, normalized
+coordinates, positions, parent rows, targets) with whole-array numpy, each
+equal to its per-element definition bit for bit. The pairwise bucket
+indices and the aggregation matrix are built by the stages that read them.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 import zlib
 from dataclasses import asdict, dataclass, fields
 
@@ -25,7 +25,6 @@ from . import checkpoint
 from .attention import (
     LayerParams,
     RelativeBiasTables,
-    SpatialIndices,
     spatial_bias,
     spatial_indices,
     transformer_layer,
@@ -67,7 +66,8 @@ _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "boo
 
 def check_field_types(config) -> None:
     """ValueError unless every int, float, str or bool field (optionally
-    ``| None``) of a config dataclass holds that type; a bool is no number."""
+    ``| None``) of a config dataclass holds that type; a bool is no number
+    and a float field is finite."""
     for f in fields(config):
         value = getattr(config, f.name)
         kind, _, optional = f.type.partition(" | ")
@@ -76,6 +76,9 @@ def check_field_types(config) -> None:
             continue
         if not isinstance(value, expected) or (isinstance(value, bool) and expected is not bool):
             raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        # NaN fails every comparison; an integer beyond the float range is no float.
+        if kind == "float" and not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ValueError(f"{f.name} must be a finite float, got {value!r}")
 
 
 def config_from_dict(cls, data: dict, retired: dict, kind: str):
@@ -147,8 +150,8 @@ class ModelConfig:
             raise ValueError(f"rel_buckets must be even and >= 4, got {self.rel_buckets}")
         if self.rel_max_distance <= self.rel_buckets // 4:
             raise ValueError(f"rel_max_distance must exceed {self.rel_buckets // 4}, got {self.rel_max_distance}")
-        if not math.isfinite(self.radius) or self.radius < 0:
-            raise ValueError(f"radius must be finite and >= 0, got {self.radius}")
+        if self.radius < 0:
+            raise ValueError(f"radius must be >= 0, got {self.radius}")
         if self.min_pts < 0:
             raise ValueError(f"min_pts must be >= 0, got {self.min_pts}")
 
@@ -206,7 +209,8 @@ def normalized_coords(boxes: list[BBox], page: Page) -> np.ndarray:
 @dataclass
 class EncodedDoc:
     """Everything about one page that is constant across forward passes.
-    Each granularity is one stacked sequence, text rows first."""
+    Each granularity is one stacked sequence, text rows first; no array
+    grows faster than the sequence lengths."""
 
     page: Page
     graph: DocumentGraph
@@ -214,8 +218,6 @@ class EncodedDoc:
     patch_raw: np.ndarray  # (WH, PATCH_RAW_DIM)
     fine_boxes: np.ndarray  # (L + WH, 4) normalized coordinates
     positions: np.ndarray  # (L + WH,) 1D positions, restarting at 0 for patches
-    fine_indices: SpatialIndices
-    agg: np.ndarray  # (Z + P, L + WH) one-hot columns of parent_row
     cs_bits: np.ndarray  # (Z + P, K) knowledge bits, zero rows for regions
     coarse_boxes: np.ndarray  # (Z + P, 4) normalized coordinates
     parent_row: np.ndarray  # (L + WH,) rows into the coarse stack
@@ -337,18 +339,15 @@ class Model:
             raise ValueError(f"{n_text} text + {n_visual} visual tokens exceed max_len {cfg.max_len}")
         fine_boxes = normalized_coords([*tokens.bboxes, *graph.patch_bboxes], page)
         positions = np.concatenate([np.arange(n_text), np.arange(n_visual)]).astype(np.int64)
-        fine_idx = spatial_indices(fine_boxes, positions, cfg.rel_buckets, cfg.rel_max_distance)
 
         # Row of each fine element's parent in the stacked [segments; regions]
-        # coarse sequence; the aggregation matrix is its one-hot columns.
+        # coarse sequence; ``aggregate`` sums along it.
         n_seg, n_reg = graph.n_coarse_text, graph.n_coarse_visual
         text_parent = np.asarray(graph.text_parent, dtype=np.int64)
         parent_row = np.concatenate([
             text_parent[np.asarray(tokens.word_index, dtype=np.int64)],
             n_seg + np.asarray(graph.visual_parent, dtype=np.int64),
         ])
-        agg = np.zeros((n_seg + n_reg, n_text + n_visual))
-        agg[parent_row, np.arange(n_text + n_visual)] = 1.0
 
         cs_bits = np.zeros((n_seg + n_reg, self.inventory.size))
         cs_bits[:n_seg] = self.inventory.detect_all([s.text for s in page.segments])
@@ -368,8 +367,6 @@ class Model:
             patch_raw=patch_raw,
             fine_boxes=fine_boxes,
             positions=positions,
-            fine_indices=fine_idx,
-            agg=agg,
             cs_bits=cs_bits,
             coarse_boxes=coarse_boxes,
             parent_row=parent_row,
@@ -391,14 +388,18 @@ class Model:
 
     def fine_encode(self, h: Tensor, enc: EncodedDoc) -> Tensor:
         # One bias for every fine layer: the relative tables are shared.
-        bias = spatial_bias(self.bias_tables, enc.fine_indices)
+        cfg = self.config
+        indices = spatial_indices(enc.fine_boxes, enc.positions, cfg.rel_buckets, cfg.rel_max_distance)
+        bias = spatial_bias(self.bias_tables, indices)
         for layer in self.fine_stack:
-            h = transformer_layer(h, layer, self.config.heads, bias)
+            h = transformer_layer(h, layer, cfg.heads, bias)
         return h
 
     def aggregate(self, h_fine: Tensor, enc: EncodedDoc) -> Tensor:
         """The stacked [segments; regions] sums of fine children."""
-        return matmul(Tensor(enc.agg), h_fine)
+        agg = np.zeros((enc.coarse_boxes.shape[0], enc.parent_row.shape[0]))
+        agg[enc.parent_row, np.arange(enc.parent_row.shape[0])] = 1.0
+        return matmul(Tensor(agg), h_fine)
 
     def commonsense_embed(self, cs_bits: np.ndarray) -> Tensor:
         if self.cs_emb is None:
@@ -442,11 +443,6 @@ class Model:
             stages["coarse_encoded"] = h_coarse
             stages["fused"] = fused
         return fused, stages
-
-    def forward(self, page: Page, collect: bool = False) -> tuple[Tensor, dict]:
-        """Full pipeline from a parsed page; returns fused features and,
-        when requested, every intermediate stage tensor."""
-        return self.forward_encoded(self.encode_page(page), collect)
 
     # -- heads and losses ---------------------------------------------------
 

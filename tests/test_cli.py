@@ -169,12 +169,18 @@ class TestConfigErrors:
             {"model": {"commonsense_k": 9}},
             {"train": {"total_steps": 100}},
             {"train": {"grad_clip": 1.0}},
+            *({"train": {key: value, "epochs": 1}} for key in ("lr", "weight_decay")
+              for value in (float("nan"), float("inf"), float("-inf"))),
+            {"model": {"radius": 10**400}},
+            *({"train": {key: 10**400, "epochs": 1}} for key in ("lr", "weight_decay")),
         ],
         ids=[
             "grid-int", "d-string", "heads-zero", "grid-one", "model-int", "lr-string", "epochs-float", "clip-string",
             "buckets-odd", "max-distance-short", "radius-negative", "min-pts-negative",
             "retired-relu", "retired-dropout", "retired-dropout-bool", "retired-ffn-width", "retired-cs-dim",
             "retired-mean", "cs-k-nine", "retired-total-steps", "retired-clip",
+            "lr-nan", "lr-inf", "lr-minus-inf", "decay-nan", "decay-inf", "decay-minus-inf",
+            "radius-huge-int", "lr-huge-int", "decay-huge-int",
         ],
     )
     def test_malformed_config_is_validation_error(self, corpus, tmp_path, capsys, config):
@@ -234,6 +240,27 @@ class TestTrainEvalCli:
         assert "fine_encoded" in stages and "coarse_encoded" in stages
         for info in stages.values():
             assert set(info) == {"shape", "norm"}
+
+    def test_eval_dump_loads_checkpoint_and_corpus_once(self, trained, tmp_path, monkeypatch):
+        import docgrain.checkpoint as checkpoint
+        import docgrain.cli as cli
+        import docgrain.training as training
+
+        root, corpus, ckpt, log = trained
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(checkpoint, "load_checkpoint", counted("checkpoint", checkpoint.load_checkpoint))
+        for module in (cli, training):
+            monkeypatch.setattr(module, "load_corpus", counted("corpus", module.load_corpus))
+        dump = str(tmp_path / "stages.json")
+        assert run(["eval", "--checkpoint", ckpt, "--corpus", corpus, "--dump-intermediates", dump]) == 0
+        assert sorted(calls) == ["checkpoint", "corpus"]
 
     def test_eval_bad_image_is_validation_error(self, trained, tmp_path, capsys):
         root, corpus, ckpt, log = trained

@@ -75,7 +75,8 @@ class TestSyntheticPages:
             coarse = normalized_coords_loop([s.bbox for s in page.segments] + [r.bbox for r in g.regions], page)
             assert same_bytes(enc.fine_boxes, fine)
             assert same_bytes(enc.coarse_boxes, coarse)
-            assert same_indices(enc.fine_indices, spatial_indices_direct(fine, enc.positions, cfg.rel_buckets, cfg.rel_max_distance))
+            got = spatial_indices(enc.fine_boxes, enc.positions, cfg.rel_buckets, cfg.rel_max_distance)
+            assert same_indices(got, spatial_indices_direct(fine, enc.positions, cfg.rel_buckets, cfg.rel_max_distance))
             targets = np.full(enc.n_text, -100, dtype=np.int64)
             for t in range(enc.n_text):
                 if enc.tokens.first_subtoken[t]:

@@ -10,13 +10,15 @@ test_training.py. A box coordinate that is not a JSON number, a numeric
 string or a boolean included, is always rejected.
 
 ``cli.run`` is driven end to end with mutated documents and options
-(``build-graph``, ``render``) and with random, bit-flipped or
-config-mutated checkpoints (``eval``): it exits 0 or 1, never 2. The
-``train`` command is left out, since a random config can run for hours.
+(``build-graph``, ``render``), with random, bit-flipped or
+config-mutated checkpoints (``eval``) and with config files (``train``):
+it exits 0 or 1, never 2. A ``train`` config keeps every example to one
+epoch of a small model, whatever else it asks for.
 """
 
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -239,6 +241,32 @@ def test_cli_eval_bit_flipped_checkpoint(cli_files, data):
     eval_bytes(cli_files, bytes(blob))
 
 
+def offset_bit_flips(blob: bytes):
+    """Copies of a checkpoint, each with one bit flipped inside the digits
+    of one header entry's "offset" value."""
+    hlen = int.from_bytes(blob[len(MAGIC) : len(MAGIC) + 4], "little")
+    header_end = len(MAGIC) + 4 + hlen
+    for match in re.finditer(rb'"offset": (\d+)', blob[:header_end]):
+        for i in range(match.start(1), match.end(1)):
+            for bit in range(8):
+                flipped = bytearray(blob)
+                flipped[i] ^= 1 << bit
+                yield bytes(flipped)
+
+
+def test_cli_eval_offset_bit_flips_rejected(cli_files):
+    """A header whose entries no longer tile the payload is refused, even
+    where the flipped offset still reads a window of valid tensor bytes."""
+    valid, path = cli_files / "model.ckpt", cli_files / "offset.ckpt"
+    n = 0
+    for n, blob in enumerate(offset_bit_flips(valid.read_bytes()), 1):
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+        assert run(["eval", "--checkpoint", str(path), "--corpus", str(cli_files / "corpus")]) == 1
+    assert n >= 8 * len(load_checkpoint(str(valid))[0])  # every offset has a digit
+
+
 @CLI_SETTINGS
 @given(st.data())
 def test_cli_eval_mutated_checkpoint_config(cli_files, data):
@@ -248,3 +276,84 @@ def test_cli_eval_mutated_checkpoint_config(cli_files, data):
     path = cli_files / "mutated.ckpt"
     save_checkpoint(str(path), tensors, config)
     assert_exit_0_or_1(["eval", "--checkpoint", str(path), "--corpus", str(cli_files / "corpus")])
+
+
+# Every train example stays small: one epoch, d <= 24, a grid of at most
+# 3x3, vocab_size and max_len <= 256, rel_max_distance <= 5000. Besides the
+# values each field takes here, every field may get a wrong type, null,
+# NaN or an infinity, or a negative number.
+HUGE = 10**400  # a JSON integer no float can hold
+any_float = st.floats() | st.sampled_from([HUGE, -HUGE, 10**300, 0])
+MODEL_VALUES = {
+    "d": st.integers(-2, 24),
+    "heads": st.integers(-1, 8),
+    "fine_layers": st.integers(-1, 2),
+    "coarse_layers": st.integers(-1, 6),
+    "vocab_size": st.integers(-1, 256),
+    "max_len": st.integers(-1, 256),
+    "grid": st.lists(st.integers(-1, 3) | st.booleans() | st.floats(0, 3), max_size=3),
+    "commonsense_k": st.integers(-1, 9),
+    "radius": any_float,
+    "min_pts": st.integers(-2, 2**70),
+    "rel_buckets": st.integers(-4, 64),
+    "rel_max_distance": st.integers(-2, 5000),
+    "seed": st.integers(-2, 2**70),
+    "use_cross_grained": st.booleans(),
+}
+TRAIN_VALUES = {
+    "lr": any_float,
+    "warmup_steps": st.integers(-2, 2**70),
+    "weight_decay": any_float,
+    "batch_size": st.integers(-1, 2**70),
+    "epochs": st.integers(-1, 1),
+    "seed": st.integers(-2, 2**70),
+    "eval_every": st.integers(-1, 2**70),
+}
+junk = (
+    st.none() | st.booleans() | st.text(max_size=4) | st.sampled_from([float("nan"), float("inf"), float("-inf")])
+    | st.integers(-2**70, -1) | st.floats(-1e3, -1e-3) | st.lists(st.integers(-2, 2), max_size=2)
+    | st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2)
+)
+BASE_MODEL = {"d": 12, "heads": 2, "fine_layers": 1, "coarse_layers": 1, "vocab_size": 128, "max_len": 128,
+              "grid": [2, 2], "commonsense_k": 4}
+BASE_TRAIN = {"epochs": 1, "batch_size": 2, "warmup_steps": 1}
+
+
+FIELD_VALUES = {("model", k): v for k, v in MODEL_VALUES.items()} | {("train", k): v for k, v in TRAIN_VALUES.items()}
+# Three values in four come from the field's own strategy.
+override = st.tuples(st.sampled_from(sorted(FIELD_VALUES)), st.integers(0, 3)).flatmap(
+    lambda fj: st.tuples(st.just(fj[0]), junk if fj[1] == 0 else FIELD_VALUES[fj[0]])
+)
+unknown_key = st.tuples(st.tuples(st.sampled_from(["model", "train"]), st.text(max_size=6)), junk).filter(
+    lambda kv: kv[0] not in FIELD_VALUES
+)
+
+
+def apply_overrides(overrides) -> dict:
+    """The small base config with each ((section, key), value) set in turn."""
+    config = {"model": dict(BASE_MODEL), "train": dict(BASE_TRAIN)}
+    for (name, key), value in overrides:
+        config[name][key] = value
+    return config
+
+
+# A few fields at a time, so that most examples pass every check but one.
+train_configs = st.lists(st.integers(0, 7).flatmap(lambda i: unknown_key if i == 0 else override), max_size=3).map(
+    apply_overrides
+)
+
+
+@pytest.fixture(scope="module")
+def train_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("train_fuzz")
+    save_corpus(synth_generate(5, 4, SynthParams()), str(root / "corpus"))
+    return root
+
+
+@settings(CLI_SETTINGS, max_examples=200)
+@given(train_configs | st.dictionaries(st.sampled_from(["model", "train", "optim"]), junk, max_size=2))
+def test_cli_train_random_config(train_corpus, config):
+    path = train_corpus / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert_exit_0_or_1(["train", "--corpus", str(train_corpus / "corpus"), "--config", str(path),
+                        "--out", str(train_corpus / "m.ckpt")])

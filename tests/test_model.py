@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from docgrain.commonsense import CommonSenseInventory, make_inventory
 from docgrain.document import BBox, Page, Segment, Word
 from docgrain.model import Model, ModelConfig, gradcheck_config, stage_summary
 from docgrain.synth import SynthParams, generate_page, probe_page
-from docgrain.tensor import Tensor, no_grad
+from docgrain.tensor import Tensor, matmul, no_grad
 from docgrain.training import reference_model_config
 from docgrain.vocab import build_vocab
 
@@ -48,7 +48,7 @@ class TestModelConfig:
     @pytest.mark.parametrize("field, bad, good", [
         ("rel_buckets", [5, 2, 0, -4], [4, 32]),
         ("rel_max_distance", [8, 0, -1], [9, 1000]),
-        ("radius", [-1.0, float("inf"), float("nan")], [0.0, 30.0]),
+        ("radius", [-1.0, float("inf"), float("nan"), 10**400], [0.0, 30.0, 10**300]),
         ("min_pts", [-1], [0, 3]),
     ])
     def test_bucket_and_cluster_fields(self, field, bad, good):
@@ -201,7 +201,8 @@ class TestStages:
         agg = np.zeros((n_seg + g.n_coarse_visual, n_text + n_visual))
         agg[:n_seg, :n_text] = agg_text
         agg[n_seg:, n_text:] = agg_visual
-        for got, want in ((enc.parent_row, parent_row), (enc.agg, agg)):
+        h = Tensor(np.random.default_rng(3).normal(size=(n_text + n_visual, m.config.d)))
+        for got, want in ((enc.parent_row, parent_row), (m.aggregate(h, enc).data, matmul(Tensor(agg), h).data)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -294,6 +295,39 @@ class TestStackedInputsMatchOracle:
         assert np.array_equal(stages["aggregated_visual"].data, agg[z:])
         for name in ("aggregated_text", "aggregated_visual"):
             assert stages[name]._backward is None and not stages[name].requires_grad
+
+
+def held_arrays(value):
+    """Every numpy array reachable from ``value`` through dataclass fields,
+    lists, tuples and dict values."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif is_dataclass(value):
+        for f in fields(value):
+            yield from held_arrays(getattr(value, f.name))
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from held_arrays(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from held_arrays(item)
+
+
+def test_encoding_holds_no_pairwise_array():
+    """A dense page's encoding keeps O(n) arrays only: none has two axes as
+    long as a sequence, as an (n_fine, n_fine) bucket-index matrix or an
+    (n_coarse, n_fine) aggregation matrix would."""
+    pages = [generate_page(31, i, DENSE) for i in range(2)]
+    cfg = replace(reference_model_config(), grid=(7, 7))
+    m = Model(cfg, build_vocab(pages, cfg.vocab_size))
+    for page in pages:
+        enc = m.encode_page(page)
+        n_fine, n_coarse = enc.n_text + enc.n_visual, enc.coarse_boxes.shape[0]
+        assert n_fine > n_coarse > max(cfg.grid[0] * cfg.grid[1], cfg.commonsense_k, 7)
+        arrays = list(held_arrays(enc))
+        assert enc.parent_row.shape == (n_fine,) and any(a is enc.parent_row for a in arrays)
+        for a in arrays:
+            assert sum(dim >= n_coarse for dim in a.shape) <= 1, a.shape
 
 
 def tape_nodes(root: Tensor) -> int:

@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -55,6 +56,15 @@ class TestLrSchedule:
     def test_warmup_bounds_validated(self):
         with pytest.raises(ValueError, match="warmup_steps"):
             TrainConfig(warmup_steps=-1)
+
+    @pytest.mark.parametrize("field", ["lr", "weight_decay"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400, -(10**400)])
+    def test_non_finite_rates_rejected(self, field, value):
+        # NaN fails every range check; a JSON integer past the float range
+        # would overflow the first float operation.
+        with pytest.raises(ValueError, match=f"{field} must be a finite float"):
+            TrainConfig(**{field: value})
+        assert getattr(TrainConfig(**{field: 10**300}), field) == 10**300
 
     def test_warmup_clamped_to_run_length(self):
         # 16 pages in batches of 8 for 3 epochs is 6 steps, all inside the
@@ -164,6 +174,18 @@ class TestCheckpointFormat:
         with open(path, "ab") as fh:
             fh.write(b"junk")
         with pytest.raises(CheckpointError, match="after the last tensor"):
+            load_checkpoint(path)
+
+    def test_duplicate_tensor_name_rejected(self, tmp_path):
+        # Two well-formed entries that tile the payload, under one name.
+        payload = np.arange(4.0).tobytes()
+        entry = {"name": "a", "shape": [2], "nbytes": 16}
+        header = {"tensors": [entry | {"offset": 0}, entry | {"offset": 16}], "config": {}, "crc32": zlib.crc32(payload)}
+        body = json.dumps(header).encode("utf-8")
+        path = str(tmp_path / "dup.bin")
+        with open(path, "wb") as fh:
+            fh.write(b"MMLY1" + struct.pack("<I", len(body)) + body + payload)
+        with pytest.raises(CheckpointError, match="duplicate tensor 'a'"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(

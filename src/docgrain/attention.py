@@ -12,10 +12,13 @@ buckets, max_distance)`` takes ``ModelConfig.rel_buckets`` and
 per (buckets, max_distance) pair; longer offsets all share the saturated
 end buckets.
 
-All heads run at once on head-major stacks: Q and V are (heads, n, d_k)
-and K is (heads, d_k, n). The summed relative bias of all three tables is
-one (heads, n, n) tensor, built by ``spatial_bias`` once per forward pass
-and shared by every spatial layer, since the tables are shared.
+A Transformer layer is four tape nodes: ``multi_head_attention`` is one
+``self_attention`` node (all heads at once on head-major stacks),
+``feed_forward`` one ``gelu_ffn`` node, and each is added back to its input
+and normalized by a ``residual_layer_norm`` node. The summed relative bias
+of all three tables is one (heads, n, n) tensor, built by ``spatial_bias``
+once per forward pass and shared by every spatial layer, since the tables
+are shared.
 """
 
 from __future__ import annotations
@@ -26,18 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (
-    Tensor,
-    add,
-    attention_weights,
-    gather_heads,
-    gelu,
-    layer_norm,
-    linear,
-    matmul,
-    merge_heads,
-    project_heads,
-)
+from .tensor import Tensor, gather_heads, gelu_ffn, residual_layer_norm, self_attention
 
 
 def rel_bucket(offset, buckets: int = 32, max_distance: int = 1000):
@@ -154,18 +146,15 @@ def multi_head_attention(h: Tensor, params: LayerParams, heads: int, bias: Tenso
     ``bias`` (heads, n, n), from ``spatial_bias``, is added to the scaled
     scores before the softmax; without it this is the canonical form.
     """
-    q = project_heads(h, params.wq, params.bq, heads)
-    kt = project_heads(h, params.wk, params.bk, heads, keys=True)
-    v = project_heads(h, params.wv, params.bv, heads)
-    weights = attention_weights(q, kt, bias, 1.0 / math.sqrt(q.shape[2]))
-    return merge_heads(matmul(weights, v), params.wo, params.bo)
+    p = params
+    return self_attention(h, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo, heads, bias)
 
 
 def feed_forward(h: Tensor, params: LayerParams) -> Tensor:
-    return linear(gelu(linear(h, params.ffn_w1, params.ffn_b1)), params.ffn_w2, params.ffn_b2)
+    return gelu_ffn(h, params.ffn_w1, params.ffn_b1, params.ffn_w2, params.ffn_b2)
 
 
 def transformer_layer(h: Tensor, params: LayerParams, heads: int, bias: Tensor | None = None) -> Tensor:
     """LN(FFN(LN(MHA))) with residual paths around the MHA and the FFN."""
-    u = layer_norm(add(h, multi_head_attention(h, params, heads, bias)), params.ln1_gain, params.ln1_bias)
-    return layer_norm(add(u, feed_forward(u, params)), params.ln2_gain, params.ln2_bias)
+    u = residual_layer_norm(h, multi_head_attention(h, params, heads, bias), params.ln1_gain, params.ln1_bias)
+    return residual_layer_norm(u, feed_forward(u, params), params.ln2_gain, params.ln2_bias)

@@ -4,6 +4,13 @@ Every operation records a backward closure on a dynamically built graph;
 calling ``backward()`` on a scalar walks the graph in reverse topological
 order. The numerical heavy lifting is delegated to numpy, the tape and all
 gradients are implemented here. A single graph is confined to one thread.
+
+Each sublayer of the post-LN Transformer layer is one node:
+``self_attention`` (projections, per-head softmax, head merge and output
+affine), ``gelu_ffn`` and ``residual_layer_norm``. Their arithmetic order,
+including the order in which gradients are added into a shared input, is
+fixed: the tests hold their outputs and gradients byte-equal to chains of
+single-step reference ops.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ _grad_enabled = True
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_LN_EPS = 1e-6
 
 
 @contextlib.contextmanager
@@ -88,15 +96,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; all routing goes through the module-level ops.
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def sum(self):
-        return sum_all(self)
-
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(data)
@@ -107,38 +106,15 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable[[np.
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient down to the shape it was broadcast from."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data + b.data
-    except ValueError:
-        raise ValueError(f"shape mismatch in add: {a.shape} vs {b.shape}") from None
+    """Elementwise sum of two tensors of one shape."""
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch in add: {a.shape} vs {b.shape}")
+    data = a.data + b.data
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(_unbroadcast(g, b.shape))
-
-    return _make(data, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ValueError(f"shape mismatch in mul: {a.shape} vs {b.shape}") from None
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(_unbroadcast(g * b.data, a.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.shape))
+        a._accumulate(g)
+        b._accumulate(g)
 
     return _make(data, (a, b), backward)
 
@@ -153,22 +129,17 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two matrices, or of two equal-length stacks of
-    matrices (one product per leading index). The backward pass computes a
-    gradient only for operands that require one."""
-    if not (
-        a.data.ndim == b.data.ndim in (2, 3)
-        and a.shape[:-2] == b.shape[:-2]
-        and a.shape[-1] == b.shape[-2]
-    ):
+    """Product of two matrices. The backward pass computes a gradient only
+    for operands that require one."""
+    if not (a.data.ndim == b.data.ndim == 2 and a.shape[1] == b.shape[0]):
         raise ValueError(f"shape mismatch in matmul: {a.shape} vs {b.shape}")
     data = a.data @ b.data
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(g @ b.data.swapaxes(-1, -2))
+            a._accumulate(g @ b.data.T)
         if b.requires_grad:
-            b._accumulate(a.data.swapaxes(-1, -2) @ g)
+            b._accumulate(a.data.T @ g)
 
     return _make(data, (a, b), backward)
 
@@ -195,94 +166,128 @@ def _affine_backward(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray) -> None:
     b._accumulate(g.sum(axis=0))
 
 
-def project_heads(x: Tensor, w: Tensor, b: Tensor, heads: int, keys: bool = False) -> Tensor:
-    """``x @ w + b`` split column-wise into ``heads`` equal blocks, stacked
-    head-major: (heads, n, d_k), or (heads, d_k, n) with ``keys`` so that
-    the score product needs no transpose. Head ``i`` holds columns
-    ``i*d_k:(i+1)*d_k``."""
-    n, d = x.shape[0], w.shape[1]
+def self_attention(
+    h: Tensor,
+    wq: Tensor,
+    bq: Tensor,
+    wk: Tensor,
+    bk: Tensor,
+    wv: Tensor,
+    bv: Tensor,
+    wo: Tensor,
+    bo: Tensor,
+    heads: int,
+    bias: Tensor | None,
+) -> Tensor:
+    """Multi-head scaled dot-product self-attention over the rows of ``h``,
+    as one node.
+
+    Head ``i`` attends with columns ``i*d_k:(i+1)*d_k`` of the projections
+    ``h @ wq + bq``, ``h @ wk + bk`` and ``h @ wv + bv``: its weights are
+    ``softmax(q_i @ k_i.T / sqrt(d_k) + bias[i])`` row-wise, with ``bias``
+    (heads, n, n) or None. The heads' ``weights @ v_i`` are concatenated
+    column-wise, then ``@ wo + bo``. The weights of all heads are computed
+    in place in one (heads, n, n) buffer, which the backward pass reuses.
+    """
+    n, d = h.shape[0], wq.shape[1]
     if d % heads != 0:
         raise ValueError(f"width {d} not divisible by {heads} heads")
-    split = _affine(x.data, w, b).reshape(n, heads, d // heads)
-    data = np.ascontiguousarray(split.transpose((1, 2, 0) if keys else (1, 0, 2)))
-
-    def backward(g: np.ndarray) -> None:
-        g_split = g.transpose((2, 0, 1) if keys else (1, 0, 2))
-        _affine_backward(x, w, b, g_split.reshape(n, d))
-
-    return _make(data, (x, w, b), backward)
-
-
-def merge_heads(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Stacked heads (heads, n, d_k) concatenated column-wise to
-    (n, heads*d_k), then ``@ w + b``: the inverse layout of
-    ``project_heads``, as one node."""
-    if a.data.ndim != 3:
-        raise ValueError(f"merge_heads expects (heads, n, d_k), got shape {a.shape}")
-    heads, n, dk = a.shape
-    merged = a.data.transpose(1, 0, 2).reshape(n, heads * dk)
-    data = _affine(merged, w, b)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate((g @ w.data.T).reshape(n, heads, dk).transpose(1, 0, 2))
-        w._accumulate(merged.T @ g)
-        b._accumulate(g.sum(axis=0))
-
-    return _make(data, (a, w, b), backward)
-
-
-def attention_weights(q: Tensor, kt: Tensor, bias: Tensor | None, scale: float) -> Tensor:
-    """Row-wise ``softmax(q @ kt * scale + bias)`` per head, as one node.
-
-    ``q`` is (heads, n, d_k), ``kt`` (heads, d_k, m) and ``bias``
-    (heads, n, m) or None. Each head's (n, m) block is computed in place in
-    the output buffer, so no (heads, n, m) temporary is made; the backward
-    pass needs only that buffer.
-    """
-    heads, n, dk = q.shape
-    if kt.shape[:2] != (heads, dk) or (bias is not None and bias.shape != (heads, n, kt.shape[2])):
-        bias_shape = None if bias is None else bias.shape
-        raise ValueError(f"shape mismatch in attention_weights: {q.shape}, {kt.shape}, {bias_shape}")
-    y = np.empty((heads, n, kt.shape[2]))
+    if bias is not None and bias.shape != (heads, n, n):
+        raise ValueError(f"attention bias of shape {bias.shape} for {heads} heads over {n} rows")
+    dk = d // heads
+    # Head-major stacks: q and v (heads, n, d_k), keys (heads, d_k, n).
+    q = np.ascontiguousarray(_affine(h.data, wq, bq).reshape(n, heads, dk).transpose(1, 0, 2))
+    kt = np.ascontiguousarray(_affine(h.data, wk, bk).reshape(n, heads, dk).transpose(1, 2, 0))
+    v = np.ascontiguousarray(_affine(h.data, wv, bv).reshape(n, heads, dk).transpose(1, 0, 2))
+    score_scale = 1.0 / math.sqrt(dk)
+    y = np.empty((heads, n, n))
     for i in range(heads):
         yi = y[i]
-        np.matmul(q.data[i], kt.data[i], out=yi)
-        yi *= scale
+        np.matmul(q[i], kt[i], out=yi)
+        yi *= score_scale
         if bias is not None:
             yi += bias.data[i]
         yi -= yi.max(axis=-1, keepdims=True)
         np.exp(yi, out=yi)
         yi /= yi.sum(axis=-1, keepdims=True)
+    merged = (y @ v).transpose(1, 0, 2).reshape(n, d)
+    data = _affine(merged, wo, bo)
 
     def backward(g: np.ndarray) -> None:
-        gq = np.empty_like(q.data)
-        gkt = np.empty_like(kt.data)
+        g_heads = (g @ wo.data.T).reshape(n, heads, dk).transpose(1, 0, 2)
+        wo._accumulate(merged.T @ g)
+        bo._accumulate(g.sum(axis=0))
+        g_y = g_heads @ v.swapaxes(-1, -2)
+        gv = y.swapaxes(-1, -2) @ g_heads
+        gq = np.empty_like(q)
+        gkt = np.empty_like(kt)
         # The bias gradient is the score gradient itself: write it straight
         # into a fresh bias.grad, or add it to one an earlier layer left.
         fresh = bias is not None and bias.grad is None
         if fresh:
             bias.grad = np.empty_like(bias.data)
         for i in range(heads):
-            yi, gi = y[i], g[i]
+            yi, gi = y[i], g_y[i]
             gs = bias.grad[i] if fresh else np.empty_like(yi)
             np.subtract(gi, (gi * yi).sum(axis=-1, keepdims=True), out=gs)
             gs *= yi
             if bias is not None and not fresh:
                 bias.grad[i] += gs
-            gs = gs * scale
-            np.matmul(gs, kt.data[i].T, out=gq[i])
-            np.matmul(q.data[i].T, gs, out=gkt[i])
-        q._accumulate(gq)
-        kt._accumulate(gkt)
+            gs = gs * score_scale
+            np.matmul(gs, kt[i].T, out=gq[i])
+            np.matmul(q[i].T, gs, out=gkt[i])
+        # Back to (n, d) column blocks; h receives q's term, then k's, then v's.
+        _affine_backward(h, wq, bq, gq.transpose(1, 0, 2).reshape(n, d))
+        _affine_backward(h, wk, bk, gkt.transpose(2, 0, 1).reshape(n, d))
+        _affine_backward(h, wv, bv, gv.transpose(1, 0, 2).reshape(n, d))
 
-    return _make(y, (q, kt) if bias is None else (q, kt, bias), backward)
+    parents = (h, wq, bq, wk, bk, wv, bv, wo, bo)
+    return _make(data, parents if bias is None else (*parents, bias), backward)
 
 
-def sum_all(a: Tensor) -> Tensor:
+def gelu_ffn(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``gelu(h @ w1 + b1) @ w2 + b2`` with the exact (erf-based) GELU, as
+    one node that keeps the pre-activation and its normal cdf."""
+    pre = _affine(h.data, w1, b1)
+    cdf = 0.5 * (1.0 + erf(pre * _INV_SQRT2))
+    act = pre * cdf
+    data = _affine(act, w2, b2)
+
     def backward(g: np.ndarray) -> None:
-        a._accumulate(np.full_like(a.data, float(g)))
+        g_act = g @ w2.data.T
+        w2._accumulate(act.T @ g)
+        b2._accumulate(g.sum(axis=0))
+        pdf = np.exp(-0.5 * pre**2) * _INV_SQRT2PI
+        _affine_backward(h, w1, b1, g_act * (cdf + pre * pdf))
 
-    return _make(np.asarray(a.data.sum()), (a,), backward)
+    return _make(data, (h, w1, b1, w2, b2), backward)
+
+
+def residual_layer_norm(h: Tensor, delta: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """``h + delta`` standardized per row, then ``* gain + bias``: the
+    post-LN residual step, as one node."""
+    d = h.shape[-1]
+    if h.data.ndim != 2 or delta.shape != h.shape or gain.shape != (d,) or bias.shape != (d,):
+        raise ValueError(f"residual_layer_norm shapes: {h.shape} + {delta.shape}, gain {gain.shape}, bias {bias.shape}")
+    x = h.data + delta.data
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered**2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
+    norm = centered * inv
+    data = norm * gain.data + bias.data
+
+    def backward(g: np.ndarray) -> None:
+        gnorm = g * gain.data
+        gvar = (gnorm * centered).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
+        gmu = -(gnorm * inv).sum(axis=-1, keepdims=True) + gvar * (-2.0 / d) * centered.sum(axis=-1, keepdims=True)
+        gx = gnorm * inv + gvar * 2.0 * centered / d + gmu / d
+        h._accumulate(gx)
+        delta._accumulate(gx)
+        gain._accumulate((g * norm).sum(axis=0))
+        bias._accumulate(g.sum(axis=0))
+
+    return _make(data, (h, delta, gain, bias), backward)
 
 
 def gather(table: Tensor, idx) -> Tensor:
@@ -393,40 +398,6 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
         a._accumulate(full)
 
     return _make(a.data[start:stop].copy(), (a,), backward)
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Per-row standardization along the last axis, then affine."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    norm = centered * inv
-    data = norm * gain.data + bias.data
-    d = x.shape[-1]
-
-    def backward(g: np.ndarray) -> None:
-        gnorm = g * gain.data
-        gvar = (gnorm * centered).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
-        gmu = -(gnorm * inv).sum(axis=-1, keepdims=True) + gvar * (-2.0 / d) * centered.sum(axis=-1, keepdims=True)
-        gx = gnorm * inv + gvar * 2.0 * centered / d + gmu / d
-        x._accumulate(gx)
-        gain._accumulate(_unbroadcast(g * norm, gain.shape))
-        bias._accumulate(_unbroadcast(g, bias.shape))
-
-    return _make(data, (x, gain, bias), backward)
-
-
-def gelu(a: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
-    cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
-    data = a.data * cdf
-
-    def backward(g: np.ndarray) -> None:
-        pdf = np.exp(-0.5 * a.data**2) * _INV_SQRT2PI
-        a._accumulate(g * (cdf + a.data * pdf))
-
-    return _make(data, (a,), backward)
 
 
 IGNORE_INDEX = -100

@@ -18,6 +18,7 @@ from .labeling import F1Accumulator, bio_decode
 from .model import EncodedDoc, Model, ModelConfig, check_field_types, config_from_dict, load_model
 from .optim import Adam
 from .synth import load_corpus
+from .tensor import scale
 from .vocab import build_vocab
 
 RADIUS_GRID = (5.0, 10.0, 30.0, 50.0, 100.0)
@@ -162,7 +163,7 @@ def train(
             model.zero_grad()
             batch_loss = 0.0
             for i in batch:
-                loss = model.loss_encoded(encoded[i]) * (1.0 / len(batch))
+                loss = scale(model.loss_encoded(encoded[i]), 1.0 / len(batch))
                 if not np.isfinite(loss.data):
                     raise RuntimeError(
                         f"NaN/inf loss at step {step}; batch docs {sorted(int(j) for j in batch)}"

@@ -29,7 +29,9 @@ class Vocab:
     """Rank-ordered token list with id lookup; unknown pieces map to UNK."""
 
     def __init__(self, tokens: list[str]):
-        if list(tokens[: len(SPECIALS)]) != list(SPECIALS):
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise ValueError("vocabulary must be a list of strings")
+        if tokens[: len(SPECIALS)] != list(SPECIALS):
             tokens = list(SPECIALS) + [t for t in tokens if t not in SPECIALS]
         self.tokens = list(tokens)
         self.ids = {tok: i for i, tok in enumerate(self.tokens)}

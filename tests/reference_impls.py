@@ -13,10 +13,17 @@ numpy are kept here (``dbscan_loop``, ``assign_patch_loop``,
 vectorized code is held to byte-equal outputs against them. So is the
 composed input chain that ``add_lookups`` replaced (``composed_fine_input``,
 ``composed_coarse_input``, ``composed_fuse``): six coordinate ``gather``s
-joined by a column-concatenation op, then one ``add`` per term. So are the
-knowledge detector without its digit gate (``detect_reference``)
-and the document parser that formatted every message up front
-(``parse_document_reference``).
+joined by a column-concatenation op, then one ``add`` per term. So is the
+composed Transformer layer that the three sublayer nodes replaced
+(``composed_transformer_layer``): three head projections, the fused
+softmax, a stacked ``y @ v``, the head merge, then ``add`` and
+``layer_norm`` around the attention and around ``linear``, ``gelu`` and
+``linear``. So are the knowledge detector without its digit gate
+(``detect_reference``) and the document parser that formatted every
+message up front (``parse_document_reference``).
+
+``weighted_sum`` turns any tensor into the scalar loss a gradient check
+needs.
 
 ``document_to_json`` is the compact JSON text of a page, the bytes
 ``save_corpus`` writes for it; tests compare pages through it.
@@ -29,6 +36,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import erf
 
 from docgrain.attention import SpatialIndices, rel_bucket
 from docgrain.commonsense import _DIGIT_RUN, _SPAN_DETECTORS
@@ -45,7 +53,7 @@ from docgrain.document import (
     union_box,
 )
 from docgrain.embeddings import TEXT_TYPE, VISUAL_TYPE
-from docgrain.tensor import Tensor, _make, add, concat_rows, gather, linear
+from docgrain.tensor import Tensor, _affine, _affine_backward, _make, add, concat_rows, gather, linear
 
 NOISE = -1
 
@@ -335,6 +343,159 @@ def composed_coarse_input(model, agg: Tensor, enc) -> Tensor:
 
 def composed_fuse(h_fine: Tensor, h_coarse: Tensor, enc) -> Tensor:
     return add(h_fine, gather(h_coarse, enc.parent_row))
+
+
+def weighted_sum(t: Tensor, weight=None) -> Tensor:
+    """``sum(t * weight)`` as a scalar node (all ones when ``weight`` is
+    None); the backward pass hands ``g * weight`` to ``t``."""
+    w = np.ones_like(t.data) if weight is None else np.broadcast_to(np.asarray(weight, dtype=np.float64), t.shape)
+
+    def backward(g: np.ndarray) -> None:
+        t._accumulate(float(g) * w)
+
+    return _make(np.asarray((t.data * w).sum()), (t,), backward)
+
+
+def stacked_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """One matrix product per leading index of two equal-length stacks; the
+    backward pass computes a gradient only for operands that require one."""
+    if not (a.data.ndim == b.data.ndim == 3 and a.shape[0] == b.shape[0] and a.shape[2] == b.shape[1]):
+        raise ValueError(f"shape mismatch in matmul: {a.shape} vs {b.shape}")
+    data = a.data @ b.data
+
+    def backward(g: np.ndarray) -> None:
+        if a.requires_grad:
+            a._accumulate(g @ b.data.swapaxes(-1, -2))
+        if b.requires_grad:
+            b._accumulate(a.data.swapaxes(-1, -2) @ g)
+
+    return _make(data, (a, b), backward)
+
+
+def project_heads(x: Tensor, w: Tensor, b: Tensor, heads: int, keys: bool = False) -> Tensor:
+    """``x @ w + b`` split column-wise into ``heads`` equal blocks, stacked
+    head-major: (heads, n, d_k), or (heads, d_k, n) with ``keys``."""
+    n, d = x.shape[0], w.shape[1]
+    if d % heads != 0:
+        raise ValueError(f"width {d} not divisible by {heads} heads")
+    split = _affine(x.data, w, b).reshape(n, heads, d // heads)
+    data = np.ascontiguousarray(split.transpose((1, 2, 0) if keys else (1, 0, 2)))
+
+    def backward(g: np.ndarray) -> None:
+        g_split = g.transpose((2, 0, 1) if keys else (1, 0, 2))
+        _affine_backward(x, w, b, g_split.reshape(n, d))
+
+    return _make(data, (x, w, b), backward)
+
+
+def merge_heads(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Stacked heads (heads, n, d_k) concatenated column-wise, then ``@ w + b``."""
+    heads, n, dk = a.shape
+    merged = a.data.transpose(1, 0, 2).reshape(n, heads * dk)
+    data = _affine(merged, w, b)
+
+    def backward(g: np.ndarray) -> None:
+        a._accumulate((g @ w.data.T).reshape(n, heads, dk).transpose(1, 0, 2))
+        w._accumulate(merged.T @ g)
+        b._accumulate(g.sum(axis=0))
+
+    return _make(data, (a, w, b), backward)
+
+
+def attention_weights(q: Tensor, kt: Tensor, bias: Tensor | None, scale: float) -> Tensor:
+    """Row-wise ``softmax(q @ kt * scale + bias)`` per head, each head's
+    block computed in place in the output buffer."""
+    heads, n, dk = q.shape
+    y = np.empty((heads, n, kt.shape[2]))
+    for i in range(heads):
+        yi = y[i]
+        np.matmul(q.data[i], kt.data[i], out=yi)
+        yi *= scale
+        if bias is not None:
+            yi += bias.data[i]
+        yi -= yi.max(axis=-1, keepdims=True)
+        np.exp(yi, out=yi)
+        yi /= yi.sum(axis=-1, keepdims=True)
+
+    def backward(g: np.ndarray) -> None:
+        gq = np.empty_like(q.data)
+        gkt = np.empty_like(kt.data)
+        fresh = bias is not None and bias.grad is None
+        if fresh:
+            bias.grad = np.empty_like(bias.data)
+        for i in range(heads):
+            yi, gi = y[i], g[i]
+            gs = bias.grad[i] if fresh else np.empty_like(yi)
+            np.subtract(gi, (gi * yi).sum(axis=-1, keepdims=True), out=gs)
+            gs *= yi
+            if bias is not None and not fresh:
+                bias.grad[i] += gs
+            gs = gs * scale
+            np.matmul(gs, kt.data[i].T, out=gq[i])
+            np.matmul(q.data[i].T, gs, out=gkt[i])
+        q._accumulate(gq)
+        kt._accumulate(gkt)
+
+    return _make(y, (q, kt) if bias is None else (q, kt, bias), backward)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+    """Per-row standardization along the last axis, then affine."""
+    mu = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mu
+    var = (centered**2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    norm = centered * inv
+    data = norm * gain.data + bias.data
+    d = x.shape[-1]
+
+    def backward(g: np.ndarray) -> None:
+        gnorm = g * gain.data
+        gvar = (gnorm * centered).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
+        gmu = -(gnorm * inv).sum(axis=-1, keepdims=True) + gvar * (-2.0 / d) * centered.sum(axis=-1, keepdims=True)
+        gx = gnorm * inv + gvar * 2.0 * centered / d + gmu / d
+        x._accumulate(gx)
+        gain._accumulate((g * norm).sum(axis=0))
+        bias._accumulate(g.sum(axis=0))
+
+    return _make(data, (x, gain, bias), backward)
+
+
+def gelu(a: Tensor) -> Tensor:
+    """Exact (erf-based) GELU."""
+    cdf = 0.5 * (1.0 + erf(a.data * (1.0 / math.sqrt(2.0))))
+    data = a.data * cdf
+
+    def backward(g: np.ndarray) -> None:
+        pdf = np.exp(-0.5 * a.data**2) * (1.0 / math.sqrt(2.0 * math.pi))
+        a._accumulate(g * (cdf + a.data * pdf))
+
+    return _make(data, (a,), backward)
+
+
+def composed_self_attention(h, wq, bq, wk, bk, wv, bv, wo, bo, heads, bias) -> Tensor:
+    q = project_heads(h, wq, bq, heads)
+    kt = project_heads(h, wk, bk, heads, keys=True)
+    v = project_heads(h, wv, bv, heads)
+    weights = attention_weights(q, kt, bias, 1.0 / math.sqrt(q.shape[2]))
+    return merge_heads(stacked_matmul(weights, v), wo, bo)
+
+
+def composed_gelu_ffn(h, w1, b1, w2, b2) -> Tensor:
+    return linear(gelu(linear(h, w1, b1)), w2, b2)
+
+
+def composed_residual_layer_norm(h, delta, gain, bias) -> Tensor:
+    return layer_norm(add(h, delta), gain, bias)
+
+
+def composed_transformer_layer(h: Tensor, params, heads: int, bias: Tensor | None = None) -> Tensor:
+    """The 13-node post-LN layer the sublayer nodes replaced."""
+    p = params
+    attn = composed_self_attention(h, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo, heads, bias)
+    u = composed_residual_layer_norm(h, attn, p.ln1_gain, p.ln1_bias)
+    ffn = composed_gelu_ffn(u, p.ffn_w1, p.ffn_b1, p.ffn_w2, p.ffn_b2)
+    return composed_residual_layer_norm(u, ffn, p.ln2_gain, p.ln2_bias)
 
 
 def detect_reference(categories: tuple[str, ...], text: str) -> np.ndarray:

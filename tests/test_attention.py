@@ -14,7 +14,7 @@ from docgrain.attention import (
 )
 from docgrain.tensor import Tensor, grad_check
 
-from .reference_impls import attention_oracle
+from .reference_impls import attention_oracle, composed_transformer_layer, layer_norm, weighted_sum
 
 RNG = np.random.default_rng(1)
 BUCKETS, MAX_DISTANCE = 32, 1000  # the ModelConfig defaults
@@ -235,8 +235,6 @@ class TestSpatialMha:
 
 class TestTransformerLayer:
     def test_zero_output_projections_collapse_to_double_norm(self):
-        from docgrain.tensor import layer_norm
-
         d = 8
         params = make_layer(d, zero_outputs=True)
         h = Tensor(RNG.normal(size=(4, d)))
@@ -261,11 +259,35 @@ class TestTransformerLayer:
         w = Tensor(RNG.normal(size=(3, d)))
 
         def f(t):
-            from docgrain.tensor import mul
-
-            return mul(transformer_layer(t, params, 2, spatial_bias(bias, idx)), w).sum()
+            return weighted_sum(transformer_layer(t, params, 2, spatial_bias(bias, idx)), w.data)
 
         assert grad_check(f, h) < 1e-6
         for name in ("wq", "wo", "ffn_w1", "ln1_gain", "ln2_bias"):
             assert grad_check(lambda _: f(h), getattr(params, name)) < 1e-6
         assert grad_check(lambda _: f(h), bias.rel_x) < 1e-6
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("n", [1, 7])
+    @pytest.mark.parametrize("spatial", [False, True], ids=["canonical", "spatial"])
+    def test_matches_composed_layer_bit_for_bit(self, heads, n, spatial):
+        """Two stacked layers sharing one spatial bias, against the 13-op
+        composed layer: output and every gradient byte for byte."""
+        d = 8
+        boxes = norm_boxes([(int(x), int(y)) for x, y in np.random.default_rng(n).integers(0, 900, size=(n, 2))])
+        idx = spatial_indices(boxes, list(range(n)), BUCKETS, MAX_DISTANCE)
+        h_data = np.random.default_rng(heads).normal(size=(n, d))
+        upstream = np.random.default_rng(4).normal(size=(n, d))
+        runs = []
+        for layer in (transformer_layer, composed_transformer_layer):
+            stack = [make_layer(d, rng=np.random.default_rng(20 + i)) for i in range(2)]
+            tables = make_bias(BUCKETS, heads, zero=False)
+            h = Tensor(h_data.copy(), requires_grad=True)
+            bias = spatial_bias(tables, idx) if spatial else None
+            out = h
+            for params in stack:
+                out = layer(out, params, heads, bias)
+            weighted_sum(out, upstream).backward()
+            grads = [h.grad] + [getattr(p, name).grad for p in stack for name in vars(p)]
+            grads += [t.grad for t in (tables.rel_1d, tables.rel_x, tables.rel_y) if spatial]
+            runs.append([out.data.tobytes()] + [g.tobytes() for g in grads])
+        assert runs[0] == runs[1]

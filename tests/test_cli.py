@@ -318,6 +318,15 @@ class TestTrainEvalCli:
         assert run(["eval", "--checkpoint", str(bad), "--corpus", corpus]) == 1
         assert "entity types must be strings" in capsys.readouterr().err
 
+    def test_eval_non_string_vocab_token_is_validation_error(self, trained, tmp_path, capsys):
+        root, corpus, ckpt, log = trained
+        tensors, config = load_checkpoint(ckpt)
+        config["vocab"][2] = 7  # once loaded silently, the piece then read as [UNK]
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(str(bad), tensors, config)
+        assert run(["eval", "--checkpoint", str(bad), "--corpus", corpus]) == 1
+        assert "vocabulary must be a list of strings" in capsys.readouterr().err
+
 
 class TestGradcheckCli:
     def test_prints_small_error_and_exits_zero(self, capsys):

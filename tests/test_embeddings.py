@@ -16,7 +16,7 @@ from docgrain.embeddings import (
 )
 from docgrain.graph import patch_boxes
 from docgrain.model import Model, ModelConfig, normalized_coords
-from docgrain.tensor import Tensor, add, add_lookups, gather, matmul
+from docgrain.tensor import Tensor, add, add_lookups, gather
 from docgrain.vocab import SPECIALS, Vocab, build_vocab, tokenize, word_pieces
 
 
@@ -320,7 +320,7 @@ class TestBuildFineInput:
         page = fax_page()
         fine = model.fine_input(model.encode_page(page))
         seq = tokenize(page.words, model.vocab, 24)
-        features = add(matmul(Tensor(patch_raw_features(page, 2, 2)), t.patch_proj_w), t.patch_proj_b)
+        features = Tensor(patch_raw_features(page, 2, 2) @ t.patch_proj_w.data + t.patch_proj_b.data)
 
         def rows(content, token_type, boxes):
             n = content.shape[0]

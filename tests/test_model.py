@@ -3,6 +3,7 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
+import docgrain.model as model_module
 from docgrain.commonsense import CommonSenseInventory, make_inventory
 from docgrain.document import BBox, Page, Segment, Word
 from docgrain.model import Model, ModelConfig, gradcheck_config, stage_summary
@@ -17,6 +18,7 @@ from .reference_impls import (
     composed_coarse_input,
     composed_fine_input,
     composed_fuse,
+    composed_transformer_layer,
     fine_input_oracle,
 )
 
@@ -392,12 +394,47 @@ class TestLookupSumMatchesComposedChain:
 
     def test_tape_nodes_per_document(self):
         # Fine input 4 (word gather, patch linear, concat, lookups), one
-        # spatial bias and two fine layers of 13, aggregate 1, coarse input
-        # 4 (knowledge 2, add, lookups), one coarse layer 13, fuse 1, and
-        # slice, head and loss 3.
+        # spatial bias and two fine layers of 4 (attention, residual norm,
+        # FFN, residual norm), aggregate 1, coarse input 4 (knowledge 2,
+        # add, lookups), one coarse layer of 4, fuse 1, and slice, head and
+        # loss 3.
         page = generate_page(10, 0, SynthParams())
         m = Model(reference_model_config(), build_vocab([page], 2048))
-        assert tape_nodes(m.loss_encoded(m.encode_page(page))) == 53
+        assert tape_nodes(m.loss_encoded(m.encode_page(page))) == 26
+
+
+class TestSublayerNodesMatchComposedLayer:
+    """The model with the attention, FFN and residual-norm nodes against
+    the same model whose Transformer layers are the composed 13-op chain."""
+
+    VARIANTS = {
+        "reference": {},
+        "no-coarse-layer": {"coarse_layers": 0},
+        "no-knowledge": {"commonsense_k": 0},
+        "fine-only": {"use_cross_grained": False},
+    }
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    @pytest.mark.parametrize("params, grid", [(SynthParams(), (4, 4)), (DENSE, (7, 7))], ids=["forms", "dense"])
+    def test_stages_loss_and_gradients(self, params, grid, variant, monkeypatch):
+        pages = [generate_page(47, i, params) for i in range(3)]
+        cfg = replace(reference_model_config(), grid=grid, **self.VARIANTS[variant])
+        vocab = build_vocab(pages, cfg.vocab_size)
+        m, oracle = random_bias_model(cfg, vocab), random_bias_model(cfg, vocab)
+        for page in pages:
+            enc = m.encode_page(page)
+            runs = []
+            for model, layer in ((m, model_module.transformer_layer), (oracle, composed_transformer_layer)):
+                monkeypatch.setattr(model_module, "transformer_layer", layer)
+                with no_grad():
+                    _, stages = model.forward_encoded(enc, collect=True)
+                model.zero_grad()
+                loss = model.loss_encoded(enc)
+                loss.backward()
+                grads = {k: None if p.grad is None else p.grad.tobytes() for k, p in model.params.items()}
+                runs.append((loss.data.tobytes(), {k: t.data.tobytes() for k, t in stages.items()}, grads))
+            monkeypatch.undo()
+            assert runs[0] == runs[1]
 
 
 class TestForward:

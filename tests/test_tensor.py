@@ -9,25 +9,29 @@ from docgrain.tensor import (
     Tensor,
     add,
     add_lookups,
-    attention_weights,
     concat_rows,
     cross_entropy,
     gather,
     gather_heads,
-    gelu,
+    gelu_ffn,
     grad_check,
-    layer_norm,
     linear,
     matmul,
-    merge_heads,
-    mul,
     no_grad,
-    project_heads,
+    residual_layer_norm,
     scale,
+    self_attention,
     slice_rows,
 )
 
-from .reference_impls import softmax
+from .reference_impls import (
+    composed_gelu_ffn,
+    composed_residual_layer_norm,
+    composed_self_attention,
+    softmax,
+    stacked_matmul,
+    weighted_sum,
+)
 
 RNG = np.random.default_rng(0)
 
@@ -38,8 +42,19 @@ def rand(*shape, rg=True):
 
 def check_op(build, theta, tol=1e-6):
     """Finite-difference check of sum(op(theta)) against the tape."""
-    err = grad_check(lambda t: build(t).sum(), theta)
+    err = grad_check(lambda t: weighted_sum(build(t)), theta)
     assert err < tol, f"max relative error {err}"
+
+
+def attention_inputs(n, d, heads, rng, bias=True):
+    """``self_attention``'s tensor arguments, all requiring a gradient:
+    h, then the (weight, bias) pairs of q, k, v and the output, then the
+    (heads, n, n) score bias or None."""
+    def t(*shape, s=0.5):
+        return Tensor(rng.normal(scale=s, size=shape), requires_grad=True)
+
+    args = [t(n, d, s=1.0)] + [x for _ in range(4) for x in (t(d, d), t(d, s=0.1))]
+    return args, (t(heads, n, n, s=1.0) if bias else None)
 
 
 class TestForwardValues:
@@ -81,16 +96,17 @@ class TestForwardValues:
         assert np.max(np.abs(s - 1.0)) < 1e-9
 
     def test_layer_norm_constant_row(self):
-        out = layer_norm(Tensor([[4.0, 4.0, 4.0]]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
+        # the residual sum is normalized: h + delta is constant
+        out = residual_layer_norm(Tensor([[3.0, 4.0, 5.0]]), Tensor([[1.0, 0.0, -1.0]]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
         assert np.allclose(out.data, 0.0)
 
     def test_layer_norm_already_normalized(self):
-        out = layer_norm(Tensor([[1.0, -1.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)))
+        out = residual_layer_norm(Tensor([[1.0, -1.0]]), Tensor(np.zeros((1, 2))), Tensor(np.ones(2)), Tensor(np.zeros(2)))
         assert np.allclose(out.data, [[1.0, -1.0]], atol=1e-5)
 
     def test_layer_norm_statistics(self):
-        x = RNG.normal(size=(4, 32)) * 3 + 1
-        out = layer_norm(Tensor(x), Tensor(np.ones(32)), Tensor(np.zeros(32))).data
+        x, delta = RNG.normal(size=(4, 32)) * 3 + 1, RNG.normal(size=(4, 32))
+        out = residual_layer_norm(Tensor(x - delta), Tensor(delta), Tensor(np.ones(32)), Tensor(np.zeros(32))).data
         assert np.max(np.abs(out.mean(axis=-1))) < 1e-9
         assert np.max(np.abs(out.var(axis=-1) - 1.0)) < 1e-4
 
@@ -117,46 +133,60 @@ class TestForwardValues:
     def test_add_shape_error(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             add(rand(2, 3), rand(3, 3))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            add(rand(4, 3), rand(3))  # no broadcasting
 
     def test_gather_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             gather(rand(4, 2), [0, 4])
 
     def test_matmul_stacked_matches_per_matrix(self):
+        # stacks are the composed attention oracle's; matmul takes matrices only
         a, b = RNG.normal(size=(3, 4, 5)), RNG.normal(size=(3, 5, 2))
-        got = matmul(Tensor(a), Tensor(b)).data
+        got = stacked_matmul(Tensor(a), Tensor(b)).data
         assert np.array_equal(got, np.stack([a[i] @ b[i] for i in range(3)]))
         with pytest.raises(ValueError, match=r"\(3, 4, 5\) vs \(2, 5, 2\)"):
-            matmul(Tensor(a), rand(2, 5, 2))
+            stacked_matmul(Tensor(a), rand(2, 5, 2))
+        with pytest.raises(ValueError, match=r"\(3, 4, 5\) vs \(3, 5, 2\)"):
+            matmul(Tensor(a), Tensor(b))
 
     def test_project_heads_is_column_blocks(self):
-        x, w, b = RNG.normal(size=(5, 4)), RNG.normal(size=(4, 6)), RNG.normal(size=6)
-        full = x @ w + b
-        q = project_heads(Tensor(x), Tensor(w), Tensor(b), 3).data
-        kt = project_heads(Tensor(x), Tensor(w), Tensor(b), 3, keys=True).data
-        assert q.shape == (3, 5, 2) and kt.shape == (3, 2, 5)
-        for i in range(3):
-            assert np.array_equal(q[i], full[:, 2 * i : 2 * i + 2])
-            assert np.array_equal(kt[i], full[:, 2 * i : 2 * i + 2].T)
+        # head i attends with columns i*d_k:(i+1)*d_k of q, k and v, and
+        # writes the same columns of the merged output
+        n, d, heads = 5, 6, 3
+        (h, wq, bq, wk, bk, wv, bv, wo, bo), bias = attention_inputs(n, d, heads, RNG)
+        got = self_attention(h, wq, bq, wk, bk, wv, bv, wo, bo, heads, bias).data
+        q, k, v = (h.data @ w.data + b.data for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+        merged = np.zeros((n, d))
+        for i in range(heads):
+            cols = slice(2 * i, 2 * i + 2)
+            weights = softmax(q[:, cols] @ k[:, cols].T / math.sqrt(2) + bias.data[i])
+            merged[:, cols] = weights @ v[:, cols]
+        assert np.max(np.abs(got - (merged @ wo.data + bo.data))) < 1e-12
         with pytest.raises(ValueError, match="not divisible"):
-            project_heads(Tensor(x), Tensor(w), Tensor(b), 4)
+            self_attention(h, wq, bq, wk, bk, wv, bv, wo, bo, 4, None)
 
     def test_merge_heads_inverts_project_heads(self):
-        x = RNG.normal(size=(5, 6))
+        # one row attends only to itself: identity projections give h back
+        x = RNG.normal(size=(1, 6))
         eye, zero = Tensor(np.eye(6)), Tensor(np.zeros(6))
-        heads = project_heads(Tensor(x), eye, zero, 3)
-        assert np.array_equal(merge_heads(heads, eye, zero).data, x)
+        out = self_attention(Tensor(x), eye, zero, eye, zero, eye, zero, eye, zero, 3, None)
+        assert np.array_equal(out.data, x)
 
     def test_attention_weights_match_composed_softmax(self):
-        q, kt, bias = RNG.normal(size=(2, 4, 3)), RNG.normal(size=(2, 3, 5)), RNG.normal(size=(2, 4, 5))
-        bias[1, 2, 0] = -50.0
-        got = attention_weights(Tensor(q), Tensor(kt), Tensor(bias), 0.5).data
-        want = softmax(q @ kt * 0.5 + bias)
-        assert np.array_equal(got, want)
-        plain = attention_weights(Tensor(q), Tensor(kt), None, 0.5).data
-        assert np.array_equal(plain, softmax(q @ kt * 0.5))
-        with pytest.raises(ValueError, match="shape mismatch"):
-            attention_weights(Tensor(q), Tensor(kt), Tensor(bias[:, :3]), 0.5)
+        n, d, heads = 4, 6, 2
+        (h, wq, bq, wk, bk, wv, bv, wo, bo), bias = attention_inputs(n, d, heads, RNG)
+        bias.data[1, 2, 0] = -50.0
+        q = (h.data @ wq.data + bq.data).reshape(n, heads, 3).transpose(1, 0, 2)
+        kt = (h.data @ wk.data + bk.data).reshape(n, heads, 3).transpose(1, 2, 0)
+        v = (h.data @ wv.data + bv.data).reshape(n, heads, 3).transpose(1, 0, 2)
+        for b, extra in ((bias, bias.data), (None, 0.0)):
+            weights = softmax(np.ascontiguousarray(q) @ np.ascontiguousarray(kt) * (1.0 / math.sqrt(3)) + extra)
+            want = (weights @ np.ascontiguousarray(v)).transpose(1, 0, 2).reshape(n, d) @ wo.data + bo.data
+            got = self_attention(h, wq, bq, wk, bk, wv, bv, wo, bo, heads, b).data
+            assert np.array_equal(got, want)
+        with pytest.raises(ValueError, match="attention bias of shape"):
+            self_attention(h, wq, bq, wk, bk, wv, bv, wo, bo, heads, Tensor(bias.data[:, :3]))
 
     def test_gather_heads_sums_columns(self):
         t1, t2 = RNG.normal(size=(6, 2)), RNG.normal(size=(4, 2))
@@ -184,16 +214,6 @@ class TestForwardValues:
 
 
 class TestGradients:
-    def test_add_broadcast_rows(self):
-        a = rand(4, 3)
-        b = rand(3)
-        check_op(lambda t: add(t, b), a)
-        check_op(lambda t: add(a, t), b)
-
-    def test_mul(self):
-        a, b = rand(3, 4), rand(3, 4)
-        check_op(lambda t: mul(t, b), a)
-
     def test_scale_and_neg(self):
         check_op(lambda t: scale(t, -2.5), rand(3, 3))
 
@@ -204,20 +224,24 @@ class TestGradients:
 
     def test_matmul_stacked(self):
         a, b = rand(3, 4, 5), rand(3, 5, 2)
-        check_op(lambda t: matmul(t, b), a)
-        check_op(lambda t: matmul(a, t), b)
+        check_op(lambda t: stacked_matmul(t, b), a)
+        check_op(lambda t: stacked_matmul(a, t), b)
 
-    @pytest.mark.parametrize("shapes", [((4, 5), (5, 2)), ((3, 4, 5), (3, 5, 2))], ids=["matrix", "stacked"])
-    def test_matmul_skips_constant_operand(self, shapes):
+    @pytest.mark.parametrize(
+        "op, shapes",
+        [(matmul, ((4, 5), (5, 2))), (stacked_matmul, ((3, 4, 5), (3, 5, 2)))],
+        ids=["matrix", "stacked"],
+    )
+    def test_matmul_skips_constant_operand(self, op, shapes):
         a_data, b_data = RNG.normal(size=shapes[0]), RNG.normal(size=shapes[1])
         g = RNG.normal(size=(a_data @ b_data).shape)
         for const_left in (True, False):
             const = Tensor(a_data if const_left else b_data)
             live = Tensor(b_data if const_left else a_data, requires_grad=True)
             both = [Tensor(a_data, requires_grad=True), Tensor(b_data, requires_grad=True)]
-            out = matmul(const, live) if const_left else matmul(live, const)
-            mul(out, Tensor(g)).sum().backward()
-            mul(matmul(*both), Tensor(g)).sum().backward()
+            out = op(const, live) if const_left else op(live, const)
+            weighted_sum(out, g).backward()
+            weighted_sum(op(*both), g).backward()
             assert const.grad is None
             assert np.array_equal(live.grad, both[1 if const_left else 0].grad)
 
@@ -228,33 +252,45 @@ class TestGradients:
         check_op(lambda t: linear(x, w, t), b)
 
     def test_project_heads_transposed_keys(self):
-        # (heads, n, d_k) for queries and values, (heads, d_k, n) for keys
-        x, w, b = rand(4, 5), rand(5, 6), rand(6)
-        for keys, shape in ((False, (2, 4, 3)), (True, (2, 3, 4))):
-            weight = Tensor(RNG.normal(size=shape))
-            check_op(lambda t: mul(project_heads(t, w, b, 2, keys), weight), x)
-            check_op(lambda t: mul(project_heads(x, t, b, 2, keys), weight), w)
-            check_op(lambda t: mul(project_heads(x, w, t, 2, keys), weight), b)
+        # the query, key and value projections, keys held as (heads, d_k, n)
+        args, bias = attention_inputs(4, 6, 2, np.random.default_rng(11))
+        weight = RNG.normal(size=(4, 6))
+        for b in (None, bias):
+            def build(t, slot, b=b):
+                return weighted_sum(self_attention(*args[:slot], t, *args[slot + 1 :], 2, b), weight)
+
+            for slot in (1, 2, 3, 5, 6):  # wq, bq, wk, wv, bv
+                check_op(lambda t, slot=slot: build(t, slot), args[slot])
+            # A key bias moves every score of a row alike, which the softmax
+            # ignores: its gradient vanishes.
+            bk = args[4]
+            bk.zero_grad()
+            build(bk, 4).backward()
+            assert np.max(np.abs(bk.grad)) < 1e-12
+            bk.zero_grad()
 
     def test_merge_heads(self):
-        a, w, b = rand(3, 4, 2), rand(6, 5), rand(5)
-        weight = Tensor(RNG.normal(size=(4, 5)))
-        check_op(lambda t: mul(merge_heads(t, w, b), weight), a)
-        check_op(lambda t: mul(merge_heads(a, t, b), weight), w)
-        check_op(lambda t: mul(merge_heads(a, w, t), weight), b)
+        # the head merge and the output projection
+        args, bias = attention_inputs(4, 6, 3, np.random.default_rng(12))
+        weight = RNG.normal(size=(4, 6))
+        for slot in (7, 8):
+            check_op(lambda t, slot=slot: weighted_sum(self_attention(*args[:slot], t, *args[slot + 1 :], 3, bias), weight), args[slot])
 
     def test_attention_weights(self):
-        # weighted, since each softmax row sums to one whatever the scores
-        q, kt = rand(2, 4, 3), rand(2, 3, 5)
-        bias = Tensor(RNG.normal(size=(2, 4, 5)), requires_grad=True)
+        # the rows attend through the softmax weights; the bias enters them
+        # directly, and one bias shared by two layers receives both gradients
+        (h, *params), bias = attention_inputs(4, 6, 2, np.random.default_rng(13))
         bias.data[0, 1, 3] = -50.0  # a row with a vanishing weight
-        weight = Tensor(RNG.normal(size=(2, 4, 5)))
+        weight = RNG.normal(size=(4, 6))
         for b in (None, bias):
-            check_op(lambda t: mul(attention_weights(t, kt, b, 0.7), weight), q)
-            check_op(lambda t: mul(attention_weights(q, t, b, 0.7), weight), kt)
-        check_op(lambda t: mul(attention_weights(q, kt, t, 0.7), weight), bias)
-        # one bias shared by two layers receives the sum of both gradients
-        check_op(lambda t: mul(add(attention_weights(q, kt, t, 0.7), attention_weights(q, kt, t, -0.3)), weight), bias)
+            check_op(lambda t, b=b: weighted_sum(self_attention(t, *params, 2, b), weight), h)
+        check_op(lambda t: weighted_sum(self_attention(h, *params, 2, t), weight), bias)
+        (_, *other), _ = attention_inputs(4, 6, 2, np.random.default_rng(14))
+
+        def shared(t):
+            return add(self_attention(h, *params, 2, t), self_attention(h, *other, 2, t))
+
+        check_op(lambda t: weighted_sum(shared(t), weight), bias)
 
     def test_gather_repeated_indices(self):
         table = rand(5, 3)
@@ -264,9 +300,9 @@ class TestGradients:
     def test_gather_heads_repeated_indices(self):
         t1, t2 = rand(6, 2), rand(4, 2)
         i1, i2 = np.array([[0, 1], [5, 5]]), np.array([[3, 3], [3, 0]])
-        weight = Tensor(RNG.normal(size=(2, 2, 2)))
-        check_op(lambda t: mul(gather_heads([t, t2], [i1, i2]), weight), t1)
-        check_op(lambda t: mul(gather_heads([t1, t], [i1, i2]), weight), t2)
+        weight = RNG.normal(size=(2, 2, 2))
+        check_op(lambda t: weighted_sum(gather_heads([t, t2], [i1, i2]), weight), t1)
+        check_op(lambda t: weighted_sum(gather_heads([t1, t], [i1, i2]), weight), t2)
 
     def test_concat_and_slices(self):
         a, b = rand(2, 3), rand(4, 3)
@@ -277,25 +313,26 @@ class TestGradients:
         # itself a tape node (as in the fuse step)
         x, t1, t2 = rand(4, 7), rand(6, 2), rand(3, 5)
         i1, i2 = np.array([0, 5, 5, 0]), np.array([2, 2, 2, 1])
-        weight = Tensor(RNG.normal(size=(4, 7)))
+        weight = RNG.normal(size=(4, 7))
 
         def build(x, t1, t2):
             lookups = [(t1, i1, 0), (scale(t2, 1.5), i2, 2), (t1, i1[::-1], 5)]
-            return mul(add_lookups(x, lookups), weight)
+            return weighted_sum(add_lookups(x, lookups), weight)
 
         check_op(lambda t: build(t, t1, t2), x)
         check_op(lambda t: build(x, t, t2), t1)
         check_op(lambda t: build(x, t1, t), t2)
 
     def test_layer_norm(self):
-        x, g, b = rand(4, 8), rand(8), rand(8)
-        w = Tensor(RNG.normal(size=(4, 8)))
-        check_op(lambda t: mul(layer_norm(t, g, b), w), x)
-        check_op(lambda t: mul(layer_norm(x, t, b), w), g)
-        check_op(lambda t: mul(layer_norm(x, g, t), w), b)
+        args = [rand(4, 8), rand(4, 8), rand(8), rand(8)]  # h, delta, gain, bias
+        w = RNG.normal(size=(4, 8))
+        for slot in range(4):
+            check_op(lambda t, slot=slot: weighted_sum(residual_layer_norm(*args[:slot], t, *args[slot + 1 :]), w), args[slot])
 
     def test_gelu(self):
-        check_op(lambda t: gelu(t), rand(4, 6))
+        args = [rand(4, 6), rand(6, 12), rand(12), rand(12, 6), rand(6)]  # h, w1, b1, w2, b2
+        for slot in range(5):
+            check_op(lambda t, slot=slot: gelu_ffn(*args[:slot], t, *args[slot + 1 :]), args[slot])
 
     def test_cross_entropy(self):
         logits = rand(5, 4)
@@ -304,23 +341,20 @@ class TestGradients:
         assert err < 1e-6
 
     def test_softmax_cross_entropy_composite(self):
-        # attention-style composition ending in a cross-entropy loss
+        # attention ending in a cross-entropy loss
         h = rand(4, 6)
         w = Tensor(RNG.normal(size=(6, 3)))
         targets = np.array([0, 2, 1, 0])
-
         eye, zero = Tensor(np.eye(6)), Tensor(np.zeros(6))
 
         def f(t):
-            q = project_heads(t, eye, zero, 1)
-            weights = attention_weights(q, project_heads(t, eye, zero, 1, keys=True), None, 1.0)
-            return cross_entropy(merge_heads(matmul(weights, q), w, Tensor(np.zeros(3))), targets)
+            return cross_entropy(self_attention(t, eye, zero, eye, zero, eye, zero, w, Tensor(np.zeros(3)), 1, None), targets)
 
         assert grad_check(f, h) < 1e-6
 
     def test_grad_check_polynomial(self):
-        theta = Tensor([3.0], requires_grad=True)
-        err = grad_check(lambda t: mul(t, t).sum(), theta)
+        theta = Tensor([[3.0]], requires_grad=True)
+        err = grad_check(lambda t: weighted_sum(matmul(t, t)), theta)
         assert err < 1e-8
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -329,20 +363,82 @@ class TestGradients:
             return _make(t.data * 2.0, (t,), lambda g: t._accumulate(np.full_like(t.data, bad)))
 
         theta = Tensor([1.0, 2.0], requires_grad=True)
-        assert grad_check(lambda t: op(t).sum(), theta) == math.inf
+        assert grad_check(lambda t: weighted_sum(op(t)), theta) == math.inf
 
     def test_grad_check_rejects_nonfinite(self):
         theta = Tensor([1.0], requires_grad=True)
         with pytest.raises(ValueError, match="not finite"):
-            grad_check(lambda t: mul(t, Tensor([np.inf])).sum(), theta)
+            grad_check(lambda t: weighted_sum(scale(t, math.inf)), theta)
+
+
+def twin(tensors):
+    """Fresh leaves holding copies of the same data."""
+    return [None if t is None else Tensor(t.data.copy(), requires_grad=True) for t in tensors]
+
+
+def node_and_oracle(node, oracle, inputs, preset=()):
+    """Forward and backward of ``node`` and of ``oracle`` on twin inputs,
+    under one random upstream gradient; the inputs at the ``preset`` slots
+    start with a gradient already there, as a shared tensor's would.
+    Returns each run's output and input gradients as bytes."""
+    runs = []
+    upstream = None
+    for fn in (node, oracle):
+        args = twin(inputs)
+        for slot in preset:
+            args[slot].grad = np.linspace(-1.0, 1.0, args[slot].data.size).reshape(args[slot].shape)
+        out = fn(*args)
+        if upstream is None:
+            upstream = np.random.default_rng(7).normal(size=out.shape)
+        weighted_sum(out, upstream).backward()
+        runs.append([out.data.tobytes()] + [None if a is None else a.grad.tobytes() for a in args])
+    return runs
+
+
+class TestSublayerNodesMatchComposedChain:
+    """Each sublayer node against the composed ops it replaced: the output
+    and every input gradient byte for byte."""
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("n", [1, 6])
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
+    def test_self_attention(self, heads, n, with_bias):
+        args, bias = attention_inputs(n, 8, heads, np.random.default_rng(heads * 10 + n), bias=with_bias)
+        # Fresh gradients; then h holding the residual's gradient, and a
+        # bias holding an earlier layer's, both of which are added to.
+        for preset in [(), (0,)] + ([(0, 9)] if with_bias else []):
+            got, want = node_and_oracle(
+                lambda *a: self_attention(*a[:9], heads, a[9]),
+                lambda *a: composed_self_attention(*a[:9], heads, a[9]),
+                [*args, bias],
+                preset,
+            )
+            assert got == want, preset
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_gelu_ffn(self, n):
+        rng = np.random.default_rng(n)
+        inputs = [Tensor(rng.normal(size=shape)) for shape in ((n, 8), (8, 32), (32,), (32, 8), (8,))]
+        got, want = node_and_oracle(gelu_ffn, composed_gelu_ffn, inputs)
+        assert got == want
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_residual_layer_norm(self, n):
+        rng = np.random.default_rng(n)
+        inputs = [Tensor(rng.normal(size=shape)) for shape in ((n, 8), (n, 8), (8,), (8,))]
+        got, want = node_and_oracle(residual_layer_norm, composed_residual_layer_norm, inputs)
+        assert got == want
+        # h holding a gradient already: the residual term is added to it
+        got, want = node_and_oracle(residual_layer_norm, composed_residual_layer_norm, inputs, preset=(0,))
+        assert got == want
 
 
 class TestTapeMechanics:
     def test_accumulation_through_reuse(self):
-        x = Tensor([2.0], requires_grad=True)
-        y = add(mul(x, x), mul(x, x))
-        y.sum().backward()
-        assert x.grad[0] == pytest.approx(8.0)
+        x = Tensor([[2.0]], requires_grad=True)
+        y = add(matmul(x, x), matmul(x, x))
+        weighted_sum(y).backward()
+        assert x.grad[0, 0] == pytest.approx(8.0)
 
     def test_backward_requires_scalar(self):
         with pytest.raises(ValueError, match="scalar"):
@@ -351,12 +447,12 @@ class TestTapeMechanics:
     def test_no_grad_suppresses_tape(self):
         x = rand(2, 2)
         with no_grad():
-            y = mul(x, x)
+            y = matmul(x, x)
         assert y._backward is None and not y.requires_grad
 
     def test_zero_grad(self):
         x = rand(2, 2)
-        mul(x, x).sum().backward()
+        weighted_sum(matmul(x, x)).backward()
         assert x.grad is not None
         x.zero_grad()
         assert x.grad is None
@@ -366,5 +462,5 @@ class TestTapeMechanics:
         y = x
         for _ in range(3000):
             y = add(y, x)
-        y.sum().backward()
+        weighted_sum(y).backward()
         assert x.grad[0] == pytest.approx(3001.0)

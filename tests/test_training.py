@@ -22,7 +22,7 @@ from docgrain.training import (
     train,
     write_ablation_csv,
 )
-from docgrain.vocab import build_vocab
+from docgrain.vocab import PAD_TOKEN, UNK_TOKEN, build_vocab
 
 SMALL_MODEL = dict(d=12, heads=2, fine_layers=1, coarse_layers=1, vocab_size=512, max_len=256, grid=(2, 2), commonsense_k=4)
 
@@ -241,6 +241,20 @@ class TestCheckpointFormat:
         config[key] = value
         save_checkpoint(path, tensors, config)
         with pytest.raises(CheckpointError, match="invalid checkpoint config"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "vocab",
+        [[PAD_TOKEN, UNK_TOKEN, 7], [PAD_TOKEN, UNK_TOKEN, None], "xyz"],
+        ids=["int-token", "null-token", "bare-string"],
+    )
+    def test_vocab_of_non_strings_rejected(self, tmp_path, vocab):
+        # A number where a token was, or a bare string (once read as a
+        # vocabulary of its characters), is a corrupt header.
+        path, tensors, config = self.saved_model(tmp_path)
+        config["vocab"] = vocab
+        save_checkpoint(path, tensors, config)
+        with pytest.raises(CheckpointError, match="invalid checkpoint config: vocabulary must be a list of strings"):
             load_model(path)
 
     @pytest.mark.parametrize("key, value", [("heads", 0), ("grid", [2]), ("rel_buckets", 5), ("radius", -1.0)])

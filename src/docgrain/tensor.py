@@ -11,6 +11,11 @@ affine), ``gelu_ffn`` and ``residual_layer_norm``. Their arithmetic order,
 including the order in which gradients are added into a shared input, is
 fixed: the tests hold their outputs and gradients byte-equal to chains of
 single-step reference ops.
+
+A backward closure hands the gradient arrays it has just allocated to
+``_accumulate``, and a first one becomes ``.grad`` without a copy. A
+gradient that another tensor also receives, or a view of one, goes through
+``_accumulate_shared``, which copies it, so no two gradients share memory.
 """
 
 from __future__ import annotations
@@ -64,8 +69,18 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
+        """Add ``g`` into ``.grad``. A first ``g`` becomes ``.grad`` itself,
+        so the caller hands over an array that nothing else holds."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
+            self.grad = g
+        else:
+            self.grad += g
+
+    def _accumulate_shared(self, g: np.ndarray) -> None:
+        """Add ``g`` into ``.grad``, copying a first ``g`` that another
+        tensor's gradient holds or views."""
+        if self.grad is None:
+            self.grad = g.copy(order="K")
         else:
             self.grad += g
 
@@ -85,8 +100,10 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
+            # Leaves have nothing to run; leaving them out keeps the order
+            # of the nodes that do.
             for p in node._parents:
-                if id(p) not in seen:
+                if p._backward is not None and id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
@@ -113,8 +130,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g)
-        b._accumulate(g)
+        a._accumulate_shared(g)
+        b._accumulate_shared(g)
 
     return _make(data, (a, b), backward)
 
@@ -157,11 +174,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def _affine(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
     if x.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ValueError(f"shape mismatch in linear: {x.shape} @ {w.shape} + {b.shape}")
-    return x @ w.data + b.data
+    out = x @ w.data
+    out += b.data
+    return out
 
 
 def _affine_backward(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray) -> None:
-    x._accumulate(g @ w.data.T)
+    if x.requires_grad:
+        x._accumulate(g @ w.data.T)
     w._accumulate(x.data.T @ g)
     b._accumulate(g.sum(axis=0))
 
@@ -187,7 +207,8 @@ def self_attention(
     ``softmax(q_i @ k_i.T / sqrt(d_k) + bias[i])`` row-wise, with ``bias``
     (heads, n, n) or None. The heads' ``weights @ v_i`` are concatenated
     column-wise, then ``@ wo + bo``. The weights of all heads are computed
-    in place in one (heads, n, n) buffer, which the backward pass reuses.
+    in place in one (heads, n, n) buffer, which the backward pass reuses,
+    and the softmax and its gradient run over all heads at once.
     """
     n, d = h.shape[0], wq.shape[1]
     if d % heads != 0:
@@ -200,16 +221,13 @@ def self_attention(
     kt = np.ascontiguousarray(_affine(h.data, wk, bk).reshape(n, heads, dk).transpose(1, 2, 0))
     v = np.ascontiguousarray(_affine(h.data, wv, bv).reshape(n, heads, dk).transpose(1, 0, 2))
     score_scale = 1.0 / math.sqrt(dk)
-    y = np.empty((heads, n, n))
-    for i in range(heads):
-        yi = y[i]
-        np.matmul(q[i], kt[i], out=yi)
-        yi *= score_scale
-        if bias is not None:
-            yi += bias.data[i]
-        yi -= yi.max(axis=-1, keepdims=True)
-        np.exp(yi, out=yi)
-        yi /= yi.sum(axis=-1, keepdims=True)
+    y = q @ kt
+    y *= score_scale
+    if bias is not None:
+        y += bias.data
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
     merged = (y @ v).transpose(1, 0, 2).reshape(n, d)
     data = _affine(merged, wo, bo)
 
@@ -219,23 +237,15 @@ def self_attention(
         bo._accumulate(g.sum(axis=0))
         g_y = g_heads @ v.swapaxes(-1, -2)
         gv = y.swapaxes(-1, -2) @ g_heads
-        gq = np.empty_like(q)
-        gkt = np.empty_like(kt)
-        # The bias gradient is the score gradient itself: write it straight
-        # into a fresh bias.grad, or add it to one an earlier layer left.
-        fresh = bias is not None and bias.grad is None
-        if fresh:
-            bias.grad = np.empty_like(bias.data)
-        for i in range(heads):
-            yi, gi = y[i], g_y[i]
-            gs = bias.grad[i] if fresh else np.empty_like(yi)
-            np.subtract(gi, (gi * yi).sum(axis=-1, keepdims=True), out=gs)
-            gs *= yi
-            if bias is not None and not fresh:
-                bias.grad[i] += gs
-            gs = gs * score_scale
-            np.matmul(gs, kt[i].T, out=gq[i])
-            np.matmul(q[i].T, gs, out=gkt[i])
+        # The score gradient is the bias gradient itself: it becomes a fresh
+        # bias.grad, or is added to one an earlier layer left.
+        gs = g_y - (g_y * y).sum(axis=-1, keepdims=True)
+        gs *= y
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(gs)
+        gs = gs * score_scale
+        gq = gs @ kt.swapaxes(-1, -2)
+        gkt = q.swapaxes(-1, -2) @ gs
         # Back to (n, d) column blocks; h receives q's term, then k's, then v's.
         _affine_backward(h, wq, bq, gq.transpose(1, 0, 2).reshape(n, d))
         _affine_backward(h, wk, bk, gkt.transpose(2, 0, 1).reshape(n, d))
@@ -249,7 +259,11 @@ def gelu_ffn(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tenso
     """``gelu(h @ w1 + b1) @ w2 + b2`` with the exact (erf-based) GELU, as
     one node that keeps the pre-activation and its normal cdf."""
     pre = _affine(h.data, w1, b1)
-    cdf = 0.5 * (1.0 + erf(pre * _INV_SQRT2))
+    # cdf = 0.5 * (1 + erf(pre / sqrt(2))), one buffer
+    cdf = pre * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     act = pre * cdf
     data = _affine(act, w2, b2)
 
@@ -257,8 +271,15 @@ def gelu_ffn(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tenso
         g_act = g @ w2.data.T
         w2._accumulate(act.T @ g)
         b2._accumulate(g.sum(axis=0))
-        pdf = np.exp(-0.5 * pre**2) * _INV_SQRT2PI
-        _affine_backward(h, w1, b1, g_act * (cdf + pre * pdf))
+        # g_act * (cdf + pre * pdf), pdf = exp(-pre**2 / 2) / sqrt(2 pi), one buffer
+        g_pre = np.square(pre)
+        g_pre *= -0.5
+        np.exp(g_pre, out=g_pre)
+        g_pre *= _INV_SQRT2PI
+        g_pre *= pre
+        g_pre += cdf
+        g_pre *= g_act
+        _affine_backward(h, w1, b1, g_pre)
 
     return _make(data, (h, w1, b1, w2, b2), backward)
 
@@ -269,22 +290,33 @@ def residual_layer_norm(h: Tensor, delta: Tensor, gain: Tensor, bias: Tensor) ->
     d = h.shape[-1]
     if h.data.ndim != 2 or delta.shape != h.shape or gain.shape != (d,) or bias.shape != (d,):
         raise ValueError(f"residual_layer_norm shapes: {h.shape} + {delta.shape}, gain {gain.shape}, bias {bias.shape}")
-    x = h.data + delta.data
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
+    centered = h.data + delta.data
+    centered -= centered.mean(axis=-1, keepdims=True)
+    var = np.square(centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     norm = centered * inv
-    data = norm * gain.data + bias.data
+    data = norm * gain.data
+    data += bias.data
 
     def backward(g: np.ndarray) -> None:
-        gnorm = g * gain.data
-        gvar = (gnorm * centered).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
-        gmu = -(gnorm * inv).sum(axis=-1, keepdims=True) + gvar * (-2.0 / d) * centered.sum(axis=-1, keepdims=True)
-        gx = gnorm * inv + gvar * 2.0 * centered / d + gmu / d
+        # With gnorm = g * gain:
+        #   gvar = sum(gnorm * centered) * -0.5 * inv**3
+        #   gmu = -sum(gnorm * inv) + gvar * (-2 / d) * sum(centered)
+        #   gx = gnorm * inv + gvar * 2 * centered / d + gmu / d
+        # in two buffers, gx and one scratch.
+        gx = g * gain.data
+        scratch = gx * centered
+        gx *= inv
+        gvar = scratch.sum(axis=-1, keepdims=True) * (-0.5) * inv**3
+        gmu = -gx.sum(axis=-1, keepdims=True) + gvar * (-2.0 / d) * centered.sum(axis=-1, keepdims=True)
+        np.multiply(gvar * 2.0, centered, out=scratch)
+        scratch /= d
+        gx += scratch
+        gx += gmu / d
         h._accumulate(gx)
-        delta._accumulate(gx)
-        gain._accumulate((g * norm).sum(axis=0))
+        delta._accumulate_shared(gx)
+        np.multiply(g, norm, out=scratch)
+        gain._accumulate(scratch.sum(axis=0))
         bias._accumulate(g.sum(axis=0))
 
     return _make(data, (h, delta, gain, bias), backward)
@@ -303,11 +335,26 @@ def gather(table: Tensor, idx) -> Tensor:
     data = table.data[idx]
 
     def backward(g: np.ndarray) -> None:
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx, g)
+        _scatter_add(table, idx, g)
 
     return _make(data, (table,), backward)
+
+
+def _scatter_add(table: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
+    """``table.grad[idx[i]] += g[i]`` for every ``i`` in order, into a
+    zeroed gradient on first use, so repeated indices accumulate.
+
+    One ``np.add.at`` over the flattened gradient: every element receives
+    its terms in the order a row-wise ``np.add.at`` adds them, so the sums
+    are the same bits, and numpy's one-dimensional path is several times
+    faster than its row-wise one."""
+    if table.grad is None:
+        table.grad = np.zeros(table.shape)
+    elif not table.grad.flags.c_contiguous:
+        table.grad = np.ascontiguousarray(table.grad)
+    width = math.prod(table.shape[1:])
+    flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    np.add.at(table.grad.reshape(-1), flat, np.ascontiguousarray(g).reshape(-1))
 
 
 def add_lookups(x: Tensor, lookups: Sequence[tuple[Tensor, object, int]]) -> Tensor:
@@ -333,11 +380,9 @@ def add_lookups(x: Tensor, lookups: Sequence[tuple[Tensor, object, int]]) -> Ten
         data[:, cols] += table.data[idx]
 
     def backward(g: np.ndarray) -> None:
-        x._accumulate(g)
+        x._accumulate_shared(g)
         for table, idx, cols in resolved:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx, g[:, cols])
+            _scatter_add(table, idx, g[:, cols])
 
     return _make(data, (x, *(table for table, _, _ in resolved)), backward)
 
@@ -385,7 +430,7 @@ def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
     def backward(g: np.ndarray) -> None:
         off = 0
         for t, size in zip(tensors, sizes):
-            t._accumulate(g[off : off + size])
+            t._accumulate_shared(g[off : off + size])
             off += size
 
     return _make(data, tuple(tensors), backward)

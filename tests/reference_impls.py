@@ -23,7 +23,11 @@ softmax, a stacked ``y @ v``, the head merge, then ``add`` and
 message up front (``parse_document_reference``).
 
 ``weighted_sum`` turns any tensor into the scalar loss a gradient check
-needs.
+needs, ``tape_tensors`` lists the tensors of a graph, and
+``gradient_bytes`` and ``gradients_sharing_memory`` read their gradients.
+``copying_accumulate`` is ``Tensor._accumulate`` as it was before a
+first gradient became ``.grad`` without a copy; tests patch it in to hold
+every gradient byte-equal to the copying version.
 
 ``document_to_json`` is the compact JSON text of a page, the bytes
 ``save_corpus`` writes for it; tests compare pages through it.
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from functools import lru_cache
 
 import numpy as np
@@ -301,7 +306,7 @@ def concat_cols(tensors: list[Tensor]) -> Tensor:
     def backward(g: np.ndarray) -> None:
         off = 0
         for t, size in zip(tensors, sizes):
-            t._accumulate(g[:, off : off + size])
+            t._accumulate_shared(g[:, off : off + size])
             off += size
 
     return _make(data, tuple(tensors), backward)
@@ -354,6 +359,39 @@ def weighted_sum(t: Tensor, weight=None) -> Tensor:
         t._accumulate(float(g) * w)
 
     return _make(np.asarray((t.data * w).sum()), (t,), backward)
+
+
+def tape_tensors(root: Tensor) -> list[Tensor]:
+    """Every tensor of the graph under ``root``, leaves included, once
+    each, in an order fixed by the graph's structure."""
+    order: list[Tensor] = []
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            order.append(node)
+            stack.extend(node._parents)
+    return order
+
+
+def gradient_bytes(tensors: Iterable[Tensor]) -> list[bytes | None]:
+    return [None if t.grad is None else t.grad.tobytes() for t in tensors]
+
+
+def gradients_sharing_memory(tensors: list[Tensor]) -> list[tuple[int, int]]:
+    """Index pairs of tensors whose gradients share memory."""
+    held = [(i, t.grad) for i, t in enumerate(tensors) if t.grad is not None]
+    return [(i, j) for k, (i, a) in enumerate(held) for j, b in held[k + 1 :] if np.shares_memory(a, b)]
+
+
+def copying_accumulate(self: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into ``.grad``, always copying a first ``g``."""
+    if self.grad is None:
+        self.grad = np.array(g, dtype=np.float64, copy=True)
+    else:
+        self.grad += g
 
 
 def stacked_matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -8,7 +8,7 @@ from docgrain.commonsense import CommonSenseInventory, make_inventory
 from docgrain.document import BBox, Page, Segment, Word
 from docgrain.model import Model, ModelConfig, gradcheck_config, stage_summary
 from docgrain.synth import SynthParams, generate_page, probe_page
-from docgrain.tensor import Tensor, matmul, no_grad
+from docgrain.tensor import Tensor, matmul, no_grad, scale
 from docgrain.training import reference_model_config
 from docgrain.vocab import build_vocab
 
@@ -19,7 +19,11 @@ from .reference_impls import (
     composed_fine_input,
     composed_fuse,
     composed_transformer_layer,
+    copying_accumulate,
     fine_input_oracle,
+    gradient_bytes,
+    gradients_sharing_memory,
+    tape_tensors,
 )
 
 TINY = dict(d=12, heads=2, fine_layers=1, coarse_layers=1, vocab_size=64, max_len=64, grid=(2, 2), commonsense_k=4)
@@ -435,6 +439,45 @@ class TestSublayerNodesMatchComposedLayer:
                 runs.append((loss.data.tobytes(), {k: t.data.tobytes() for k, t in stages.items()}, grads))
             monkeypatch.undo()
             assert runs[0] == runs[1]
+
+
+class TestGradientBuffers:
+    """Where the training step's gradients live: only tensors that require
+    a gradient hold one, no two share memory, and handing a backward
+    pass's arrays over uncopied changes no bit."""
+
+    @staticmethod
+    def two_document_backward(cfg, pages, vocab):
+        """Both documents' losses, scaled as in a batch of two, backward
+        into one set of parameter gradients; every tensor of both tapes."""
+        m = random_bias_model(cfg, vocab)
+        tensors = []
+        for page in pages:
+            loss = scale(m.loss_encoded(m.encode_page(page)), 0.5)
+            loss.backward()
+            tensors.extend(tape_tensors(loss))
+        return m, list({id(t): t for t in tensors}.values())
+
+    def test_no_constant_holds_a_gradient(self):
+        page = generate_page(10, 0, SynthParams())
+        m = Model(reference_model_config(), build_vocab([page], 2048))
+        loss = m.loss_encoded(m.encode_page(page))
+        loss.backward()
+        held = [t.shape for t in tape_tensors(loss) if not t.requires_grad and t.grad is not None]
+        assert held == []
+
+    @pytest.mark.parametrize("params, grid", [(SynthParams(), (4, 4)), (DENSE, (7, 7))], ids=["forms", "dense"])
+    def test_owned_gradients_never_alias_and_match_copies(self, params, grid, monkeypatch):
+        pages = [generate_page(53, i, params) for i in range(2)]
+        cfg = replace(reference_model_config(), grid=grid)
+        vocab = build_vocab(pages, cfg.vocab_size)
+        m, owned = self.two_document_backward(cfg, pages, vocab)
+        assert gradients_sharing_memory(owned) == []
+        monkeypatch.setattr(Tensor, "_accumulate", copying_accumulate)
+        oracle, copied = self.two_document_backward(cfg, pages, vocab)
+        assert [t.shape for t in owned] == [t.shape for t in copied]
+        assert gradient_bytes(owned) == gradient_bytes(copied)
+        assert gradient_bytes(m.params.values()) == gradient_bytes(oracle.params.values())
 
 
 class TestForward:

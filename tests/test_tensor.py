@@ -5,6 +5,7 @@ import pytest
 
 from docgrain.tensor import (
     _make,
+    _scatter_add,
     IGNORE_INDEX,
     Tensor,
     add,
@@ -28,8 +29,12 @@ from .reference_impls import (
     composed_gelu_ffn,
     composed_residual_layer_norm,
     composed_self_attention,
+    copying_accumulate,
+    gradient_bytes,
+    gradients_sharing_memory,
     softmax,
     stacked_matmul,
+    tape_tensors,
     weighted_sum,
 )
 
@@ -464,3 +469,111 @@ class TestTapeMechanics:
             y = add(y, x)
         weighted_sum(y).backward()
         assert x.grad[0] == pytest.approx(3001.0)
+
+
+def tape_gradients(build, inputs, preset=()):
+    """Backward of ``build`` on twin inputs under a fixed upstream gradient;
+    the inputs at the ``preset`` slots start with a gradient already there.
+    Returns every tensor of the graph, in walk order."""
+    args = twin(inputs)
+    for slot in preset:
+        args[slot].grad = np.linspace(-1.0, 1.0, args[slot].data.size).reshape(args[slot].shape)
+    out = build(*args)
+    loss = weighted_sum(out, np.random.default_rng(7).normal(size=out.shape))
+    loss.backward()
+    return tape_tensors(loss)
+
+
+def shared_input_cases():
+    rng = np.random.default_rng(3)
+
+    def t(*shape):
+        return Tensor(rng.normal(size=shape))
+
+    attn, bias = attention_inputs(5, 8, 2, rng)
+
+    def two_layers(*a):
+        # One spatial bias under two layers, as in the fine encoder: the
+        # second layer's backward leaves bias.grad, the first adds to it.
+        return self_attention(self_attention(*a[:9], 2, a[9]), *a[1:9], 2, a[9])
+
+    return {
+        "add(a, a)": (lambda a, w: matmul(add(a, a), w), [t(3, 4), t(4, 2)], ()),
+        "concat_rows([a, a])": (lambda a, w: matmul(concat_rows([a, a]), w), [t(3, 4), t(4, 2)], ()),
+        "residual_layer_norm(h, delta)": (residual_layer_norm, [t(3, 8), t(3, 8), t(8), t(8)], ()),
+        "residual_layer_norm(h, h)": (lambda h, g, b: residual_layer_norm(h, h, g, b), [t(3, 8), t(8), t(8)], ()),
+        "add_lookups": (lambda x, tab: add_lookups(x, [(tab, [0, 2, 0], 1)]), [t(3, 4), t(3, 2)], ()),
+        "attention bias, two layers": (two_layers, [*attn, bias], ()),
+        "attention bias preset": (lambda *a: self_attention(*a[:9], 2, a[9]), [*attn, bias], (0, 9)),
+    }
+
+
+class TestOwnedGradients:
+    """A first gradient that a backward pass has just allocated becomes
+    ``.grad`` itself; shared ones and views are copied. No two tensors'
+    gradients may share memory, and every gradient is byte-equal to the
+    run in which every first gradient is copied."""
+
+    @pytest.mark.parametrize("case", list(shared_input_cases()))
+    def test_shared_inputs(self, case, monkeypatch):
+        build, inputs, preset = shared_input_cases()[case]
+        owned = tape_gradients(build, inputs, preset)
+        assert gradients_sharing_memory(owned) == []
+        monkeypatch.setattr(Tensor, "_accumulate", copying_accumulate)
+        assert gradient_bytes(owned) == gradient_bytes(tape_gradients(build, inputs, preset))
+
+    def test_first_gradient_becomes_grad(self):
+        g = np.ones((2, 2))
+        owner, sharer = rand(2, 2), rand(2, 2)
+        owner._accumulate(g)
+        sharer._accumulate_shared(g)
+        assert owner.grad is g
+        assert not np.shares_memory(sharer.grad, g)
+
+    def test_constant_input_gets_no_gradient(self):
+        x, w, b = rand(3, 4, rg=False), rand(4, 2), rand(2)
+        weighted_sum(linear(x, w, b)).backward()
+        assert x.grad is None and w.grad is not None and b.grad is not None
+        args, bias = attention_inputs(3, 4, 2, np.random.default_rng(1))
+        h, bias = Tensor(args[0].data), Tensor(bias.data)
+        weighted_sum(self_attention(h, *args[1:], 2, bias)).backward()
+        assert h.grad is None and bias.grad is None and args[1].grad is not None
+
+
+class TestScatterAdd:
+    """The flat scatter-add behind ``gather`` and ``add_lookups`` against a
+    row-wise ``np.add.at``, byte for byte: repeated indices, a gradient
+    already there, index arrays of any shape and tables of any rank."""
+
+    @pytest.mark.parametrize("table_shape, idx", [
+        ((6, 3), [0, 5, 0, 2, 0, 5]),
+        ((6,), [[1, 1], [4, 1]]),
+        ((4, 2, 3), [3, 3, 0]),
+        ((5, 2), []),
+    ])
+    @pytest.mark.parametrize("preset", [False, True], ids=["fresh", "preset"])
+    def test_matches_row_wise_add_at(self, table_shape, idx, preset):
+        rng = np.random.default_rng(len(idx))
+        idx = np.asarray(idx, dtype=np.int64)
+        # Terms of very different magnitudes, so any other order of the
+        # sums would show in the bits.
+        g = rng.normal(size=idx.shape + table_shape[1:]) * 10.0 ** rng.integers(-8, 8, size=idx.shape + table_shape[1:])
+        table = Tensor(np.zeros(table_shape), requires_grad=True)
+        want = np.zeros(table_shape)
+        if preset:
+            table.grad = rng.normal(size=table_shape)
+            want = table.grad.copy()
+        np.add.at(want, idx, g)
+        _scatter_add(table, idx, g)
+        assert table.grad.tobytes() == want.tobytes()
+
+    def test_column_block_of_a_non_contiguous_gradient(self):
+        rng = np.random.default_rng(2)
+        g = rng.normal(size=(5, 8))
+        table = Tensor(np.zeros((3, 3)), requires_grad=True)
+        table.grad = np.asfortranarray(rng.normal(size=(3, 3)))
+        want = table.grad.copy()
+        idx = np.array([2, 0, 2, 2, 1])
+        np.add.at(want, idx, g[:, 4:7])
+        _scatter_add(table, idx, g[:, 4:7])
+        assert table.grad.tobytes() == np.ascontiguousarray(want).tobytes()

@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -17,6 +18,7 @@ from docgrain.training import (
     evaluate_model,
     load_config_file,
     lr_schedule,
+    reference_model_config,
     seed_averages,
     split_corpus,
     train,
@@ -124,6 +126,52 @@ class TestAdam:
             update = (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8) + 0.01 * w
             w = w - 1e-3 * update
             assert p.data.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_several_parameters_match_the_textbook_formula_bit_for_bit(self, weight_decay):
+        # Shapes of every rank share the optimizer's scratch; "idle" never
+        # receives a gradient.
+        rng = np.random.default_rng(1)
+        shapes = {"table": (12, 5), "w": (5, 3), "b": (3,), "idle": (2, 2), "s": ()}
+        params = {name: Tensor(rng.normal(size=shape), requires_grad=True) for name, shape in shapes.items()}
+        opt = Adam(params, weight_decay=weight_decay)
+        want = {name: (p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)) for name, p in params.items()}
+        for t in range(1, 6):
+            lr = 1e-3 * t
+            for name, p in params.items():
+                p.grad = None if name == "idle" else rng.normal(size=p.shape)
+            opt.step(lr)
+            for name, p in params.items():
+                w, m, v = want[name]
+                g = np.zeros(p.shape) if p.grad is None else p.grad
+                m = 0.9 * m + (1.0 - 0.9) * g
+                v = 0.999 * v + (1.0 - 0.999) * g * g
+                update = (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8) + weight_decay * w
+                want[name] = (w - lr * update, m, v)
+                assert p.data.tobytes() == want[name][0].tobytes(), (name, t)
+                assert opt.m[name].tobytes() == m.tobytes() and opt.v[name].tobytes() == v.tobytes(), (name, t)
+
+    def test_step_allocates_less_than_one_parameter(self):
+        page = generate_page(10, 0, SynthParams())
+        model = Model(reference_model_config(), build_vocab([page], 2048))
+        rng = np.random.default_rng(0)
+        for p in model.params.values():
+            p.grad = rng.normal(size=p.shape)
+        opt = Adam(model.params, weight_decay=0.01)
+        largest = max(p.data.nbytes for p in model.params.values())
+        tracemalloc.start()
+        try:
+            opt.step(1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < largest, (peak, largest)
+
+    def test_gradient_shape_checked(self):
+        p = Tensor(np.zeros((2, 3)), requires_grad=True)
+        p.grad = np.zeros((3, 2))
+        with pytest.raises(ValueError, match=r"gradient shape \(3, 2\) != param shape \(2, 3\) for p"):
+            Adam({"p": p}).step(1e-3)
 
 
 class TestCheckpointFormat:

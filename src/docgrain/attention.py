@@ -2,15 +2,13 @@
 
 Spatial-aware attention adds learnable per-head relative biases to the
 pre-softmax scores: a 1D-index term and 2D terms over top-left corner
-differences. Raw offsets are mapped to a bounded table through a
-sign-symmetric bucket scheme (exact near zero, logarithmic further out),
-so the bias depends only on coordinate differences and is translation
-invariant by construction. ``spatial_indices(coords, positions,
-buckets, max_distance)`` takes ``ModelConfig.rel_buckets`` and
-``rel_max_distance`` as they are, and reads the buckets from a table of
-``rel_bucket`` over every offset up to max(1000, max_distance), built once
-per (buckets, max_distance) pair; longer offsets all share the saturated
-end buckets.
+differences. Raw offsets are mapped to ``REL_BUCKETS`` table rows through a
+sign-symmetric bucket scheme (exact near zero, logarithmic out to
+``REL_MAX_DISTANCE``), so the bias depends only on coordinate differences
+and is translation invariant by construction. ``spatial_indices(coords,
+positions)`` reads the buckets from one module table of ``rel_bucket``
+over every offset in [-1000, 1000]; longer offsets, which only 1D
+positions of sequences past 1001 tokens reach, share its saturated ends.
 
 A Transformer layer is four tape nodes: ``multi_head_attention`` is one
 ``self_attention`` node (all heads at once on head-major stacks),
@@ -23,7 +21,6 @@ are shared.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -32,23 +29,23 @@ import numpy as np
 from .tensor import Tensor, gather_heads, gelu_ffn, residual_layer_norm, self_attention
 
 
-def rel_bucket(offset, buckets: int = 32, max_distance: int = 1000):
+REL_BUCKETS = 32
+REL_MAX_DISTANCE = 1000
+
+
+def rel_bucket(offset):
     """Bucket index for a signed offset (scalar or integer array).
 
-    Half the buckets serve each sign; |offset| below buckets/4 gets its own
-    bucket, larger magnitudes share logarithmically spaced buckets up to
-    max_distance, beyond which the index saturates.
+    Half the buckets serve each sign; |offset| below REL_BUCKETS/4 gets its
+    own bucket, larger magnitudes share logarithmically spaced buckets up to
+    REL_MAX_DISTANCE, beyond which the index saturates.
     """
-    if buckets % 2 != 0 or buckets < 4:
-        raise ValueError(f"buckets must be even and >= 4, got {buckets}")
-    half = buckets // 2
+    half = REL_BUCKETS // 2
     max_exact = half // 2
-    if max_distance <= max_exact:
-        raise ValueError(f"max_distance must exceed {max_exact} for {buckets} buckets")
     off = np.asarray(offset, dtype=np.int64)
     out = np.where(off > 0, half, 0).astype(np.int64)
     mag = np.abs(off)
-    log_scale = (half - max_exact) / math.log(max_distance / max_exact)
+    log_scale = (half - max_exact) / math.log(REL_MAX_DISTANCE / max_exact)
     large = max_exact + (np.log(np.maximum(mag, 1) / max_exact) * log_scale).astype(np.int64)
     out += np.where(mag < max_exact, mag, np.minimum(large, half - 1))
     return int(out) if np.isscalar(offset) or np.ndim(offset) == 0 else out
@@ -72,41 +69,33 @@ class SpatialIndices:
     idx_y: np.ndarray
 
 
-# Every 0..1000 coordinate difference has its own table entry.
-_TABLE_SPAN = 1000
+# rel_bucket of every offset in [-REL_MAX_DISTANCE, REL_MAX_DISTANCE], at
+# index offset + REL_MAX_DISTANCE: every 0..1000 coordinate difference.
+_BUCKETS = rel_bucket(np.arange(-REL_MAX_DISTANCE, REL_MAX_DISTANCE + 1))
+_BUCKETS.flags.writeable = False
 
 
-@functools.lru_cache(maxsize=8)
-def bucket_table(buckets: int, max_distance: int, span: int) -> np.ndarray:
-    """``rel_bucket`` of every offset in [-span, span], at index offset + span."""
-    table = rel_bucket(np.arange(-span, span + 1), buckets, max_distance)
-    table.flags.writeable = False
-    return table
-
-
-def _bucketed(values: np.ndarray, table: np.ndarray, span: int) -> np.ndarray:
+def _bucketed(values: np.ndarray) -> np.ndarray:
+    span = REL_MAX_DISTANCE
     shifted = (values + span)[None, :] - values[:, None]  # (j - i) + span
     if values.size and np.ptp(values) > span:
-        # rel_bucket is constant from max_distance <= span outward, so
-        # clamping longer offsets onto the table's ends changes no bucket.
+        # rel_bucket is constant from REL_MAX_DISTANCE outward, so clamping
+        # longer offsets onto the table's ends changes no bucket.
         np.clip(shifted, 0, 2 * span, out=shifted)
-    return table[shifted]
+    return _BUCKETS[shifted]
 
 
-def spatial_indices(coords: np.ndarray, positions, buckets: int, max_distance: int) -> SpatialIndices:
+def spatial_indices(coords: np.ndarray, positions) -> SpatialIndices:
     """Bucketized (j - i) offsets for 1D positions and top-left corners,
-    from an (n, 4) int array of normalized (x0, y0, x1, y1) coordinates,
-    read from one bucket table per (buckets, max_distance) pair."""
+    from an (n, 4) int array of normalized (x0, y0, x1, y1) coordinates."""
     pos = np.asarray(positions, dtype=np.int64)
     coords = np.asarray(coords, dtype=np.int64)
     if coords.shape != (pos.shape[0], 4):
         raise ValueError(f"coordinates of shape {coords.shape} vs {pos.shape[0]} positions")
-    span = max(_TABLE_SPAN, max_distance)
-    table = bucket_table(buckets, max_distance, span)
     return SpatialIndices(
-        idx_1d=_bucketed(pos, table, span),
-        idx_x=_bucketed(coords[:, 0], table, span),
-        idx_y=_bucketed(coords[:, 1], table, span),
+        idx_1d=_bucketed(pos),
+        idx_x=_bucketed(coords[:, 0]),
+        idx_y=_bucketed(coords[:, 1]),
     )
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import checkpoint
 from .attention import (
+    REL_BUCKETS,
     LayerParams,
     RelativeBiasTables,
     spatial_bias,
@@ -97,13 +98,17 @@ def config_from_dict(cls, data: dict, retired: dict, kind: str):
 
 
 # Fields older checkpoints carry, at the only value the model implements (a GELU
-# FFN 4d wide, d-wide knowledge vectors, no masking, summed children).
+# FFN 4d wide, d-wide knowledge vectors, no masking, summed children, the
+# clustering's one-neighbour core rule and the fixed relative-bucket scheme).
 _RETIRED_FIELDS = {
     "activation": "gelu",
     "dropout": 0.0,
     "ffn_width": None,
     "commonsense_dim": None,
     "aggregation": "sum",
+    "min_pts": 1,
+    "rel_buckets": 32,
+    "rel_max_distance": 1000,
 }
 
 
@@ -120,9 +125,6 @@ class ModelConfig:
     grid: tuple[int, int] = (7, 7)
     commonsense_k: int = 8
     radius: float = 30.0
-    min_pts: int = 1
-    rel_buckets: int = 32
-    rel_max_distance: int = 1000
     seed: int = 0
     use_cross_grained: bool = True
 
@@ -146,14 +148,8 @@ class ModelConfig:
             raise ValueError(f"coarse_layers must be in [0, 5], got {self.coarse_layers}")
         if not 0 <= self.commonsense_k <= len(DEFAULT_CATEGORIES):
             raise ValueError(f"commonsense_k must be in [0, {len(DEFAULT_CATEGORIES)}], got {self.commonsense_k}")
-        if self.rel_buckets % 2 != 0 or self.rel_buckets < 4:
-            raise ValueError(f"rel_buckets must be even and >= 4, got {self.rel_buckets}")
-        if self.rel_max_distance <= self.rel_buckets // 4:
-            raise ValueError(f"rel_max_distance must exceed {self.rel_buckets // 4}, got {self.rel_max_distance}")
         if self.radius < 0:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
-        if self.min_pts < 0:
-            raise ValueError(f"min_pts must be >= 0, got {self.min_pts}")
 
     @property
     def coord_width(self) -> int:
@@ -308,9 +304,9 @@ class Model:
             patch_proj_b=self._zeros("emb.patch_b", (cfg.d,)),
         )
         self.bias_tables = RelativeBiasTables(
-            rel_1d=self._zeros("bias.rel_1d", (cfg.rel_buckets, cfg.heads)),
-            rel_x=self._zeros("bias.rel_x", (cfg.rel_buckets, cfg.heads)),
-            rel_y=self._zeros("bias.rel_y", (cfg.rel_buckets, cfg.heads)),
+            rel_1d=self._zeros("bias.rel_1d", (REL_BUCKETS, cfg.heads)),
+            rel_x=self._zeros("bias.rel_x", (REL_BUCKETS, cfg.heads)),
+            rel_y=self._zeros("bias.rel_y", (REL_BUCKETS, cfg.heads)),
         )
         self.fine_stack = [self._layer(f"fine.{i}") for i in range(cfg.fine_layers)]
         self.coarse_stack = [self._layer(f"coarse.{i}") for i in range(cfg.coarse_layers)]
@@ -327,7 +323,7 @@ class Model:
     # -- page encoding (constant per document) ----------------------------
 
     def cluster_params(self) -> ClusterParams:
-        return ClusterParams(radius=self.config.radius, min_pts=self.config.min_pts)
+        return ClusterParams(radius=self.config.radius)
 
     def encode_page(self, page: Page) -> EncodedDoc:
         cfg = self.config
@@ -388,11 +384,9 @@ class Model:
 
     def fine_encode(self, h: Tensor, enc: EncodedDoc) -> Tensor:
         # One bias for every fine layer: the relative tables are shared.
-        cfg = self.config
-        indices = spatial_indices(enc.fine_boxes, enc.positions, cfg.rel_buckets, cfg.rel_max_distance)
-        bias = spatial_bias(self.bias_tables, indices)
+        bias = spatial_bias(self.bias_tables, spatial_indices(enc.fine_boxes, enc.positions))
         for layer in self.fine_stack:
-            h = transformer_layer(h, layer, cfg.heads, bias)
+            h = transformer_layer(h, layer, self.config.heads, bias)
         return h
 
     def aggregate(self, h_fine: Tensor, enc: EncodedDoc) -> Tensor:

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -90,13 +89,11 @@ class SynthParams:
 
 @dataclass
 class CorpusBundle:
-    """Generated pages plus the generator's own label bookkeeping."""
+    """Generated pages and the seed and parameters that made them."""
 
     pages: list[Page]
     seed: int
     params: SynthParams
-    tag_counts: Counter = field(default_factory=Counter)
-    entity_counts: Counter = field(default_factory=Counter)
 
 
 class _Builder:
@@ -335,22 +332,21 @@ def generate_page(seed: int, index: int, params: SynthParams) -> Page:
 
 
 def synth_generate(seed: int, count: int, params: SynthParams | None = None) -> CorpusBundle:
-    """Deterministic corpus of labeled pages with tag/entity bookkeeping."""
+    """Deterministic corpus of labeled pages."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     params = params if params is not None else SynthParams()
-    bundle = CorpusBundle(pages=[], seed=seed, params=params)
-    from .labeling import bio_decode
+    return CorpusBundle([generate_page(seed, index, params) for index in range(count)], seed, params)
 
-    for index in range(count):
-        page = generate_page(seed, index, params)
-        bundle.pages.append(page)
-        bundle.tag_counts.update(page.labels)
-        bundle.entity_counts.update(e.type for e in bio_decode(page.labels))
-    return bundle
+
+def _is_document_name(name: str) -> bool:
+    return name.startswith("doc_") and name.endswith(".json")
 
 
 def save_corpus(bundle: CorpusBundle, out_dir: str) -> None:
+    """Write the manifest and one ``doc_NNNNN.json`` per page, and remove any
+    other ``doc_*.json`` there, so ``load_corpus`` reads back this bundle
+    alone; other files stay."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "seed": bundle.seed,
@@ -359,13 +355,19 @@ def save_corpus(bundle: CorpusBundle, out_dir: str) -> None:
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
+    written = set()
     for i, page in enumerate(bundle.pages):
-        with open(os.path.join(out_dir, f"doc_{i:05d}.json"), "w", encoding="utf-8") as fh:
+        name = f"doc_{i:05d}.json"
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             json.dump(serialize_document(page), fh, separators=(",", ":"))
+        written.add(name)
+    for name in os.listdir(out_dir):
+        if _is_document_name(name) and name not in written:
+            os.remove(os.path.join(out_dir, name))
 
 
 def load_corpus(corpus_dir: str) -> list[Page]:
-    names = sorted(n for n in os.listdir(corpus_dir) if n.startswith("doc_") and n.endswith(".json"))
+    names = sorted(n for n in os.listdir(corpus_dir) if _is_document_name(n))
     if not names:
         raise ValueError(f"no documents found in {corpus_dir}")
     pages = []

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, as in the benchmark harness and tests/test_scripts.py, set
+# before numpy is first imported: OpenBLAS sizes its pool at load time, and
+# its default pool oversubscribes a box shared with other processes.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import pytest
 from hypothesis import settings
 

@@ -280,15 +280,15 @@ def normalized_coords_loop(boxes: list[BBox], page) -> np.ndarray:
     return np.array(coords, dtype=np.int64).reshape(-1, 4)
 
 
-def spatial_indices_direct(coords: np.ndarray, positions, buckets: int, max_distance: int) -> SpatialIndices:
+def spatial_indices_direct(coords: np.ndarray, positions) -> SpatialIndices:
     """``rel_bucket`` applied to every (j - i) offset matrix."""
     pos = np.asarray(positions, dtype=np.int64)
     coords = np.asarray(coords, dtype=np.int64)
     x0, y0 = coords[:, 0], coords[:, 1]
     return SpatialIndices(
-        idx_1d=rel_bucket(pos[None, :] - pos[:, None], buckets, max_distance),
-        idx_x=rel_bucket(x0[None, :] - x0[:, None], buckets, max_distance),
-        idx_y=rel_bucket(y0[None, :] - y0[:, None], buckets, max_distance),
+        idx_1d=rel_bucket(pos[None, :] - pos[:, None]),
+        idx_x=rel_bucket(x0[None, :] - x0[:, None]),
+        idx_y=rel_bucket(y0[None, :] - y0[:, None]),
     )
 
 

@@ -106,25 +106,25 @@ def test_graph_partition_invariants():
 @pytest.mark.criterion(4, "spatial attention invariants: zero-bias reduction, translation, row sums")
 def test_attention_invariants():
     rng = np.random.default_rng(3)
-    heads, buckets, max_distance = 4, 32, 1000
+    heads = 4
     params = make_layer(16, rng=np.random.default_rng(5))
     h = Tensor(rng.normal(size=(9, 16)))
     coords = [(int(x), int(y)) for x, y in rng.integers(0, 900, size=(9, 2))]
     boxes = norm_boxes(coords)
     positions = list(range(9))
 
-    zero_bias = make_bias(buckets, heads, zero=True)
-    got = multi_head_attention(h, params, heads, spatial_bias(zero_bias, spatial_indices(boxes, positions, buckets, max_distance))).data
+    zero_bias = make_bias(heads, zero=True)
+    got = multi_head_attention(h, params, heads, spatial_bias(zero_bias, spatial_indices(boxes, positions))).data
     want = multi_head_attention(h, params, heads).data
     assert np.max(np.abs(got - want)) < 1e-12
 
-    live_bias = make_bias(buckets, heads, zero=False, rng=np.random.default_rng(6))
+    live_bias = make_bias(heads, zero=False, rng=np.random.default_rng(6))
     moved = boxes + [7, 11, 7, 11]
-    base = multi_head_attention(h, params, heads, spatial_bias(live_bias, spatial_indices(boxes, positions, buckets, max_distance))).data
-    shifted = multi_head_attention(h, params, heads, spatial_bias(live_bias, spatial_indices(moved, positions, buckets, max_distance))).data
+    base = multi_head_attention(h, params, heads, spatial_bias(live_bias, spatial_indices(boxes, positions))).data
+    shifted = multi_head_attention(h, params, heads, spatial_bias(live_bias, spatial_indices(moved, positions))).data
     assert np.array_equal(base, shifted)
 
-    idx = spatial_indices(boxes, positions, buckets, max_distance)
+    idx = spatial_indices(boxes, positions)
     for head in range(heads):
         scores = rng.normal(size=(9, 9)) * 30
         biased = (

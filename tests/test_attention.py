@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from docgrain.attention import (
+    REL_BUCKETS,
     LayerParams,
     RelativeBiasTables,
     multi_head_attention,
@@ -17,7 +18,6 @@ from docgrain.tensor import Tensor, grad_check
 from .reference_impls import attention_oracle, composed_transformer_layer, layer_norm, weighted_sum
 
 RNG = np.random.default_rng(1)
-BUCKETS, MAX_DISTANCE = 32, 1000  # the ModelConfig defaults
 
 
 def make_layer(d, ffn=None, rng=None, zero_outputs=False):
@@ -43,11 +43,11 @@ def make_layer(d, ffn=None, rng=None, zero_outputs=False):
     return params
 
 
-def make_bias(buckets, heads, zero=True, rng=None):
+def make_bias(heads, zero=True, rng=None):
     rng = rng or np.random.default_rng(3)
 
     def t():
-        data = np.zeros((buckets, heads)) if zero else rng.normal(scale=0.5, size=(buckets, heads))
+        data = np.zeros((REL_BUCKETS, heads)) if zero else rng.normal(scale=0.5, size=(REL_BUCKETS, heads))
         return Tensor(data, requires_grad=True)
 
     return RelativeBiasTables(rel_1d=t(), rel_x=t(), rel_y=t())
@@ -63,34 +63,30 @@ class TestRelBucket:
         assert rel_bucket(-1) == 1
 
     def test_monotone_over_full_range(self):
-        vals = [rel_bucket(o, 32, 1000) for o in range(0, 2001)]
+        vals = [rel_bucket(o) for o in range(0, 2001)]
         assert all(b <= a for a, b in zip(vals[1:], vals))  # non-decreasing
-        neg = [rel_bucket(-o, 32, 1000) for o in range(0, 2001)]
+        neg = [rel_bucket(-o) for o in range(0, 2001)]
         assert all(b <= a for a, b in zip(neg[1:], neg))
 
     def test_saturates(self):
-        assert rel_bucket(10**9, 32, 1000) == 31
-        assert rel_bucket(-(10**9), 32, 1000) == 15
+        assert rel_bucket(10**9) == 31
+        assert rel_bucket(-(10**9)) == 15
 
     def test_range(self):
-        vals = {rel_bucket(o, 16, 100) for o in range(-300, 301)}
-        assert min(vals) >= 0 and max(vals) <= 15
+        vals = rel_bucket(np.arange(-3000, 3001))
+        assert vals.min() == 0 and vals.max() == REL_BUCKETS - 1
 
     def test_exact_below_quarter(self):
         # one bucket per offset below buckets/4, per sign
         for o in range(1, 8):
-            assert rel_bucket(o, 32, 1000) == 16 + o
-            assert rel_bucket(-o, 32, 1000) == o
-        assert rel_bucket(0, 32, 1000) == 0
+            assert rel_bucket(o) == 16 + o
+            assert rel_bucket(-o) == o
+        assert rel_bucket(0) == 0
 
     def test_vectorized_matches_scalar(self):
         offsets = np.arange(-50, 51)
-        vec = rel_bucket(offsets, 32, 1000)
-        assert list(vec) == [rel_bucket(int(o), 32, 1000) for o in offsets]
-
-    def test_odd_buckets_rejected(self):
-        with pytest.raises(ValueError):
-            rel_bucket(3, buckets=7)
+        vec = rel_bucket(offsets)
+        assert list(vec) == [rel_bucket(int(o)) for o in offsets]
 
 
 def norm_boxes(coords):
@@ -141,7 +137,7 @@ class TestAttention:
 class TestSpatialMha:
     def setup_case(self, n=5, d=8, heads=2, zero_bias=True):
         params = make_layer(d)
-        bias = make_bias(BUCKETS, heads, zero=zero_bias)
+        bias = make_bias(heads, zero=zero_bias)
         coords = [(int(x), int(y)) for x, y in RNG.integers(0, 900, size=(n, 2))]
         boxes = norm_boxes(coords)
         positions = list(range(n))
@@ -150,15 +146,15 @@ class TestSpatialMha:
 
     def test_zero_bias_tables_reduce_to_canonical(self):
         heads, params, bias, boxes, positions, h = self.setup_case(zero_bias=True)
-        got = multi_head_attention(h, params, heads, spatial_bias(bias, spatial_indices(boxes, positions, BUCKETS, MAX_DISTANCE))).data
+        got = multi_head_attention(h, params, heads, spatial_bias(bias, spatial_indices(boxes, positions))).data
         want = multi_head_attention(h, params, heads).data
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_translation_invariance_exact(self):
         heads, params, bias, boxes, positions, h = self.setup_case(zero_bias=False)
         moved = boxes + [7, 11, 7, 11]
-        a = multi_head_attention(h, params, heads, spatial_bias(bias, spatial_indices(boxes, positions, BUCKETS, MAX_DISTANCE))).data
-        b = multi_head_attention(h, params, heads, spatial_bias(bias, spatial_indices(moved, positions, BUCKETS, MAX_DISTANCE))).data
+        a = multi_head_attention(h, params, heads, spatial_bias(bias, spatial_indices(boxes, positions))).data
+        b = multi_head_attention(h, params, heads, spatial_bias(bias, spatial_indices(moved, positions))).data
         assert np.array_equal(a, b)
 
     def test_hand_computed_two_by_two(self):
@@ -171,16 +167,16 @@ class TestSpatialMha:
         params.wo.data[:] = [[1.0]]
         for b in (params.bq, params.bk, params.bv, params.bo):
             b.data[:] = 0.0
-        bias = make_bias(BUCKETS, heads, zero=True)
+        bias = make_bias(heads, zero=True)
         b_1d, b_x, b_y = 0.3, -0.2, 0.5
         h = Tensor(np.array([[1.0], [2.0]]))
         boxes = norm_boxes([(0, 0), (40, 10)])
         positions = [0, 1]
-        idx = spatial_indices(boxes, positions, BUCKETS, MAX_DISTANCE)
+        idx = spatial_indices(boxes, positions)
         bias.rel_1d.data[idx.idx_1d[0, 1], 0] = b_1d
         bias.rel_x.data[idx.idx_x[0, 1], 0] = b_x
         bias.rel_y.data[idx.idx_y[0, 1], 0] = b_y
-        got = multi_head_attention(h, params, heads, spatial_bias(bias, spatial_indices(boxes, positions, BUCKETS, MAX_DISTANCE))).data
+        got = multi_head_attention(h, params, heads, spatial_bias(bias, spatial_indices(boxes, positions))).data
 
         # row 0: scores [q0*k0, q0*k1 + biases] with q=k=v=h and dk=1
         s00, s01 = 1.0 * 1.0, 1.0 * 2.0 + b_1d + b_x + b_y
@@ -195,13 +191,13 @@ class TestSpatialMha:
 
     def test_matches_naive_loop_oracle_with_bias(self):
         heads, params, bias, boxes, positions, h = self.setup_case(n=4, zero_bias=False)
-        idx = spatial_indices(boxes, positions, BUCKETS, MAX_DISTANCE)
+        idx = spatial_indices(boxes, positions)
         n = len(boxes)
         bias_mats = [
             bias.rel_1d.data[idx.idx_1d, hd] + bias.rel_x.data[idx.idx_x, hd] + bias.rel_y.data[idx.idx_y, hd]
             for hd in range(heads)
         ]
-        got = multi_head_attention(h, params, heads, spatial_bias(bias, spatial_indices(boxes, positions, BUCKETS, MAX_DISTANCE))).data
+        got = multi_head_attention(h, params, heads, spatial_bias(bias, spatial_indices(boxes, positions))).data
         want = attention_oracle(
             h.data.tolist(),
             params.wq.data.tolist(), params.bq.data.tolist(),
@@ -215,10 +211,10 @@ class TestSpatialMha:
 
     def test_constant_score_shift_leaves_output_unchanged(self):
         heads, params, bias, boxes, positions, h = self.setup_case(zero_bias=True)
-        base = multi_head_attention(h, params, heads, spatial_bias(bias, spatial_indices(boxes, positions, BUCKETS, MAX_DISTANCE))).data
+        base = multi_head_attention(h, params, heads, spatial_bias(bias, spatial_indices(boxes, positions))).data
         for t in (bias.rel_1d, bias.rel_x, bias.rel_y):
             t.data += 2.5  # constant over all buckets shifts every score row
-        shifted = multi_head_attention(h, params, heads, spatial_bias(bias, spatial_indices(boxes, positions, BUCKETS, MAX_DISTANCE))).data
+        shifted = multi_head_attention(h, params, heads, spatial_bias(bias, spatial_indices(boxes, positions))).data
         assert np.max(np.abs(base - shifted)) < 1e-12
 
     def test_attention_rows_sum_to_one_after_bias(self):
@@ -229,7 +225,7 @@ class TestSpatialMha:
         params.bv.data[:] = 1.0
         params.wo.data[:] = np.eye(8)
         params.bo.data[:] = 0.0
-        out = multi_head_attention(h, params, heads, spatial_bias(bias, spatial_indices(boxes, positions, BUCKETS, MAX_DISTANCE))).data
+        out = multi_head_attention(h, params, heads, spatial_bias(bias, spatial_indices(boxes, positions))).data
         assert np.max(np.abs(out - 1.0)) < 1e-9
 
 
@@ -252,9 +248,9 @@ class TestTransformerLayer:
     def test_grad_check_through_layer(self):
         d = 8
         params = make_layer(d)
-        bias = make_bias(BUCKETS, 2, zero=False)
+        bias = make_bias(2, zero=False)
         boxes = norm_boxes([(0, 0), (50, 20), (100, 700)])
-        idx = spatial_indices(boxes, [0, 1, 2], BUCKETS, MAX_DISTANCE)
+        idx = spatial_indices(boxes, [0, 1, 2])
         h = Tensor(RNG.normal(size=(3, d)), requires_grad=True)
         w = Tensor(RNG.normal(size=(3, d)))
 
@@ -274,13 +270,13 @@ class TestTransformerLayer:
         composed layer: output and every gradient byte for byte."""
         d = 8
         boxes = norm_boxes([(int(x), int(y)) for x, y in np.random.default_rng(n).integers(0, 900, size=(n, 2))])
-        idx = spatial_indices(boxes, list(range(n)), BUCKETS, MAX_DISTANCE)
+        idx = spatial_indices(boxes, list(range(n)))
         h_data = np.random.default_rng(heads).normal(size=(n, d))
         upstream = np.random.default_rng(4).normal(size=(n, d))
         runs = []
         for layer in (transformer_layer, composed_transformer_layer):
             stack = [make_layer(d, rng=np.random.default_rng(20 + i)) for i in range(2)]
-            tables = make_bias(BUCKETS, heads, zero=False)
+            tables = make_bias(heads, zero=False)
             h = Tensor(h_data.copy(), requires_grad=True)
             bias = spatial_bias(tables, idx) if spatial else None
             out = h

@@ -14,7 +14,7 @@ from docgrain.attention import spatial_indices
 from docgrain.clustering import ClusterParams, SalientRegion, dbscan
 from docgrain.document import BBox, Page, axis_gaps, box_array, boundary_distance, iou, iou_matrix
 from docgrain.graph import assign_patches, patch_boxes
-from docgrain.model import Model, ModelConfig, normalized_coords
+from docgrain.model import Model, normalized_coords
 from docgrain.synth import SynthParams, generate_page
 from docgrain.training import reference_model_config
 from docgrain.vocab import build_vocab
@@ -75,8 +75,8 @@ class TestSyntheticPages:
             coarse = normalized_coords_loop([s.bbox for s in page.segments] + [r.bbox for r in g.regions], page)
             assert same_bytes(enc.fine_boxes, fine)
             assert same_bytes(enc.coarse_boxes, coarse)
-            got = spatial_indices(enc.fine_boxes, enc.positions, cfg.rel_buckets, cfg.rel_max_distance)
-            assert same_indices(got, spatial_indices_direct(fine, enc.positions, cfg.rel_buckets, cfg.rel_max_distance))
+            got = spatial_indices(enc.fine_boxes, enc.positions)
+            assert same_indices(got, spatial_indices_direct(fine, enc.positions))
             targets = np.full(enc.n_text, -100, dtype=np.int64)
             for t in range(enc.n_text):
                 if enc.tokens.first_subtoken[t]:
@@ -208,25 +208,19 @@ class TestNormalizedCoordsEdgeCases:
 
 
 class TestSpatialIndicesEdgeCases:
-    @pytest.mark.parametrize("buckets, max_distance", [(32, 1000), (16, 100), (8, 3), (64, 4096)])
-    def test_max_len_beyond_1001(self, buckets, max_distance):
-        rng = np.random.default_rng(buckets)
+    def test_max_len_beyond_1001(self):
+        rng = np.random.default_rng(32)
         n = 1500
         positions = np.concatenate([np.arange(n - 40), np.arange(40)])
         coords = rng.integers(0, 1001, size=(n, 4))
-        got = spatial_indices(coords, positions, buckets, max_distance)
-        assert same_indices(got, spatial_indices_direct(coords, positions, buckets, max_distance))
+        assert same_indices(spatial_indices(coords, positions), spatial_indices_direct(coords, positions))
 
     def test_coordinates_outside_the_grid(self):
-        cfg = ModelConfig()
         coords = np.array([[-3000, 5, 0, 0], [0, 0, 0, 0], [2500, -7000, 0, 0], [999, 1000, 0, 0]])
         positions = [0, 1, 2, 3]
-        args = (cfg.rel_buckets, cfg.rel_max_distance)
-        assert same_indices(spatial_indices(coords, positions, *args), spatial_indices_direct(coords, positions, *args))
+        assert same_indices(spatial_indices(coords, positions), spatial_indices_direct(coords, positions))
 
     def test_empty_sequence(self):
-        cfg = ModelConfig()
-        args = (cfg.rel_buckets, cfg.rel_max_distance)
-        got = spatial_indices(np.zeros((0, 4), dtype=np.int64), [], *args)
-        assert same_indices(got, spatial_indices_direct(np.zeros((0, 4), dtype=np.int64), [], *args))
+        empty = np.zeros((0, 4), dtype=np.int64)
+        assert same_indices(spatial_indices(empty, []), spatial_indices_direct(empty, []))
 

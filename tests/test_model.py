@@ -51,18 +51,22 @@ class TestModelConfig:
                 ModelConfig(commonsense_k=k)
         assert ModelConfig(commonsense_k=8).commonsense_k == 8
 
-    @pytest.mark.parametrize("field, bad, good", [
-        ("rel_buckets", [5, 2, 0, -4], [4, 32]),
-        ("rel_max_distance", [8, 0, -1], [9, 1000]),
-        ("radius", [-1.0, float("inf"), float("nan"), 10**400], [0.0, 30.0, 10**300]),
-        ("min_pts", [-1], [0, 3]),
-    ])
-    def test_bucket_and_cluster_fields(self, field, bad, good):
-        for value in bad:
-            with pytest.raises(ValueError, match=field):
-                ModelConfig(**{field: value})
-        for value in good:
-            assert getattr(ModelConfig(**{field: value}), field) == value
+    def test_radius_field(self):
+        for value in (-1.0, float("inf"), float("nan"), 10**400):
+            with pytest.raises(ValueError, match="radius"):
+                ModelConfig(radius=value)
+        for value in (0.0, 30.0, 10**300):
+            assert ModelConfig(radius=value).radius == value
+
+    def test_retired_bucket_and_cluster_keys_load_at_the_implemented_values(self):
+        cfg = ModelConfig(d=24, heads=4)
+        old = {**cfg.to_dict(), "min_pts": 1, "rel_buckets": 32, "rel_max_distance": 1000}
+        assert ModelConfig.from_dict(old) == cfg
+
+    @pytest.mark.parametrize("key, value", [("rel_buckets", 16), ("rel_max_distance", 100), ("min_pts", 2)])
+    def test_retired_bucket_and_cluster_keys_at_other_values_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"retired model config field '{key}'"):
+            ModelConfig.from_dict({key: value})
 
     def test_round_trip_dict(self):
         cfg = ModelConfig(d=24, heads=4, grid=(3, 5))

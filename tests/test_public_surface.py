@@ -16,6 +16,13 @@ when any ``.name`` attribute of that spelling occurs; the scan can miss a
 dead method that shares its name with a live one, never the reverse.
 ``CONTRACT`` names the functions that exist for the acceptance contract
 and the scalar oracles the tests compare the vectorized code against.
+
+The same holds for data: every annotated field of a class in
+``src/docgrain`` (``name: type`` in the class body) is read in the caller
+directories as a ``.name`` attribute. Writing a field is no read: neither
+an assignment to it nor a method call on it whose value is dropped
+(``bundle.counts.update(...)``). Fields are matched by name as methods are.
+``FIELD_CONTRACT`` names the fields kept for in-process callers.
 """
 
 from __future__ import annotations
@@ -40,6 +47,12 @@ CONTRACT = {
     "document.iou",
     "document.boundary_distance",
     "document.normalize_box",
+}
+
+FIELD_CONTRACT = {
+    # The trained model, train()'s product for a library caller; the CLI
+    # and the scripts read it back from the checkpoint instead.
+    "training.TrainResult.model",
 }
 
 _WORD = re.compile(r"[A-Za-z_]\w*")
@@ -109,9 +122,52 @@ def uncalled() -> list[str]:
         dead |= newly
 
 
+def annotated_fields() -> dict[str, str]:
+    """``module.Class.field`` -> field name, for every annotated field."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                        found[f"{path.stem}.{node.name}.{sub.target.id}"] = sub.target.id
+    return found
+
+
+def attribute_reads() -> set[str]:
+    """Every ``.name`` read in the caller directories, writes excluded."""
+    reads = set()
+    for directory in CALLER_DIRS:
+        for path in sorted(directory.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            # ``x.f.m(...)`` as a statement mutates ``x.f`` and reads nothing.
+            mutated = {
+                id(stmt.value.func.value)
+                for stmt in ast.walk(tree)
+                if isinstance(stmt, ast.Expr)
+                and isinstance(stmt.value, ast.Call)
+                and isinstance(stmt.value.func, ast.Attribute)
+            }
+            reads.update(
+                node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in mutated
+            )
+    return reads
+
+
 def test_every_public_name_has_a_caller_outside_tests():
     assert [key for key in uncalled() if key not in CONTRACT] == []
 
 
 def test_contract_names_exist():
     assert CONTRACT <= public_definitions().keys()
+
+
+def test_every_field_is_read_outside_tests():
+    reads = attribute_reads()
+    assert [key for key, name in annotated_fields().items() if name not in reads and key not in FIELD_CONTRACT] == []
+
+
+def test_field_contract_names_exist():
+    assert FIELD_CONTRACT <= annotated_fields().keys()

@@ -320,13 +320,16 @@ class TestCheckpointFormat:
         path = str(tmp_path / "model.ckpt")
         model.save(path)
         tensors, config = load_checkpoint(path)
-        # Older checkpoints store five retired fields, always at these values.
+        # Older checkpoints store eight retired fields, always at these values.
         config["model"] |= {
             "activation": "gelu",
             "dropout": dropout,
             "ffn_width": None,
             "commonsense_dim": None,
             "aggregation": "sum",
+            "min_pts": 1,
+            "rel_buckets": 32,
+            "rel_max_distance": 1000,
         }
         save_checkpoint(path, tensors, config)
         again = load_model(path)
@@ -344,6 +347,9 @@ class TestCheckpointFormat:
             ("ffn_width", 128),
             ("commonsense_dim", 32),
             ("aggregation", "mean"),
+            ("rel_buckets", 16),
+            ("rel_max_distance", 100),
+            ("min_pts", 2),
         ],
     )
     def test_retired_field_at_other_value_rejected(self, tmp_path, key, value):

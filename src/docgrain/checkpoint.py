@@ -1,12 +1,15 @@
 """Binary checkpoint format.
 
-Layout: magic bytes ``MMLY1``, a little-endian uint32 header length, a JSON
-header (tensor names, shapes, byte offsets, config snapshot, and the
+Layout: magic bytes ``MMLY2``, then two little-endian uint32s, the header
+length and the ``zlib.crc32`` of the header bytes, then a JSON header
+(tensor names, shapes, byte offsets, config snapshot, and the
 ``zlib.crc32`` of the payload), then the raw little-endian float64 payloads
-back to back. Round trips are bit-exact. A save writes a temporary file
-beside the target, fsyncs it and renames it onto the target. A truncated
-or malformed file, entries that repeat a name or do not tile the payload
-in header order, a bad checksum and trailing bytes raise ``CheckpointError``.
+back to back. ``MMLY1`` files, whose prefix has the header length only and
+whose header is unchecked, still load. Round trips are bit-exact. A save
+writes a temporary file beside the target, fsyncs it and renames it onto
+the target. A truncated or malformed file, entries that repeat a name or
+do not tile the payload in header order, a bad header or payload checksum
+and trailing bytes raise ``CheckpointError``.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ import zlib
 
 import numpy as np
 
-MAGIC = b"MMLY1"
-_HEADER_LEN = struct.Struct("<I")
+MAGIC = b"MMLY2"
+# The fixed prefix after each format's magic: header length[, header crc32].
+_PREFIXES = {MAGIC: struct.Struct("<II"), b"MMLY1": struct.Struct("<I")}
 
 
 class CheckpointError(ValueError):
@@ -42,7 +46,7 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray], config: dict) -> 
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            fh.writelines([MAGIC, _HEADER_LEN.pack(len(header)), header, *blobs])
+            fh.writelines([MAGIC, _PREFIXES[MAGIC].pack(len(header), zlib.crc32(header)), header, *blobs])
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -55,16 +59,20 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray], config: dict) -> 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[: len(MAGIC)] != MAGIC:
+    prefix = _PREFIXES.get(raw[: len(MAGIC)])
+    if prefix is None:
         raise CheckpointError(f"{path}: bad magic bytes, not a checkpoint")
-    pos = len(MAGIC) + _HEADER_LEN.size
+    pos = len(MAGIC) + prefix.size
     if len(raw) < pos:
         raise CheckpointError(f"{path}: truncated before the header length")
-    (hlen,) = _HEADER_LEN.unpack_from(raw, len(MAGIC))
+    hlen, *header_crc = prefix.unpack_from(raw, len(MAGIC))
     if len(raw) < pos + hlen:
         raise CheckpointError(f"{path}: truncated header")
+    body = raw[pos : pos + hlen]
+    if header_crc and zlib.crc32(body) != header_crc[0]:
+        raise CheckpointError(f"{path}: header checksum mismatch, the file is corrupt")
     try:
-        header = json.loads(raw[pos : pos + hlen].decode("utf-8"))
+        header = json.loads(body.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, over-long integers
         raise CheckpointError(f"{path}: corrupt header: {exc}") from None
     pos += hlen

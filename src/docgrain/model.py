@@ -59,7 +59,7 @@ from .tensor import (
     no_grad,
     slice_rows,
 )
-from .vocab import TokenSeq, Vocab, tokenize
+from .vocab import SPECIALS, TokenSeq, Vocab, tokenize
 
 
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool}
@@ -120,7 +120,7 @@ class ModelConfig:
     heads: int = 4
     fine_layers: int = 2
     coarse_layers: int = 1
-    vocab_size: int = 2048
+    vocab_size: int = 2048  # caps the vocabulary; the word table has len(vocab) rows
     max_len: int = 512
     grid: tuple[int, int] = (7, 7)
     commonsense_k: int = 8
@@ -138,8 +138,10 @@ class ModelConfig:
         self.grid = (int(grid[0]), int(grid[1]))
         if self.d < 6:
             raise ValueError(f"model width must be at least 6, got {self.d}")
-        if min(self.heads, self.vocab_size, self.max_len) < 1:
-            raise ValueError("heads, vocab_size and max_len must be positive")
+        if min(self.heads, self.max_len) < 1:
+            raise ValueError("heads and max_len must be positive")
+        if self.vocab_size < len(SPECIALS):
+            raise ValueError(f"vocab_size must be at least {len(SPECIALS)}, the special tokens, got {self.vocab_size}")
         if self.d % self.heads != 0:
             raise ValueError(f"width {self.d} not divisible by {self.heads} heads")
         if self.fine_layers < 1:
@@ -294,8 +296,12 @@ class Model:
 
     def _build_params(self) -> None:
         cfg = self.config
+        # One row per vocabulary token: no id reaches past len(vocab). The draw
+        # keeps its full (vocab_size, d) shape, because trunc_normal resamples
+        # over the whole array, and the kept rows are a copy, so the draw is freed.
+        word = trunc_normal(self._rng_for("emb.word"), (cfg.vocab_size, cfg.d))[: len(self.vocab)].copy()
         self.tables = EmbeddingTables(
-            word=self._weight("emb.word", (cfg.vocab_size, cfg.d)),
+            word=self._param("emb.word", word),
             token_type=self._weight("emb.token_type", (2, cfg.d)),
             position=self._weight("emb.position", (cfg.max_len, cfg.d)),
             coord_x=self._weight("emb.coord_x", (COORD_RANGE, cfg.coord_width)),
@@ -484,11 +490,15 @@ def load_model(path: str) -> Model:
         model = Model(
             ModelConfig.from_dict(config["model"]),
             Vocab(config["vocab"]),
-            BioTagSet(tuple(config["label_types"])),
-            CommonSenseInventory(tuple(config["categories"])),
+            BioTagSet(_as_tuple(config, "label_types")),
+            CommonSenseInventory(_as_tuple(config, "categories")),
         )
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: invalid checkpoint config: {exc}") from None
+    word = tensors.get("emb.word")
+    if word is not None and word.shape == (model.config.vocab_size, model.config.d):
+        # Older checkpoints carry vocab_size rows; no token id reaches past len(vocab).
+        tensors["emb.word"] = word[: len(model.vocab)].copy()
     for name, param in model.params.items():
         if name not in tensors:
             raise CheckpointError(f"checkpoint missing tensor '{name}'")
@@ -501,6 +511,15 @@ def load_model(path: str) -> Model:
     if extra:
         raise CheckpointError(f"checkpoint has unexpected tensors: {sorted(extra)}")
     return model
+
+
+def _as_tuple(config: dict, key: str) -> tuple:
+    """The checkpoint config's ``key`` list as a tuple. A bare string is no
+    list: ``tuple`` would read it as one entry per character."""
+    value = config[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return tuple(value)
 
 
 def stage_summary(stages: dict[str, Tensor]) -> dict:

@@ -31,6 +31,11 @@ every gradient byte-equal to the copying version.
 
 ``document_to_json`` is the compact JSON text of a page, the bytes
 ``save_corpus`` writes for it; tests compare pages through it.
+
+``FullTableModel`` is the model as it was before its word table was sized
+by the vocabulary, with all ``vocab_size`` rows of the draw, and
+``as_mmly1`` rewrites a checkpoint in the format written before the header
+checksum; together they stand in for every checkpoint written before both.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from docgrain.document import (
     union_box,
 )
 from docgrain.embeddings import TEXT_TYPE, VISUAL_TYPE
+from docgrain.model import Model, trunc_normal
 from docgrain.tensor import Tensor, _affine, _affine_backward, _make, add, concat_rows, gather, linear
 
 NOISE = -1
@@ -662,3 +668,23 @@ def parse_outcome(parse, data) -> tuple[str, str]:
 def document_to_json(page: Page) -> str:
     """The page as compact JSON, byte for byte what ``save_corpus`` writes."""
     return json.dumps(serialize_document(page), separators=(",", ":"))
+
+
+class FullTableModel(Model):
+    """``Model`` with ``emb.word`` at all ``vocab_size`` rows of its draw, of
+    which no token id reads past ``len(vocab)``."""
+
+    def _build_params(self) -> None:
+        super()._build_params()
+        cfg = self.config
+        self.tables.word.data = trunc_normal(self._rng_for("emb.word"), (cfg.vocab_size, cfg.d))
+
+
+def as_mmly1(path: str) -> None:
+    """Rewrite an ``MMLY2`` checkpoint as the ``MMLY1`` file of the same
+    header and payload: the magic and the header length, no header CRC."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    assert raw[:5] == b"MMLY2"
+    with open(path, "wb") as fh:
+        fh.write(b"MMLY1" + raw[5:9] + raw[13:])

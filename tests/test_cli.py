@@ -190,6 +190,13 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "m.ckpt").exists()
 
+    def test_vocab_size_below_the_special_tokens_fails_before_the_corpus(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": {"vocab_size": 1}}))
+        missing = str(tmp_path / "no-corpus")
+        assert run(["train", "--corpus", missing, "--config", str(path), "--out", str(tmp_path / "m.ckpt")]) == 1
+        assert capsys.readouterr().err.startswith("error: vocab_size must be at least 2")
+
     def test_out_of_memory_is_validation_error(self, corpus, tmp_path, monkeypatch, capsys):
         import docgrain.cli as cli
 

@@ -19,6 +19,7 @@ epoch of a small model, whatever else it asks for.
 import copy
 import json
 import re
+import zlib
 
 import numpy as np
 import pytest
@@ -69,9 +70,14 @@ def test_checkpoint_random_bytes(tmp_path_factory, blob):
 @settings(max_examples=200)
 @given(st.integers(0, 2**32 - 1), json_values)
 def test_checkpoint_random_header(tmp_path_factory, length, header):
+    # In both formats: MMLY1 has no header CRC, and a matching one lets
+    # MMLY2 reach the header's parsing.
     text = json.dumps(header).encode()
+    crc = zlib.crc32(text).to_bytes(4, "little")
     for declared in (len(text), length):
-        load_bytes(tmp_path_factory, MAGIC + declared.to_bytes(4, "little") + text + b"\0" * 16)
+        size = declared.to_bytes(4, "little")
+        load_bytes(tmp_path_factory, b"MMLY1" + size + text + b"\0" * 16)
+        load_bytes(tmp_path_factory, MAGIC + size + crc + text + b"\0" * 16)
 
 
 def test_checkpoint_every_single_bit_flip(tmp_path_factory, checkpoint_bytes):
@@ -243,14 +249,16 @@ def test_cli_eval_bit_flipped_checkpoint(cli_files, data):
 
 def offset_bit_flips(blob: bytes):
     """Copies of a checkpoint, each with one bit flipped inside the digits
-    of one header entry's "offset" value."""
+    of one header entry's "offset" value and the header CRC made to match,
+    so that the header's parsing and tiling checks, not its CRC, refuse it."""
+    start = len(MAGIC) + 8
     hlen = int.from_bytes(blob[len(MAGIC) : len(MAGIC) + 4], "little")
-    header_end = len(MAGIC) + 4 + hlen
-    for match in re.finditer(rb'"offset": (\d+)', blob[:header_end]):
-        for i in range(match.start(1), match.end(1)):
+    for match in re.finditer(rb'"offset": (\d+)', blob[start : start + hlen]):
+        for i in range(start + match.start(1), start + match.end(1)):
             for bit in range(8):
                 flipped = bytearray(blob)
                 flipped[i] ^= 1 << bit
+                flipped[start - 4 : start] = zlib.crc32(flipped[start : start + hlen]).to_bytes(4, "little")
                 yield bytes(flipped)
 
 

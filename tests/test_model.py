@@ -13,6 +13,7 @@ from docgrain.training import reference_model_config
 from docgrain.vocab import build_vocab
 
 from .reference_impls import (
+    FullTableModel,
     aggregate_oracle,
     coarse_input_oracle,
     composed_coarse_input,
@@ -67,6 +68,15 @@ class TestModelConfig:
     def test_retired_bucket_and_cluster_keys_at_other_values_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"retired model config field '{key}'"):
             ModelConfig.from_dict({key: value})
+
+    def test_vocab_size_holds_the_special_tokens(self):
+        # A smaller cap leaves no room for the vocabulary's two special tokens.
+        for size in (-1, 0, 1):
+            with pytest.raises(ValueError, match="vocab_size must be at least 2"):
+                ModelConfig(vocab_size=size)
+        page = probe_page()
+        m = tiny_model(page, vocab_size=2)
+        assert len(m.vocab) == 2 and m.tables.word.shape == (2, TINY["d"])
 
     def test_round_trip_dict(self):
         cfg = ModelConfig(d=24, heads=4, grid=(3, 5))
@@ -443,6 +453,42 @@ class TestSublayerNodesMatchComposedLayer:
                 runs.append((loss.data.tobytes(), {k: t.data.tobytes() for k, t in stages.items()}, grads))
             monkeypatch.undo()
             assert runs[0] == runs[1]
+
+
+class TestWordTableSizedByVocabulary:
+    """``emb.word`` keeps the first ``len(vocab)`` rows of its
+    ``(vocab_size, d)`` draw, the only rows a token id can reach."""
+
+    def test_one_row_per_vocabulary_token(self):
+        page = generate_page(10, 0, SynthParams())
+        m = Model(reference_model_config(), build_vocab([page], 2048))
+        assert len(m.vocab) < m.config.vocab_size
+        assert m.params["emb.word"] is m.tables.word
+        assert m.tables.word.shape == (len(m.vocab), m.config.d)
+        assert m.tables.word.data.flags.owndata
+
+    @pytest.mark.parametrize("variant", list(TestSublayerNodesMatchComposedLayer.VARIANTS))
+    def test_stages_loss_and_gradients_match_the_full_table(self, variant):
+        pages = [generate_page(59, i, SynthParams()) for i in range(2)]
+        cfg = replace(reference_model_config(), **TestSublayerNodesMatchComposedLayer.VARIANTS[variant])
+        vocab = build_vocab(pages, cfg.vocab_size)
+        n = len(vocab)
+        m, full = Model(cfg, vocab), FullTableModel(cfg, vocab)
+        assert full.tables.word.data[:n].tobytes() == m.tables.word.data.tobytes()
+        for page in pages:
+            enc = m.encode_page(page)
+            runs = []
+            for model in (m, full):
+                with no_grad():
+                    _, stages = model.forward_encoded(enc, collect=True)
+                model.zero_grad()
+                loss = model.loss_encoded(enc)
+                loss.backward()
+                grads = {k: p.grad[:n] if k == "emb.word" else p.grad for k, p in model.params.items()}
+                runs.append((loss.data.tobytes(), {k: t.data.tobytes() for k, t in stages.items()},
+                             {k: None if g is None else g.tobytes() for k, g in grads.items()}))
+            assert runs[0] == runs[1]
+            assert not full.tables.word.grad[n:].any()
 
 
 class TestGradientBuffers:

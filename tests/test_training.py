@@ -7,11 +7,12 @@ import zlib
 import numpy as np
 import pytest
 
+import docgrain.training as training_module
 from docgrain.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from docgrain.model import Model, ModelConfig, load_model
 from docgrain.optim import Adam
 from docgrain.synth import SynthParams, generate_page, probe_page
-from docgrain.tensor import Tensor
+from docgrain.tensor import Tensor, no_grad
 from docgrain.training import (
     TrainConfig,
     ablate,
@@ -25,6 +26,8 @@ from docgrain.training import (
     write_ablation_csv,
 )
 from docgrain.vocab import PAD_TOKEN, UNK_TOKEN, build_vocab
+
+from .reference_impls import FullTableModel, as_mmly1
 
 SMALL_MODEL = dict(d=12, heads=2, fine_layers=1, coarse_layers=1, vocab_size=512, max_len=256, grid=(2, 2), commonsense_k=4)
 
@@ -305,6 +308,15 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="invalid checkpoint config: vocabulary must be a list of strings"):
             load_model(path)
 
+    @pytest.mark.parametrize("key, value", [("label_types", "HQA"), ("categories", "DATE")])
+    def test_label_types_and_categories_as_bare_string_rejected(self, tmp_path, key, value):
+        # A bare string was once read as one entry per character.
+        path, tensors, config = self.saved_model(tmp_path)
+        config[key] = value
+        save_checkpoint(path, tensors, config)
+        with pytest.raises(CheckpointError, match=f"invalid checkpoint config: {key} must be a list, got '{value}'"):
+            load_model(path)
+
     @pytest.mark.parametrize("key, value", [("heads", 0), ("grid", [2]), ("rel_buckets", 5), ("radius", -1.0)])
     def test_model_config_bad_value_rejected(self, tmp_path, key, value):
         path, tensors, config = self.saved_model(tmp_path)
@@ -377,7 +389,22 @@ class TestCheckpointFormat:
         path = str(tmp_path / "ck.bin")
         save_checkpoint(path, {"t": np.zeros(2)}, {})
         with open(path, "rb") as fh:
-            assert fh.read(5) == b"MMLY1"
+            raw = fh.read()
+        (hlen, header_crc) = struct.unpack_from("<II", raw, 5)
+        assert raw[:5] == b"MMLY2"
+        assert header_crc == zlib.crc32(raw[13 : 13 + hlen])
+
+    def test_flipped_header_bit_rejected(self, tmp_path):
+        # One flipped bit in a vocabulary token once loaded as another token.
+        path, tensors, config = self.saved_model(tmp_path)
+        raw = bytearray(open(path, "rb").read())
+        token = next(t for t in config["vocab"] if t.isalpha() and chr(ord(t[0]) ^ 1) + t[1:] not in config["vocab"])
+        at = raw.index(json.dumps(token).encode("utf-8")) + 1
+        raw[at] ^= 1
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        with pytest.raises(CheckpointError, match="header checksum"):
+            load_checkpoint(path)
 
     def test_model_save_load_bit_exact(self, tmp_path):
         page = probe_page()
@@ -394,6 +421,39 @@ class TestCheckpointFormat:
         path2 = str(tmp_path / "model2.ckpt")
         again.save(path2)
         assert open(path, "rb").read() == open(path2, "rb").read()
+
+    def test_full_word_table_mmly1_loads_and_predicts_the_same_tags(self, tmp_path):
+        # What every earlier checkpoint holds: an MMLY1 file whose emb.word
+        # has all vocab_size rows. Rows past len(vocab) are dropped on load.
+        pages = small_corpus(4)
+        cfg = ModelConfig(seed=3, **SMALL_MODEL)
+        vocab = build_vocab(pages, cfg.vocab_size)
+        old = FullTableModel(cfg, vocab)
+        path = str(tmp_path / "old.ckpt")
+        old.save(path)
+        as_mmly1(path)
+        assert load_checkpoint(path)[0]["emb.word"].shape == (cfg.vocab_size, cfg.d)
+        loaded = load_model(path)
+        assert loaded.tables.word.data.flags.owndata
+        for name, p in Model(cfg, vocab).params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
+        with no_grad():
+            for page in pages:
+                enc = loaded.encode_page(page)
+                assert loaded.logits_encoded(enc).data.tobytes() == old.logits_encoded(enc).data.tobytes()
+                assert loaded.predict_word_tags(enc) == old.predict_word_tags(enc)
+
+    @pytest.mark.parametrize("rows", ["fewer", "between", "beyond"])
+    def test_word_table_of_other_row_count_rejected(self, tmp_path, rows):
+        # Only len(vocab) rows, or the vocab_size rows of an older checkpoint, load.
+        path, tensors, config = self.saved_model(tmp_path)
+        n, cap = len(config["vocab"]), config["model"]["vocab_size"]
+        count = {"fewer": n - 1, "between": n + 1, "beyond": cap + 1}[rows]
+        assert n + 1 < cap
+        tensors["emb.word"] = np.zeros((count, config["model"]["d"]))
+        save_checkpoint(path, tensors, config)
+        with pytest.raises(CheckpointError, match="tensor 'emb.word' has shape"):
+            load_model(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         page = probe_page()
@@ -421,6 +481,25 @@ class TestTrainLoop:
             if not np.array_equal(p.data, fresh.params[name].data)
         ]
         assert len(changed) == len(fresh.params)
+
+    def test_full_word_table_trains_to_the_same_live_rows(self, monkeypatch):
+        # The table at all vocab_size rows of its draw, trained next to the
+        # trimmed one: no value that training computes reads a row past
+        # len(vocab), so the logs, the report and every live parameter agree
+        # bit for bit.
+        pages = small_corpus(8)
+        cfg = ModelConfig(seed=0, **SMALL_MODEL)
+        tc = TrainConfig(lr=1e-3, warmup_steps=2, epochs=3, batch_size=3, eval_every=1)
+        trimmed = train(pages[:6], pages[6:], cfg, tc)
+        monkeypatch.setattr(training_module, "Model", FullTableModel)
+        full = train(pages[:6], pages[6:], cfg, tc)
+        n = len(trimmed.model.vocab)
+        assert (trimmed.model.tables.word.shape, full.model.tables.word.shape) == ((n, cfg.d), (cfg.vocab_size, cfg.d))
+        assert trimmed.metric_log == full.metric_log
+        assert trimmed.report == full.report
+        for name, p in trimmed.model.params.items():
+            want = full.model.params[name].data
+            assert p.data.tobytes() == (want[:n] if name == "emb.word" else want).tobytes(), name
 
     def test_loss_decreases_after_training(self):
         pages = small_corpus(12)

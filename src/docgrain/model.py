@@ -10,6 +10,9 @@ reach the model only through the shared layout tables.
 coordinates, positions, parent rows, targets) with whole-array numpy, each
 equal to its per-element definition bit for bit. The pairwise bucket
 indices and the aggregation matrix are built by the stages that read them.
+
+Each parameter is declared once; ``load_model`` fills the declarations from
+a checkpoint's tensors, checked there by shape and finiteness, and draws nothing.
 """
 
 from __future__ import annotations
@@ -239,6 +242,7 @@ class Model:
         vocab: Vocab,
         tag_set: BioTagSet | None = None,
         inventory: CommonSenseInventory | None = None,
+        tensors: dict[str, np.ndarray] | None = None,
     ):
         if len(vocab) > config.vocab_size:
             raise ValueError(f"vocabulary size {len(vocab)} exceeds configured {config.vocab_size}")
@@ -249,11 +253,27 @@ class Model:
         if self.inventory.size != config.commonsense_k:
             raise ValueError(f"inventory size {self.inventory.size} != configured k {config.commonsense_k}")
         self.params: dict[str, Tensor] = {}
+        self._tensors = tensors
         self._build_params()
+        if tensors is not None and (extra := tensors.keys() - self.params.keys()):
+            raise CheckpointError(f"checkpoint has unexpected tensors: {sorted(extra)}")
 
     # -- parameter construction -------------------------------------------
 
-    def _param(self, name: str, value: np.ndarray) -> Tensor:
+    def _param(self, name: str, shape: tuple, init=None) -> Tensor:
+        """Declare parameter ``name`` of ``shape``: ``init(shape)`` (by default a
+        ``trunc_normal`` draw from the name's own stream) for a fresh model, or
+        the loaded tensor of that name, which must have that shape and be finite."""
+        if self._tensors is None:
+            value = trunc_normal(self._rng_for(name), shape) if init is None else init(shape)
+        elif name not in self._tensors:
+            raise CheckpointError(f"checkpoint missing tensor '{name}'")
+        else:
+            value = self._tensors[name]
+            if value.shape != shape:
+                raise CheckpointError(f"tensor '{name}' has shape {value.shape}, expected {shape}")
+            if not np.isfinite(value).all():
+                raise CheckpointError(f"tensor '{name}' holds a non-finite value")
         t = Tensor(value, requires_grad=True)
         self.params[name] = t
         return t
@@ -264,34 +284,25 @@ class Model:
         digest = zlib.crc32(name.encode("utf-8"))
         return np.random.default_rng([self.config.seed, digest])
 
-    def _weight(self, name: str, shape) -> Tensor:
-        return self._param(name, trunc_normal(self._rng_for(name), shape))
-
-    def _zeros(self, name: str, shape) -> Tensor:
-        return self._param(name, np.zeros(shape))
-
-    def _ones(self, name: str, shape) -> Tensor:
-        return self._param(name, np.ones(shape))
-
     def _layer(self, prefix: str) -> LayerParams:
         d, ffn = self.config.d, 4 * self.config.d
         return LayerParams(
-            wq=self._weight(f"{prefix}.wq", (d, d)),
-            bq=self._zeros(f"{prefix}.bq", (d,)),
-            wk=self._weight(f"{prefix}.wk", (d, d)),
-            bk=self._zeros(f"{prefix}.bk", (d,)),
-            wv=self._weight(f"{prefix}.wv", (d, d)),
-            bv=self._zeros(f"{prefix}.bv", (d,)),
-            wo=self._weight(f"{prefix}.wo", (d, d)),
-            bo=self._zeros(f"{prefix}.bo", (d,)),
-            ln1_gain=self._ones(f"{prefix}.ln1_gain", (d,)),
-            ln1_bias=self._zeros(f"{prefix}.ln1_bias", (d,)),
-            ln2_gain=self._ones(f"{prefix}.ln2_gain", (d,)),
-            ln2_bias=self._zeros(f"{prefix}.ln2_bias", (d,)),
-            ffn_w1=self._weight(f"{prefix}.ffn_w1", (d, ffn)),
-            ffn_b1=self._zeros(f"{prefix}.ffn_b1", (ffn,)),
-            ffn_w2=self._weight(f"{prefix}.ffn_w2", (ffn, d)),
-            ffn_b2=self._zeros(f"{prefix}.ffn_b2", (d,)),
+            wq=self._param(f"{prefix}.wq", (d, d)),
+            bq=self._param(f"{prefix}.bq", (d,), np.zeros),
+            wk=self._param(f"{prefix}.wk", (d, d)),
+            bk=self._param(f"{prefix}.bk", (d,), np.zeros),
+            wv=self._param(f"{prefix}.wv", (d, d)),
+            bv=self._param(f"{prefix}.bv", (d,), np.zeros),
+            wo=self._param(f"{prefix}.wo", (d, d)),
+            bo=self._param(f"{prefix}.bo", (d,), np.zeros),
+            ln1_gain=self._param(f"{prefix}.ln1_gain", (d,), np.ones),
+            ln1_bias=self._param(f"{prefix}.ln1_bias", (d,), np.zeros),
+            ln2_gain=self._param(f"{prefix}.ln2_gain", (d,), np.ones),
+            ln2_bias=self._param(f"{prefix}.ln2_bias", (d,), np.zeros),
+            ffn_w1=self._param(f"{prefix}.ffn_w1", (d, ffn)),
+            ffn_b1=self._param(f"{prefix}.ffn_b1", (ffn,), np.zeros),
+            ffn_w2=self._param(f"{prefix}.ffn_w2", (ffn, d)),
+            ffn_b2=self._param(f"{prefix}.ffn_b2", (d,), np.zeros),
         )
 
     def _build_params(self) -> None:
@@ -299,32 +310,33 @@ class Model:
         # One row per vocabulary token: no id reaches past len(vocab). The draw
         # keeps its full (vocab_size, d) shape, because trunc_normal resamples
         # over the whole array, and the kept rows are a copy, so the draw is freed.
-        word = trunc_normal(self._rng_for("emb.word"), (cfg.vocab_size, cfg.d))[: len(self.vocab)].copy()
+        word = lambda _: trunc_normal(self._rng_for("emb.word"), (cfg.vocab_size, cfg.d))[: len(self.vocab)].copy()
         self.tables = EmbeddingTables(
-            word=self._param("emb.word", word),
-            token_type=self._weight("emb.token_type", (2, cfg.d)),
-            position=self._weight("emb.position", (cfg.max_len, cfg.d)),
-            coord_x=self._weight("emb.coord_x", (COORD_RANGE, cfg.coord_width)),
-            coord_y=self._weight("emb.coord_y", (COORD_RANGE, cfg.coord_width)),
-            patch_proj_w=self._weight("emb.patch_w", (PATCH_RAW_DIM, cfg.d)),
-            patch_proj_b=self._zeros("emb.patch_b", (cfg.d,)),
+            word=self._param("emb.word", (len(self.vocab), cfg.d), word),
+            token_type=self._param("emb.token_type", (2, cfg.d)),
+            position=self._param("emb.position", (cfg.max_len, cfg.d)),
+            coord_x=self._param("emb.coord_x", (COORD_RANGE, cfg.coord_width)),
+            coord_y=self._param("emb.coord_y", (COORD_RANGE, cfg.coord_width)),
+            patch_proj_w=self._param("emb.patch_w", (PATCH_RAW_DIM, cfg.d)),
+            patch_proj_b=self._param("emb.patch_b", (cfg.d,), np.zeros),
         )
         self.bias_tables = RelativeBiasTables(
-            rel_1d=self._zeros("bias.rel_1d", (REL_BUCKETS, cfg.heads)),
-            rel_x=self._zeros("bias.rel_x", (REL_BUCKETS, cfg.heads)),
-            rel_y=self._zeros("bias.rel_y", (REL_BUCKETS, cfg.heads)),
+            rel_1d=self._param("bias.rel_1d", (REL_BUCKETS, cfg.heads), np.zeros),
+            rel_x=self._param("bias.rel_x", (REL_BUCKETS, cfg.heads), np.zeros),
+            rel_y=self._param("bias.rel_y", (REL_BUCKETS, cfg.heads), np.zeros),
         )
         self.fine_stack = [self._layer(f"fine.{i}") for i in range(cfg.fine_layers)]
         self.coarse_stack = [self._layer(f"coarse.{i}") for i in range(cfg.coarse_layers)]
         if cfg.commonsense_k > 0:
-            self.cs_emb = self._weight("cs.emb", (cfg.commonsense_k, cfg.d))
+            self.cs_emb = self._param("cs.emb", (cfg.commonsense_k, cfg.d))
             # Near-identity start so the knowledge term begins as a gentle additive hint.
-            self.cs_proj = self._param("cs.proj", np.eye(cfg.d) + trunc_normal(self._rng_for("cs.proj"), (cfg.d, cfg.d)))
+            proj = lambda shape: np.eye(cfg.d) + trunc_normal(self._rng_for("cs.proj"), shape)
+            self.cs_proj = self._param("cs.proj", (cfg.d, cfg.d), proj)
         else:
             self.cs_emb = None
             self.cs_proj = None
-        self.head_w = self._weight("head.w", (cfg.d, self.tag_set.n_tags))
-        self.head_b = self._zeros("head.b", (self.tag_set.n_tags,))
+        self.head_w = self._param("head.w", (cfg.d, self.tag_set.n_tags))
+        self.head_b = self._param("head.b", (self.tag_set.n_tags,), np.zeros)
 
     # -- page encoding (constant per document) ----------------------------
 
@@ -487,30 +499,23 @@ def load_model(path: str) -> Model:
     if missing:
         raise CheckpointError(f"{path}: checkpoint config is missing {missing}")
     try:
-        model = Model(
-            ModelConfig.from_dict(config["model"]),
-            Vocab(config["vocab"]),
+        model_config = ModelConfig.from_dict(config["model"])
+        vocab = Vocab(config["vocab"])
+        word = tensors.get("emb.word")
+        if word is not None and word.shape == (model_config.vocab_size, model_config.d):
+            # Older checkpoints carry vocab_size rows; no token id reaches past len(vocab).
+            tensors["emb.word"] = word[: len(vocab)].copy()
+        return Model(
+            model_config,
+            vocab,
             BioTagSet(_as_tuple(config, "label_types")),
             CommonSenseInventory(_as_tuple(config, "categories")),
+            tensors,
         )
+    except CheckpointError:
+        raise
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: invalid checkpoint config: {exc}") from None
-    word = tensors.get("emb.word")
-    if word is not None and word.shape == (model.config.vocab_size, model.config.d):
-        # Older checkpoints carry vocab_size rows; no token id reaches past len(vocab).
-        tensors["emb.word"] = word[: len(model.vocab)].copy()
-    for name, param in model.params.items():
-        if name not in tensors:
-            raise CheckpointError(f"checkpoint missing tensor '{name}'")
-        if tensors[name].shape != param.data.shape:
-            raise CheckpointError(
-                f"tensor '{name}' has shape {tensors[name].shape}, expected {param.data.shape}"
-            )
-        param.data = tensors[name]
-    extra = set(tensors) - set(model.params)
-    if extra:
-        raise CheckpointError(f"checkpoint has unexpected tensors: {sorted(extra)}")
-    return model
 
 
 def _as_tuple(config: dict, key: str) -> tuple:

@@ -32,7 +32,7 @@ class Vocab:
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise ValueError("vocabulary must be a list of strings")
         if tokens[: len(SPECIALS)] != list(SPECIALS):
-            tokens = list(SPECIALS) + [t for t in tokens if t not in SPECIALS]
+            raise ValueError(f"vocabulary must begin with the special tokens {list(SPECIALS)}")
         self.tokens = list(tokens)
         self.ids = {tok: i for i, tok in enumerate(self.tokens)}
         if len(self.ids) != len(self.tokens):

@@ -28,8 +28,14 @@ an assignment to it nor a method call on it whose value is dropped
 from __future__ import annotations
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
+
+import pytest
+
+from docgrain.model import ModelConfig
+from docgrain.training import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "docgrain"
@@ -171,3 +177,14 @@ def test_every_field_is_read_outside_tests():
 
 def test_field_contract_names_exist():
     assert FIELD_CONTRACT <= annotated_fields().keys()
+
+
+# Every settable config value doubles the configurations that tests and the
+# benchmark must cover. A change that adds one updates this count and names
+# the callers that need different values.
+KNOBS = {ModelConfig: 11, TrainConfig: 7}
+
+
+@pytest.mark.parametrize("config", list(KNOBS), ids=lambda c: c.__name__)
+def test_settable_config_value_count(config):
+    assert len([f for f in dataclasses.fields(config) if f.init]) == KNOBS[config]

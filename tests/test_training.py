@@ -467,6 +467,50 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="head.w"):
             load_model(path)
 
+    @pytest.mark.parametrize("name", ["head.w", "emb.word", "fine.0.ln1_gain"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, name, value):
+        # Such a checkpoint once loaded and scored every page as all O.
+        path, tensors, config = self.saved_model(tmp_path)
+        tensors[name].reshape(-1)[1] = value
+        save_checkpoint(path, tensors, config)
+        with pytest.raises(CheckpointError, match=f"tensor '{name}' holds a non-finite value"):
+            load_model(path)
+
+    def test_vocab_without_leading_specials_rejected(self, tmp_path):
+        # Rows permuted with the tokens, so token i still means row i: this
+        # once loaded with the specials moved to the front, shifting every row.
+        path, tensors, config = self.saved_model(tmp_path)
+        order = [2, 0, 1, *range(3, len(config["vocab"]))]
+        config["vocab"] = [config["vocab"][i] for i in order]
+        tensors["emb.word"] = tensors["emb.word"][order]
+        save_checkpoint(path, tensors, config)
+        with pytest.raises(CheckpointError, match=r"invalid checkpoint config: vocabulary must begin with the special"):
+            load_model(path)
+
+    def test_load_draws_no_initialization(self, tmp_path, monkeypatch):
+        path, tensors, _ = self.saved_model(tmp_path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_model drew an initialization")
+
+        monkeypatch.setattr("docgrain.model.trunc_normal", no_draw)
+        loaded = load_model(path)
+        assert loaded.params.keys() == tensors.keys()
+        for name, p in loaded.params.items():
+            assert p.data.tobytes() == tensors[name].tobytes()
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"commonsense_k": 0}, {"coarse_layers": 0}, {"use_cross_grained": False}]
+    )
+    def test_loaded_params_in_fresh_order(self, tmp_path, overrides):
+        page = probe_page()
+        cfg = ModelConfig(seed=3, **(SMALL_MODEL | overrides))
+        model = Model(cfg, build_vocab([page], cfg.vocab_size))
+        path = str(tmp_path / "model.ckpt")
+        model.save(path)
+        assert list(load_model(path).params) == list(model.params)
+
 
 class TestTrainLoop:
     def test_short_run_updates_every_group(self):

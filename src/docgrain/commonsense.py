@@ -1,9 +1,13 @@
 """Rule and gazetteer detectors for generic entity knowledge.
 
-Each category fires on a text span; a segment gets a multi-hot vector over
-the configured inventory. Detectors are deterministic regex/gazetteer
-rules so the whole pipeline stays self-contained. The CARDINAL category is
-residual: it fires only on digit runs not claimed by another category.
+An inventory of size k tags a segment with a k-bit multi-hot vector over
+the first k of ``DEFAULT_CATEGORIES``, one deterministic regex/gazetteer
+rule per category, so the whole pipeline stays self-contained. PERSON,
+ORG and GPE only answer yes or no; ORG and GPE share one ``_WORD`` scan.
+The DATE, TIME, MONEY and PERCENT matches are kept as spans for CARDINAL,
+which is residual: it fires only on a digit run that none of them covers.
+PERSON, ORG and GPE matches hold only letters, dots and spaces, so they
+never cover a digit run.
 
 Every DATE, TIME, MONEY and PERCENT pattern needs a ``_DIGIT`` match, and
 so does CARDINAL, so a text without one skips those scans.
@@ -11,6 +15,7 @@ so does CARDINAL, so a text without one skips those scans.
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -66,99 +71,55 @@ _DIGIT = re.compile(r"\d")
 _DIGIT_RUN = re.compile(r"\d+")
 _CAPITALIZED = re.compile(r"\b[A-Z][a-z]+\b")
 _WORD = re.compile(r"[A-Za-z]+")
+_HONORIFIC_NAME = re.compile(r"\b([A-Za-z]+)\.?\s+([A-Z][a-z]+)")
 
 DEFAULT_CATEGORIES = ("PERSON", "ORG", "GPE", "DATE", "TIME", "MONEY", "PERCENT", "CARDINAL")
 
-# Pattern categories that cannot fire on a text without a ``_DIGIT`` match.
-_DIGIT_CATEGORIES = frozenset(("DATE", "TIME", "MONEY", "PERCENT"))
+
+def _is_person(text: str) -> bool:
+    if any(m.group(1).lower() in _HONORIFICS for m in _HONORIFIC_NAME.finditer(text)):
+        return True
+    return any(m.group(0).lower() in _FIRST_NAMES for m in _CAPITALIZED.finditer(text))
 
 
-def _pattern_spans(text: str, category: str) -> list[tuple[int, int]]:
-    return [m.span() for pat in _PATTERNS[category] for m in pat.finditer(text)]
-
-
-def _person_spans(text: str) -> list[tuple[int, int]]:
-    spans = []
-    for m in re.finditer(r"\b([A-Za-z]+)\.?\s+([A-Z][a-z]+)", text):
-        if m.group(1).lower() in _HONORIFICS:
-            spans.append(m.span())
-    for m in _CAPITALIZED.finditer(text):
-        if m.group(0).lower() in _FIRST_NAMES:
-            spans.append(m.span())
-    return spans
-
-
-def _org_spans(text: str) -> list[tuple[int, int]]:
-    spans = []
-    for m in _WORD.finditer(text):
-        if m.group(0).lower().rstrip(".") in _ORG_SUFFIXES and m.group(0)[0].isupper():
-            spans.append(m.span())
-    return spans
-
-
-def _gpe_spans(text: str) -> list[tuple[int, int]]:
-    return [m.span() for m in _WORD.finditer(text) if m.group(0).lower() in _GPE_NAMES]
-
-
-_SPAN_DETECTORS = {
-    "PERSON": _person_spans,
-    "ORG": _org_spans,
-    "GPE": _gpe_spans,
-    "DATE": lambda t: _pattern_spans(t, "DATE"),
-    "TIME": lambda t: _pattern_spans(t, "TIME"),
-    "MONEY": lambda t: _pattern_spans(t, "MONEY"),
-    "PERCENT": lambda t: _pattern_spans(t, "PERCENT"),
-}
+def _flags(text: str) -> list[bool]:
+    """One flag per ``DEFAULT_CATEGORIES`` entry, in that order."""
+    words = _WORD.findall(text)
+    flags = [
+        _is_person(text),
+        any(w[0].isupper() and w.lower() in _ORG_SUFFIXES for w in words),
+        any(w.lower() in _GPE_NAMES for w in words),
+    ]
+    if _DIGIT.search(text) is None:
+        return flags + [False] * 5
+    claimed: list[tuple[int, int]] = []
+    for patterns in _PATTERNS.values():
+        spans = [m.span() for pat in patterns for m in pat.finditer(text)]
+        flags.append(bool(spans))
+        claimed.extend(spans)
+    runs = (m.span() for m in _DIGIT_RUN.finditer(text))
+    flags.append(any(not any(cs <= s and e <= ce for cs, ce in claimed) for s, e in runs))
+    return flags
 
 
 @dataclass
 class CommonSenseInventory:
-    """Ordered detector inventory; bit k of the output belongs to
-    ``categories[k]``."""
+    """The first ``size`` default categories; bit k of a vector belongs to
+    ``categories[k]``, and ``size`` 0 disables the subsystem."""
 
-    categories: tuple[str, ...] = DEFAULT_CATEGORIES
+    size: int = len(DEFAULT_CATEGORIES)
 
     def __post_init__(self) -> None:
-        for cat in self.categories:
-            if cat != "CARDINAL" and cat not in _SPAN_DETECTORS:
-                raise ValueError(f"no detector available for category '{cat}'")
+        k = self.size
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 <= k <= len(DEFAULT_CATEGORIES):
+            raise ValueError(f"inventory size must be an integer in [0, {len(DEFAULT_CATEGORIES)}], got {k!r}")
 
     @property
-    def size(self) -> int:
-        return len(self.categories)
-
-    def detect(self, text: str) -> np.ndarray:
-        """Multi-hot vector: bit k set iff detector k fires anywhere."""
-        bits = np.zeros(self.size)
-        has_digit = _DIGIT.search(text) is not None
-        claimed: list[tuple[int, int]] = []
-        cardinal_slot = None
-        for k, cat in enumerate(self.categories):
-            if cat == "CARDINAL":
-                cardinal_slot = k
-                continue
-            if not has_digit and cat in _DIGIT_CATEGORIES:
-                continue
-            spans = _SPAN_DETECTORS[cat](text)
-            if spans:
-                bits[k] = 1.0
-                claimed.extend(spans)
-        if cardinal_slot is not None and has_digit:
-            for m in _DIGIT_RUN.finditer(text):
-                s, e = m.span()
-                if not any(cs <= s and e <= ce for cs, ce in claimed):
-                    bits[cardinal_slot] = 1.0
-                    break
-        return bits
+    def categories(self) -> tuple[str, ...]:
+        return DEFAULT_CATEGORIES[: self.size]
 
     def detect_all(self, texts: list[str]) -> np.ndarray:
-        if not texts:
-            return np.zeros((0, self.size))
-        return np.stack([self.detect(t) for t in texts])
-
-
-def make_inventory(k: int) -> CommonSenseInventory:
-    """The first k default detectors; k = 0 disables the subsystem."""
-    if not 0 <= k <= len(DEFAULT_CATEGORIES):
-        raise ValueError(f"inventory has {len(DEFAULT_CATEGORIES)} categories but k={k}")
-    return CommonSenseInventory(categories=DEFAULT_CATEGORIES[:k])
+        """One multi-hot row per text: bit k set iff category k fires anywhere in it."""
+        if not self.size:
+            return np.zeros((len(texts), 0))
+        return np.array([_flags(t)[: self.size] for t in texts], dtype=np.float64).reshape(len(texts), self.size)

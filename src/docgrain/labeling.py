@@ -25,6 +25,8 @@ class BioTagSet:
     def __post_init__(self) -> None:
         if not all(isinstance(t, str) for t in self.types):
             raise ValueError(f"entity types must be strings, got {self.types!r}")
+        if "" in self.types or len(set(self.types)) != len(self.types):
+            raise ValueError(f"entity types must be non-empty and distinct, got {self.types!r}")
 
     @cached_property
     def tags(self) -> tuple[str, ...]:

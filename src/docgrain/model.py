@@ -35,7 +35,7 @@ from .attention import (
 )
 from .checkpoint import CheckpointError
 from .clustering import ClusterParams
-from .commonsense import DEFAULT_CATEGORIES, CommonSenseInventory, make_inventory
+from .commonsense import DEFAULT_CATEGORIES, CommonSenseInventory
 from .document import BBox, Page, box_array
 from .embeddings import (
     COORD_RANGE,
@@ -155,6 +155,8 @@ class ModelConfig:
             raise ValueError(f"commonsense_k must be in [0, {len(DEFAULT_CATEGORIES)}], got {self.commonsense_k}")
         if self.radius < 0:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def coord_width(self) -> int:
@@ -241,7 +243,6 @@ class Model:
         config: ModelConfig,
         vocab: Vocab,
         tag_set: BioTagSet | None = None,
-        inventory: CommonSenseInventory | None = None,
         tensors: dict[str, np.ndarray] | None = None,
     ):
         if len(vocab) > config.vocab_size:
@@ -249,9 +250,7 @@ class Model:
         self.config = config
         self.vocab = vocab
         self.tag_set = tag_set if tag_set is not None else BioTagSet()
-        self.inventory = inventory if inventory is not None else make_inventory(config.commonsense_k)
-        if self.inventory.size != config.commonsense_k:
-            raise ValueError(f"inventory size {self.inventory.size} != configured k {config.commonsense_k}")
+        self.inventory = CommonSenseInventory(config.commonsense_k)
         self.params: dict[str, Tensor] = {}
         self._tensors = tensors
         self._build_params()
@@ -505,13 +504,10 @@ def load_model(path: str) -> Model:
         if word is not None and word.shape == (model_config.vocab_size, model_config.d):
             # Older checkpoints carry vocab_size rows; no token id reaches past len(vocab).
             tensors["emb.word"] = word[: len(vocab)].copy()
-        return Model(
-            model_config,
-            vocab,
-            BioTagSet(_as_tuple(config, "label_types")),
-            CommonSenseInventory(_as_tuple(config, "categories")),
-            tensors,
-        )
+        categories = DEFAULT_CATEGORIES[: model_config.commonsense_k]
+        if _as_tuple(config, "categories") != categories:
+            raise ValueError(f"categories must be {list(categories)}, got {config['categories']!r}")
+        return Model(model_config, vocab, BioTagSet(_as_tuple(config, "label_types")), tensors)
     except CheckpointError:
         raise
     except (TypeError, ValueError) as exc:

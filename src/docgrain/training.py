@@ -56,6 +56,8 @@ class TrainConfig:
             raise ValueError("warmup_steps must be >= 0")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":

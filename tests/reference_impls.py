@@ -18,9 +18,11 @@ composed Transformer layer that the three sublayer nodes replaced
 (``composed_transformer_layer``): three head projections, the fused
 softmax, a stacked ``y @ v``, the head merge, then ``add`` and
 ``layer_norm`` around the attention and around ``linear``, ``gelu`` and
-``linear``. So are the knowledge detector without its digit gate
-(``detect_reference``) and the document parser that formatted every
-message up front (``parse_document_reference``).
+``linear``. So are the knowledge detector over any ordered category list,
+with one span scan per category and no digit gate (``detect_reference``;
+it shares only the pattern tables and word lists with the package), and
+the document parser that formatted every message up front
+(``parse_document_reference``).
 
 ``weighted_sum`` turns any tensor into the scalar loss a gradient check
 needs, ``tape_tensors`` lists the tensors of a graph, and
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections.abc import Iterable
 from functools import lru_cache
 
@@ -49,7 +52,7 @@ import numpy as np
 from scipy.special import erf
 
 from docgrain.attention import SpatialIndices, rel_bucket
-from docgrain.commonsense import _DIGIT_RUN, _SPAN_DETECTORS
+from docgrain.commonsense import _FIRST_NAMES, _GPE_NAMES, _HONORIFICS, _ORG_SUFFIXES, _PATTERNS
 from docgrain.document import (
     BBox,
     DocumentParseError,
@@ -218,7 +221,7 @@ def coarse_input_oracle(model, enc, agg: np.ndarray) -> np.ndarray:
     page, g = enc.page, enc.graph
     knowledge = None
     if model.cs_emb is not None:
-        bits = np.array([model.inventory.detect(seg.text) for seg in page.segments])
+        bits = np.array([detect_reference(model.inventory.categories, seg.text) for seg in page.segments])
         knowledge = (bits @ model.cs_emb.data) @ model.cs_proj.data
     boxes = [seg.bbox for seg in page.segments] + [region.bbox for region in g.regions]
     rows = []
@@ -540,6 +543,49 @@ def composed_transformer_layer(h: Tensor, params, heads: int, bias: Tensor | Non
     u = composed_residual_layer_norm(h, attn, p.ln1_gain, p.ln1_bias)
     ffn = composed_gelu_ffn(u, p.ffn_w1, p.ffn_b1, p.ffn_w2, p.ffn_b2)
     return composed_residual_layer_norm(u, ffn, p.ln2_gain, p.ln2_bias)
+
+
+_DIGIT_RUN = re.compile(r"\d+")
+_CAPITALIZED = re.compile(r"\b[A-Z][a-z]+\b")
+_WORD = re.compile(r"[A-Za-z]+")
+
+
+def _pattern_spans(text: str, category: str) -> list[tuple[int, int]]:
+    return [m.span() for pat in _PATTERNS[category] for m in pat.finditer(text)]
+
+
+def _person_spans(text: str) -> list[tuple[int, int]]:
+    spans = []
+    for m in re.finditer(r"\b([A-Za-z]+)\.?\s+([A-Z][a-z]+)", text):
+        if m.group(1).lower() in _HONORIFICS:
+            spans.append(m.span())
+    for m in _CAPITALIZED.finditer(text):
+        if m.group(0).lower() in _FIRST_NAMES:
+            spans.append(m.span())
+    return spans
+
+
+def _org_spans(text: str) -> list[tuple[int, int]]:
+    spans = []
+    for m in _WORD.finditer(text):
+        if m.group(0).lower().rstrip(".") in _ORG_SUFFIXES and m.group(0)[0].isupper():
+            spans.append(m.span())
+    return spans
+
+
+def _gpe_spans(text: str) -> list[tuple[int, int]]:
+    return [m.span() for m in _WORD.finditer(text) if m.group(0).lower() in _GPE_NAMES]
+
+
+_SPAN_DETECTORS = {
+    "PERSON": _person_spans,
+    "ORG": _org_spans,
+    "GPE": _gpe_spans,
+    "DATE": lambda t: _pattern_spans(t, "DATE"),
+    "TIME": lambda t: _pattern_spans(t, "TIME"),
+    "MONEY": lambda t: _pattern_spans(t, "MONEY"),
+    "PERCENT": lambda t: _pattern_spans(t, "PERCENT"),
+}
 
 
 def detect_reference(categories: tuple[str, ...], text: str) -> np.ndarray:

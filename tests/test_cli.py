@@ -190,6 +190,14 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("config", [{"model": {"seed": -1}}, {"train": {"seed": -2}}], ids=["model", "train"])
+    def test_negative_seed_fails_before_the_corpus(self, tmp_path, capsys, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        missing = str(tmp_path / "no-corpus")
+        assert run(["train", "--corpus", missing, "--config", str(path), "--out", str(tmp_path / "m.ckpt")]) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+
     def test_vocab_size_below_the_special_tokens_fails_before_the_corpus(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"model": {"vocab_size": 1}}))

@@ -1,8 +1,10 @@
 """The knowledge detector against the scan-everything oracle.
 
-``CommonSenseInventory`` skips the digit-bound categories on texts without
-a ``\\d`` match; that cut must leave every vector byte-equal to
-``detect_reference``, which scans every category on every text.
+``CommonSenseInventory(k)`` answers PERSON, ORG and GPE yes or no, shares
+one word scan between ORG and GPE and skips the digit-bound categories on
+texts without a ``\\d`` match. Its vectors must be the first k entries,
+byte for byte, of ``detect_reference`` over all eight default categories,
+which runs every span detector on every text.
 """
 
 import numpy as np
@@ -23,13 +25,7 @@ from docgrain.synth import SynthParams, synth_generate
 
 from .reference_impls import detect_reference
 
-INVENTORIES = [
-    DEFAULT_CATEGORIES,
-    DEFAULT_CATEGORIES[:4],
-    ("CARDINAL", "MONEY", "PERCENT", "DATE", "TIME", "GPE", "ORG", "PERSON"),
-    ("CARDINAL",),
-    (),
-]
+INVENTORIES = [CommonSenseInventory(k) for k in range(len(DEFAULT_CATEGORIES) + 1)]
 
 CORPORA = {
     "forms": SynthParams(),
@@ -38,19 +34,19 @@ CORPORA = {
 }
 
 
-def assert_matches_reference(inv: CommonSenseInventory, texts: list[str]) -> None:
-    want = np.array([detect_reference(inv.categories, t) for t in texts]).reshape(len(texts), inv.size)
-    assert inv.detect_all(texts).tobytes() == want.tobytes()
-    for t, row in zip(texts, want):
-        assert inv.detect(t).tobytes() == row.tobytes()
+def assert_matches_reference(texts: list[str]) -> None:
+    """One oracle call per text at k = 8; every inventory returns the
+    first k columns of it."""
+    full = np.array([detect_reference(DEFAULT_CATEGORIES, t) for t in texts])
+    for inv in INVENTORIES:
+        got, want = inv.detect_all(texts), full[:, : inv.size]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(CORPORA))
 def test_matches_reference_on_synthetic_corpora(name):
     pages = synth_generate(5, 24, CORPORA[name]).pages
-    texts = [s.text for page in pages for s in page.segments]
-    for categories in INVENTORIES:
-        assert_matches_reference(CommonSenseInventory(categories), texts)
+    assert_matches_reference([s.text for page in pages for s in page.segments])
 
 
 def mixed_case(word: str):
@@ -79,6 +75,5 @@ text = st.lists(st.tuples(token, st.sampled_from(["", " ", "  ", ", ", ". ", "\n
 @settings(max_examples=400)
 @given(st.lists(text, min_size=1, max_size=6))
 def test_matches_reference_on_generated_text(texts):
-    for categories in INVENTORIES:
-        assert_matches_reference(CommonSenseInventory(categories), texts)
+    assert_matches_reference(texts)
 

@@ -40,6 +40,14 @@ class TestBioTagSet:
         assert [ts.tag_id(t) for t in ts.tags] == [0, 1, 2, 3, 4]
         assert BioTagSet(("HEADER", "ANSWER")) == ts and hash(BioTagSet(("HEADER", "ANSWER"))) == hash(ts)
 
+    @pytest.mark.parametrize(
+        "types", [("HEADER", "HEADER", "ANSWER"), ("HEADER", ""), ("",)], ids=["repeated", "empty", "only-empty"]
+    )
+    def test_repeated_or_empty_types_rejected(self, types):
+        # A repeated type once gave two ids the same tag; an empty one the tag "B-".
+        with pytest.raises(ValueError, match="non-empty and distinct"):
+            BioTagSet(types)
+
 
 class TestBioDecode:
     def test_basic_run(self):

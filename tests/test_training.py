@@ -62,6 +62,13 @@ class TestLrSchedule:
         with pytest.raises(ValueError, match="warmup_steps"):
             TrainConfig(warmup_steps=-1)
 
+    def test_negative_seed_rejected(self):
+        # numpy's seeding once failed after every page was encoded, without naming the key.
+        for seed in (-1, -(2**70)):
+            with pytest.raises(ValueError, match="seed must be >= 0"):
+                TrainConfig(seed=seed)
+        assert TrainConfig(seed=2**70).seed == 2**70
+
     @pytest.mark.parametrize("field", ["lr", "weight_decay"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400, -(10**400)])
     def test_non_finite_rates_rejected(self, field, value):
@@ -315,6 +322,36 @@ class TestCheckpointFormat:
         config[key] = value
         save_checkpoint(path, tensors, config)
         with pytest.raises(CheckpointError, match=f"invalid checkpoint config: {key} must be a list, got '{value}'"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "categories",
+        [
+            ["DATE", "GPE", "ORG", "PERSON"],
+            ["PERSON", "ORG", "GPE"],
+            ["PERSON", "ORG", "GPE", "DATE", "TIME"],
+            ["PERSON", "ORG", "GPE", "EVENT"],
+            ["PERSON", "ORG", "GPE", 3],
+        ],
+        ids=["reordered", "shortened", "lengthened", "unknown-name", "non-string"],
+    )
+    def test_categories_other_than_default_prefix_rejected(self, tmp_path, categories):
+        # Bit k of a knowledge vector is always DEFAULT_CATEGORIES[k]; a
+        # reordered list once loaded and permuted the bits.
+        path, tensors, config = self.saved_model(tmp_path)
+        assert config["categories"] == ["PERSON", "ORG", "GPE", "DATE"]
+        config["categories"] = categories
+        save_checkpoint(path, tensors, config)
+        with pytest.raises(CheckpointError, match="invalid checkpoint config: categories must be"):
+            load_model(path)
+
+    @pytest.mark.parametrize("types", [["HEADER", "HEADER", "ANSWER"], ["HEADER", "", "ANSWER"]], ids=["repeated", "empty"])
+    def test_repeated_or_empty_label_types_rejected(self, tmp_path, types):
+        # Same count as the head's 7 columns, so only the tag set can catch it.
+        path, tensors, config = self.saved_model(tmp_path)
+        config["label_types"] = types
+        save_checkpoint(path, tensors, config)
+        with pytest.raises(CheckpointError, match="invalid checkpoint config: entity types must be non-empty and distinct"):
             load_model(path)
 
     @pytest.mark.parametrize("key, value", [("heads", 0), ("grid", [2]), ("rel_buckets", 5), ("radius", -1.0)])

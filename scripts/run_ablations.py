@@ -13,6 +13,7 @@ from dataclasses import replace
 
 from docgrain.synth import SynthParams, synth_generate
 from docgrain.training import (
+    ABLATIONS,
     ablate,
     reference_model_config,
     reference_train_config,
@@ -28,7 +29,7 @@ def main() -> int:
     parser.add_argument("--epochs", type=int, default=16)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     parser.add_argument("--out", default="runs/ablations")
-    parser.add_argument("--axes", nargs="+", default=["components", "coarse_layers", "radius"])
+    parser.add_argument("--axes", nargs="+", choices=tuple(ABLATIONS), default=tuple(ABLATIONS))
     args = parser.parse_args()
     os.makedirs(args.out, exist_ok=True)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -20,6 +21,7 @@ from .render import render_page_svg
 from .synth import SynthParams, load_corpus, probe_page, save_corpus, synth_generate
 from .tensor import no_grad
 from .training import (
+    ABLATIONS,
     TrainConfig,
     ablate,
     evaluate_model,
@@ -98,7 +100,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dump-intermediates", default=None, help="write stage shapes/norms for the first doc")
 
     p = sub.add_parser("ablate", help="run one ablation axis and write a CSV")
-    p.add_argument("--axis", choices=("components", "coarse_layers", "radius"), required=True)
+    p.add_argument("--axis", choices=tuple(ABLATIONS), required=True)
     p.add_argument("--corpus", required=True, help="corpus directory")
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--config", default=None, help="JSON config with model/train sections")
@@ -137,6 +139,19 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _check_out_path(flag: str, path: str | None) -> None:
+    """UsageError unless ``path`` can be written as a file: its directory
+    exists and it is no directory itself. A run checks this before it
+    reads the corpus, rather than failing after it trains."""
+    if path is None:
+        return
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise UsageError(f"{flag}: '{directory}' is not an existing directory")
+    if os.path.isdir(path):
+        raise UsageError(f"{flag}: '{path}' is a directory")
+
+
 def _load_configs(path: str | None) -> tuple[ModelConfig, TrainConfig]:
     if path is None:
         return ModelConfig(), TrainConfig()
@@ -144,6 +159,8 @@ def _load_configs(path: str | None) -> tuple[ModelConfig, TrainConfig]:
 
 
 def _cmd_train(args) -> int:
+    _check_out_path("--out", args.out)
+    _check_out_path("--log-out", args.log_out)
     model_cfg, train_cfg = _load_configs(args.config)
     train_pages, eval_pages = split_corpus(load_corpus(args.corpus), args.holdout)
     result = train(train_pages, eval_pages, model_cfg, train_cfg, checkpoint_path=args.out)
@@ -154,6 +171,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_out_path("--dump-intermediates", args.dump_intermediates)
     model = load_model(args.checkpoint)
     pages = load_corpus(args.corpus)
     report = evaluate_model(model, map(model.encode_page, pages))
@@ -169,6 +187,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    _check_out_path("--out", args.out)
     model_cfg, train_cfg = _load_configs(args.config)
     train_pages, eval_pages = split_corpus(load_corpus(args.corpus), args.holdout)
     rows = ablate(train_pages, eval_pages, model_cfg, train_cfg, args.axis, seeds=tuple(args.seeds))
@@ -214,10 +233,7 @@ def run(argv: list[str] | None = None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DocumentParseError, ValueError, OSError, RuntimeError) as exc:
+    except (UsageError, DocumentParseError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # a config too large to allocate

@@ -110,18 +110,10 @@ def detect_salient_regions(segments: list[Segment], params: ClusterParams) -> li
     """
     labels = dbscan([s.bbox for s in segments], params)
     groups: dict[int, list[int]] = {}
-    order: list[int] = []
     for idx, lab in enumerate(labels):
-        key = lab if lab != NOISE else -(idx + 2)  # unique key per noise singleton
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(idx)
-    members = sorted((sorted(groups[k]) for k in order), key=lambda m: m[0])
+        # Members arrive in ascending order; each noise segment keys its own group.
+        groups.setdefault(lab if lab != NOISE else -(idx + 2), []).append(idx)
     return [
-        SalientRegion(
-            bbox=union_box([segments[i].bbox for i in m]),
-            member_segment_ids=tuple(m),
-        )
-        for m in members
+        SalientRegion(bbox=union_box([segments[i].bbox for i in m]), member_segment_ids=tuple(m))
+        for m in sorted(groups.values(), key=lambda m: m[0])
     ]

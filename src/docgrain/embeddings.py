@@ -46,10 +46,6 @@ class EmbeddingTables:
     patch_proj_w: Tensor
     patch_proj_b: Tensor
 
-    @property
-    def coord_width(self) -> int:
-        return self.coord_x.shape[1]
-
 
 def layout_lookups(coords: np.ndarray, tables: EmbeddingTables) -> list[tuple[Tensor, np.ndarray, int]]:
     """The six ``(coord table, index, column)`` lookups of an (n, 4) int
@@ -58,7 +54,7 @@ def layout_lookups(coords: np.ndarray, tables: EmbeddingTables) -> list[tuple[Te
     if len(coords) and (coords.min() < 0 or coords.max() >= COORD_RANGE):
         raise ValueError("layout coordinates out of the 0..1000 range; normalize boxes first")
     x0, y0, x1, y1 = coords.T
-    x, y, c = tables.coord_x, tables.coord_y, tables.coord_width
+    x, y, c = tables.coord_x, tables.coord_y, tables.coord_x.shape[1]
     return [(x, x0, 0), (x, x1, c), (x, x1 - x0, 2 * c), (y, y0, 3 * c), (y, y1, 4 * c), (y, y1 - y0, 5 * c)]
 
 

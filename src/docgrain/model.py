@@ -339,18 +339,20 @@ class Model:
 
     # -- page encoding (constant per document) ----------------------------
 
-    def cluster_params(self) -> ClusterParams:
-        return ClusterParams(radius=self.config.radius)
-
     def encode_page(self, page: Page) -> EncodedDoc:
         cfg = self.config
-        graph = build_graph(page, self.cluster_params(), cfg.grid)
+        graph = build_graph(page, ClusterParams(radius=cfg.radius), cfg.grid)
         tokens = tokenize(page.words, self.vocab, cfg.max_len)
         patch_raw = patch_raw_features(page, cfg.grid[0], cfg.grid[1])
         n_text, n_visual = len(tokens), patch_raw.shape[0]
         if n_text + n_visual > cfg.max_len:
             raise ValueError(f"{n_text} text + {n_visual} visual tokens exceed max_len {cfg.max_len}")
-        fine_boxes = normalized_coords([*tokens.bboxes, *graph.patch_bboxes], page)
+        # Each word's box is normalized once; a token takes its word's row.
+        word_index = np.asarray(tokens.word_index, dtype=np.int64)
+        fine_boxes = np.concatenate([
+            normalized_coords([w.bbox for w in page.words], page)[word_index],
+            normalized_coords(graph.patch_bboxes, page),
+        ])
         positions = np.concatenate([np.arange(n_text), np.arange(n_visual)]).astype(np.int64)
 
         # Row of each fine element's parent in the stacked [segments; regions]
@@ -358,7 +360,7 @@ class Model:
         n_seg, n_reg = graph.n_coarse_text, graph.n_coarse_visual
         text_parent = np.asarray(graph.text_parent, dtype=np.int64)
         parent_row = np.concatenate([
-            text_parent[np.asarray(tokens.word_index, dtype=np.int64)],
+            text_parent[word_index],
             n_seg + np.asarray(graph.visual_parent, dtype=np.int64),
         ])
 
@@ -412,14 +414,9 @@ class Model:
         agg[enc.parent_row, np.arange(enc.parent_row.shape[0])] = 1.0
         return matmul(Tensor(agg), h_fine)
 
-    def commonsense_embed(self, cs_bits: np.ndarray) -> Tensor:
-        if self.cs_emb is None:
-            raise ValueError("common-sense subsystem is disabled (k = 0)")
-        return matmul(matmul(Tensor(cs_bits), self.cs_emb), self.cs_proj)
-
     def coarse_input(self, agg: Tensor, enc: EncodedDoc) -> Tensor:
         if self.config.commonsense_k > 0:
-            agg = add(agg, self.commonsense_embed(enc.cs_bits))
+            agg = add(agg, matmul(matmul(Tensor(enc.cs_bits), self.cs_emb), self.cs_proj))
         return add_lookups(agg, layout_lookups(enc.coarse_boxes, self.tables))
 
     def coarse_encode(self, h: Tensor) -> Tensor:

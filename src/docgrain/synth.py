@@ -319,6 +319,8 @@ def probe_page() -> Page:
 
 def generate_page(seed: int, index: int, params: SynthParams) -> Page:
     """One labeled page; (seed, index) fully determines the output."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng([seed, index])
     builder = _Builder(PAGE_WIDTH, params.page_height)
     if params.variant == "plain":

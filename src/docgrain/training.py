@@ -21,16 +21,6 @@ from .synth import load_corpus
 from .tensor import scale
 from .vocab import build_vocab
 
-RADIUS_GRID = (5.0, 10.0, 30.0, 50.0, 100.0)
-
-COMPONENT_RUNS = (
-    "full",
-    "w/o Coarse-grained Encoder",
-    "w/o Common Sense Enhancement",
-    "w/o Aggregation with Cross-grained Edges",
-)
-
-
 # Keys older config files may carry; unset (null) is the only value the
 # loop implements: the schedule spans every epoch and nothing is clipped.
 _RETIRED_FIELDS = {"total_steps": None, "grad_clip": None}
@@ -224,19 +214,17 @@ def reference_train_config(seed: int = 0, epochs: int = 20) -> TrainConfig:
     )
 
 
-ABLATION_AXES = ("components", "coarse_layers", "radius")
-
-
-def _component_config(base: ModelConfig, run: str) -> ModelConfig:
-    if run == "full":
-        return base
-    if run == "w/o Coarse-grained Encoder":
-        return replace(base, coarse_layers=0)
-    if run == "w/o Common Sense Enhancement":
-        return replace(base, commonsense_k=0)
-    if run == "w/o Aggregation with Cross-grained Edges":
-        return replace(base, use_cross_grained=False)
-    raise ValueError(f"unknown component run '{run}'")
+# The paper's ablation grid: each axis's runs in order, as (name, ModelConfig overrides).
+ABLATIONS: dict[str, tuple[tuple[str, dict], ...]] = {
+    "components": (
+        ("full", {}),
+        ("w/o Coarse-grained Encoder", {"coarse_layers": 0}),
+        ("w/o Common Sense Enhancement", {"commonsense_k": 0}),
+        ("w/o Aggregation with Cross-grained Edges", {"use_cross_grained": False}),
+    ),
+    "coarse_layers": tuple((f"M={m}", {"coarse_layers": m}) for m in range(6)),
+    "radius": tuple((f"r={r:g}", {"radius": r}) for r in (5.0, 10.0, 30.0, 50.0, 100.0)),
+}
 
 
 def ablate(
@@ -250,33 +238,30 @@ def ablate(
     """Grid of training runs along one ablation axis.
 
     Rows are dicts with run/seed/f1/precision/recall, one per (run, seed);
-    callers aggregate the seed average.
+    callers aggregate the seed average. Every run's configs are built, and
+    so checked, before the first run trains.
     """
-    if axis not in ABLATION_AXES:
-        raise ValueError(f"axis must be one of {ABLATION_AXES}, got '{axis}'")
+    if axis not in ABLATIONS:
+        raise ValueError(f"axis must be one of {tuple(ABLATIONS)}, got '{axis}'")
     if not eval_pages:
         raise ValueError("an ablation needs held-out pages to score")
-    if axis == "components":
-        variants = [(run, _component_config(base_model_cfg, run)) for run in COMPONENT_RUNS]
-    elif axis == "coarse_layers":
-        variants = [(f"M={m}", replace(base_model_cfg, coarse_layers=m)) for m in range(0, 6)]
-    else:
-        variants = [(f"r={r:g}", replace(base_model_cfg, radius=r)) for r in RADIUS_GRID]
-
+    runs = [
+        (run, seed, replace(base_model_cfg, **overrides, seed=seed), replace(base_train_cfg, seed=seed))
+        for run, overrides in ABLATIONS[axis]
+        for seed in seeds
+    ]
     rows = []
-    for run, model_cfg in variants:
-        for seed in seeds:
-            cfg = replace(model_cfg, seed=seed)
-            report = train(train_pages, eval_pages, cfg, replace(base_train_cfg, seed=seed)).report
-            rows.append(
-                {
-                    "run": run,
-                    "seed": seed,
-                    "f1": report.micro_f1,
-                    "precision": report.micro_precision,
-                    "recall": report.micro_recall,
-                }
-            )
+    for run, seed, model_cfg, train_cfg in runs:
+        report = train(train_pages, eval_pages, model_cfg, train_cfg).report
+        rows.append(
+            {
+                "run": run,
+                "seed": seed,
+                "f1": report.micro_f1,
+                "precision": report.micro_precision,
+                "recall": report.micro_recall,
+            }
+        )
     return rows
 
 

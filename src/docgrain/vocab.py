@@ -1,8 +1,8 @@
 """Corpus-built vocabulary and the word-piece tokenizer.
 
 Pieces are lowercased letter runs, digit runs, and single punctuation
-characters. Each sub-token inherits the bounding box and segment of the
-word it came from; the vocabulary is frequency-ranked over a corpus.
+characters. Each sub-token carries the index of the word it came from;
+the vocabulary is frequency-ranked over a corpus.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .document import BBox, Page, Word
+from .document import Page, Word
 
 PAD_TOKEN = "[PAD]"
 UNK_TOKEN = "[UNK]"
@@ -68,7 +68,6 @@ class TokenSeq:
     """Tokenized page text: ids plus per-token provenance."""
 
     ids: list[int]
-    bboxes: list[BBox]
     word_index: list[int]
     first_subtoken: list[bool]
 
@@ -79,17 +78,15 @@ class TokenSeq:
 def tokenize(words: list[Word], vocab: Vocab, max_len: int) -> TokenSeq:
     """Tokenize words in reading order; fails rather than truncating."""
     ids: list[int] = []
-    bboxes: list[BBox] = []
     word_index: list[int] = []
     first: list[bool] = []
     for wi, word in enumerate(words):
         for pi, piece in enumerate(word_pieces(word.text)):
             ids.append(vocab.token_to_id(piece))
-            bboxes.append(word.bbox)
             word_index.append(wi)
             first.append(pi == 0)
     if len(ids) > max_len:
         raise ValueError(
             f"token sequence length {len(ids)} exceeds max_len {max_len}; truncate the document before tokenizing"
         )
-    return TokenSeq(ids=ids, bboxes=bboxes, word_index=word_index, first_subtoken=first)
+    return TokenSeq(ids=ids, word_index=word_index, first_subtoken=first)

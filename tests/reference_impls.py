@@ -67,7 +67,7 @@ from docgrain.document import (
 )
 from docgrain.embeddings import TEXT_TYPE, VISUAL_TYPE
 from docgrain.model import Model, trunc_normal
-from docgrain.tensor import Tensor, _affine, _affine_backward, _make, add, concat_rows, gather, linear
+from docgrain.tensor import Tensor, _affine, _affine_backward, _make, add, concat_rows, gather, linear, matmul
 
 NOISE = -1
 
@@ -184,7 +184,7 @@ def _layout_row(tables, box: BBox, page) -> np.ndarray:
     """The six coordinate lookups of one page-space box, zero-padded to d."""
     x0, y0, x1, y1 = (int(v) for v in normalize_box(box, page.width, page.height).as_list())
     cx, cy = tables.coord_x.data, tables.coord_y.data
-    pad = np.zeros(tables.word.shape[1] - 6 * tables.coord_width)
+    pad = np.zeros(tables.word.shape[1] - 6 * tables.coord_x.shape[1])
     return np.concatenate([cx[x0], cx[x1], cx[x1 - x0], cy[y0], cy[y1], cy[y1 - y0], pad])
 
 
@@ -194,7 +194,8 @@ def fine_input_oracle(model, enc) -> np.ndarray:
     0), plus the coordinate lookups. Text rows first."""
     t, page = model.tables, enc.page
     features = enc.patch_raw @ t.patch_proj_w.data + t.patch_proj_b.data
-    rows = [(t.word.data[token], 0, i, box) for i, (token, box) in enumerate(zip(enc.tokens.ids, enc.tokens.bboxes))]
+    boxes = [page.words[w].bbox for w in enc.tokens.word_index]
+    rows = [(t.word.data[token], 0, i, box) for i, (token, box) in enumerate(zip(enc.tokens.ids, boxes))]
     rows += [(features[p], 1, p, box) for p, box in enumerate(enc.graph.patch_bboxes)]
     return np.array([
         content + t.token_type.data[kind] + t.position.data[pos] + _layout_row(t, box, page)
@@ -332,7 +333,7 @@ def composed_layout(coords: np.ndarray, tables) -> Tensor:
         gather(tables.coord_y, y1),
         gather(tables.coord_y, y1 - y0),
     ]
-    pad = tables.word.shape[1] - 6 * tables.coord_width
+    pad = tables.word.shape[1] - 6 * tables.coord_x.shape[1]
     if pad:
         parts.append(Tensor(np.zeros((len(coords), pad))))
     return concat_cols(parts)
@@ -351,7 +352,7 @@ def composed_fine_input(model, enc) -> Tensor:
 
 def composed_coarse_input(model, agg: Tensor, enc) -> Tensor:
     if model.config.commonsense_k > 0:
-        agg = add(agg, model.commonsense_embed(enc.cs_bits))
+        agg = add(agg, matmul(matmul(Tensor(enc.cs_bits), model.cs_emb), model.cs_proj))
     return add(agg, composed_layout(enc.coarse_boxes, model.tables))
 
 

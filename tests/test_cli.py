@@ -100,6 +100,11 @@ class TestSynthCli:
         run(["synth", "--seed", "5", "--count", "2", "--out", out])
         assert open(os.path.join(out, "doc_00000.json")).read() == first
 
+    def test_negative_seed_is_named(self, tmp_path, capsys):
+        assert run(["synth", "--seed", "-1", "--count", "1", "--out", str(tmp_path / "corpus")]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "corpus").exists()
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
@@ -204,6 +209,30 @@ class TestConfigErrors:
         missing = str(tmp_path / "no-corpus")
         assert run(["train", "--corpus", missing, "--config", str(path), "--out", str(tmp_path / "m.ckpt")]) == 1
         assert capsys.readouterr().err.startswith("error: vocab_size must be at least 2")
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["train", "--out", "{missing}/m.ckpt"], "--out: '{missing}' is not an existing directory"),
+            (["train", "--out", "{tmp}/m.ckpt", "--log-out", "{missing}/log.jsonl"],
+             "--log-out: '{missing}' is not an existing directory"),
+            (["ablate", "--axis", "radius", "--out", "{missing}/a.csv"], "--out: '{missing}' is not an existing directory"),
+            (["eval", "--checkpoint", "{tmp}/m.ckpt", "--dump-intermediates", "{missing}/d.json"],
+             "--dump-intermediates: '{missing}' is not an existing directory"),
+            (["train", "--out", "{tmp}"], "--out: '{tmp}' is a directory"),
+            (["ablate", "--axis", "radius", "--out", "{tmp}"], "--out: '{tmp}' is a directory"),
+        ],
+        ids=["train-out", "train-log-out", "ablate-out", "eval-dump", "train-out-is-dir", "ablate-out-is-dir"],
+    )
+    def test_bad_output_path_fails_before_the_corpus(self, corpus, tmp_path, monkeypatch, capsys, argv, error):
+        import docgrain.cli as cli
+
+        for name in ("load_corpus", "load_model", "train", "ablate"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("ran past the output check"))
+        paths = dict(missing=tmp_path / "nodir", tmp=tmp_path)
+        assert run([*(arg.format(**paths) for arg in argv), "--corpus", corpus]) == 1
+        assert capsys.readouterr().err == f"error: {error.format(**paths)}\n"
+        assert os.listdir(tmp_path) == []
 
     def test_out_of_memory_is_validation_error(self, corpus, tmp_path, monkeypatch, capsys):
         import docgrain.cli as cli

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from docgrain.clustering import NOISE, ClusterParams, dbscan, detect_salient_regions
-from docgrain.document import BBox, Segment, union_box
+from docgrain.document import BBox, Segment, boundary_distance, union_box
 
 from .reference_impls import dbscan_oracle, partitions_equal
 
@@ -88,6 +88,27 @@ class TestDetectSalientRegions:
             assert seen == list(range(len(segs)))
             for r in regions:
                 assert r.bbox == union_box([segs[i].bbox for i in r.member_segment_ids])
+
+    def test_regions_group_oracle_labels_with_border_and_noise_boxes(self):
+        rng = np.random.default_rng(17)
+        kinds = set()
+        for trial in range(60):
+            boxes = random_boxes(rng, int(rng.integers(1, 25)))
+            segs = [segment_for(b, i) for i, b in enumerate(boxes)]
+            radius = float(rng.choice([5.0, 20.0, 50.0]))
+            for min_pts in range(4):
+                labels = dbscan_oracle(boxes, radius, min_pts)
+                groups: dict[tuple, list[int]] = {}
+                for i, lab in enumerate(labels):
+                    # A cluster is one region; a noise box is a region alone.
+                    groups.setdefault(("cluster", lab) if lab != NOISE else ("noise", i), []).append(i)
+                    near = sum(boundary_distance(boxes[i], b) <= radius for j, b in enumerate(boxes) if j != i)
+                    kinds.add("core" if near >= min_pts else "border" if lab != NOISE else "noise")
+                want = sorted((sorted(m) for m in groups.values()), key=lambda m: m[0])
+                regions = detect_salient_regions(segs, ClusterParams(radius, min_pts))
+                assert [list(r.member_segment_ids) for r in regions] == want, f"trial {trial}, min_pts {min_pts}"
+                assert [r.bbox for r in regions] == [union_box([boxes[i] for i in m]) for m in want]
+        assert kinds == {"core", "border", "noise"}
 
     def test_region_count_nonincreasing_in_radius(self):
         # empirical monotonicity on the suite's random instances

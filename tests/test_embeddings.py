@@ -93,7 +93,7 @@ class TestTokenizer:
         for tok in ("fax", ":", "123"):
             assert v.tokens[v.token_to_id(tok)] == tok
 
-    def test_tokenize_carries_boxes_and_word_index(self):
+    def test_tokenize_carries_word_index(self):
         words = [
             Word("Fax:", BBox(0, 0, 28, 14), 0),
             Word("123", BBox(32, 0, 53, 14), 0),
@@ -103,7 +103,6 @@ class TestTokenizer:
         assert seq.ids == [v.token_to_id(p) for p in ("fax", ":", "123")]
         assert seq.word_index == [0, 0, 1]
         assert seq.first_subtoken == [True, False, True]
-        assert seq.bboxes[0] == seq.bboxes[1] == words[0].bbox
 
     def test_tokenize_over_max_len(self):
         words = [Word("a b", BBox(0, 0, 5, 5), 0)]
@@ -328,7 +327,7 @@ class TestBuildFineInput:
             out = add(out, gather(t.position, np.arange(n)))
             return add_lookups(out, layout_lookups(normalized_coords(boxes, page), t)).data
 
-        want_text = rows(gather(t.word, seq.ids), TEXT_TYPE, seq.bboxes)
+        want_text = rows(gather(t.word, seq.ids), TEXT_TYPE, [page.words[w].bbox for w in seq.word_index])
         want_visual = rows(features, VISUAL_TYPE, patch_boxes(page.width, page.height, 2, 2))
         assert np.array_equal(fine.data[:3], want_text)
         assert np.array_equal(fine.data[3:], want_visual)

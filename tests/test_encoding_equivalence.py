@@ -71,7 +71,7 @@ class TestSyntheticPages:
             enc = model.encode_page(page)
             g = enc.graph
             assert g.visual_parent == [assign_patch_loop(p, g.regions) for p in g.patch_bboxes]
-            fine = normalized_coords_loop([*enc.tokens.bboxes, *g.patch_bboxes], page)
+            fine = normalized_coords_loop([*(page.words[w].bbox for w in enc.tokens.word_index), *g.patch_bboxes], page)
             coarse = normalized_coords_loop([s.bbox for s in page.segments] + [r.bbox for r in g.regions], page)
             assert same_bytes(enc.fine_boxes, fine)
             assert same_bytes(enc.coarse_boxes, coarse)

@@ -6,9 +6,10 @@ import pytest
 import docgrain.model as model_module
 from docgrain.commonsense import DEFAULT_CATEGORIES, CommonSenseInventory
 from docgrain.document import BBox, Page, Segment, Word
+from docgrain.embeddings import layout_lookups
 from docgrain.model import Model, ModelConfig, gradcheck_config, stage_summary
 from docgrain.synth import SynthParams, generate_page, probe_page
-from docgrain.tensor import Tensor, matmul, no_grad, scale
+from docgrain.tensor import Tensor, add_lookups, matmul, no_grad, scale
 from docgrain.training import reference_model_config
 from docgrain.vocab import build_vocab
 
@@ -142,30 +143,35 @@ class TestCommonSense:
 
 
 class TestCommonsenseEmbed:
-    def test_zero_vector_zero_output(self):
+    """The knowledge term ``coarse_input`` adds to the aggregate: bits @ cs.emb @ cs.proj."""
+
+    @staticmethod
+    def knowledge_term(bits):
+        """The model and ``coarse_input`` less its layout term, with ``bits``
+        as the first knowledge rows of the probe page and zero rows after."""
         page = probe_page()
         m = tiny_model(page)
-        out = m.commonsense_embed(np.zeros((3, 4)))
-        assert np.all(out.data == 0.0)
+        enc = m.encode_page(page)
+        rows = np.zeros_like(enc.cs_bits)
+        rows[: len(bits)] = bits
+        agg = Tensor(np.zeros((rows.shape[0], m.config.d)))
+        layout = add_lookups(agg, layout_lookups(enc.coarse_boxes, m.tables)).data
+        return m, m.coarse_input(agg, replace(enc, cs_bits=rows)).data - layout
+
+    def test_zero_vector_zero_output(self):
+        _, out = self.knowledge_term(np.zeros((3, 4)))
+        assert np.all(out == 0.0)
 
     def test_one_hot_selects_row(self):
-        page = probe_page()
-        m = tiny_model(page)
-        one = np.zeros((1, 4))
-        one[0, 2] = 1.0
-        out = m.commonsense_embed(one).data
+        m, out = self.knowledge_term([[0.0, 0.0, 1.0, 0.0]])
         want = m.cs_emb.data[2] @ m.cs_proj.data
         assert np.max(np.abs(out[0] - want)) < 1e-12
 
     def test_two_hot_is_sum(self):
-        page = probe_page()
-        m = tiny_model(page)
-        a, b, both = np.zeros((1, 4)), np.zeros((1, 4)), np.zeros((1, 4))
-        a[0, 0] = b[0, 3] = 1.0
-        both[0, 0] = both[0, 3] = 1.0
-        got = m.commonsense_embed(both).data
-        want = m.commonsense_embed(a).data + m.commonsense_embed(b).data
-        assert np.max(np.abs(got - want)) < 1e-12
+        _, got = self.knowledge_term([[1.0, 0.0, 0.0, 1.0]])
+        _, a = self.knowledge_term([[1.0, 0.0, 0.0, 0.0]])
+        _, b = self.knowledge_term([[0.0, 0.0, 0.0, 1.0]])
+        assert np.max(np.abs(got - (a + b))) < 1e-12
 
 
 class TestStages:

@@ -55,3 +55,11 @@ def test_run_ablations_writes_one_row_per_component_run(tmp_path):
         "w/o Aggregation with Cross-grained Edges",
     ]
     assert "== components (region_cue corpus)" in proc.stdout
+
+
+def test_run_ablations_rejects_an_unknown_axis_before_any_work(tmp_path):
+    out = tmp_path / "ablations"
+    proc = run_script("run_ablations.py", "--axes", "radius", "bogus", "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "invalid choice: 'bogus'" in proc.stderr
+    assert not out.exists() and proc.stdout == ""

@@ -42,6 +42,10 @@ class TestGeneratorBasics:
         with pytest.raises(ValueError, match="count"):
             synth_generate(0, 0)
 
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            generate_page(-1, 0, SynthParams())
+
     def test_variant_validated(self):
         with pytest.raises(ValueError, match="unknown variant"):
             SynthParams(variant="weird")

@@ -3,6 +3,7 @@ import os
 import struct
 import tracemalloc
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from docgrain.optim import Adam
 from docgrain.synth import SynthParams, generate_page, probe_page
 from docgrain.tensor import Tensor, no_grad
 from docgrain.training import (
+    EvalReport,
     TrainConfig,
+    TrainResult,
     ablate,
     evaluate_model,
     load_config_file,
@@ -717,6 +720,44 @@ class TestEvaluate:
     def test_ablation_needs_held_out_pages(self):
         with pytest.raises(ValueError, match="held-out pages"):
             ablate(small_corpus(2), [], ModelConfig(seed=0, **SMALL_MODEL), TrainConfig(), "components")
+
+    def test_ablation_checks_every_config_before_the_first_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(training_module, "train", lambda *args: calls.append(args))
+        pages = small_corpus(3)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            ablate(pages[:2], pages[2:], ModelConfig(seed=0, **SMALL_MODEL), TrainConfig(), "radius", seeds=(0, -1))
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "axis, runs",
+        [
+            ("components", [
+                ("full", {}),
+                ("w/o Coarse-grained Encoder", {"coarse_layers": 0}),
+                ("w/o Common Sense Enhancement", {"commonsense_k": 0}),
+                ("w/o Aggregation with Cross-grained Edges", {"use_cross_grained": False}),
+            ]),
+            ("coarse_layers", [(f"M={m}", {"coarse_layers": m}) for m in range(6)]),
+            ("radius", [(f"r={r}", {"radius": float(r)}) for r in (5, 10, 30, 50, 100)]),
+        ],
+    )
+    def test_ablation_table_rows_and_configs(self, monkeypatch, axis, runs):
+        assert list(training_module.ABLATIONS) == ["components", "coarse_layers", "radius"]
+        seen = []
+
+        def fake_train(train_pages, eval_pages, model_cfg, train_cfg):
+            seen.append((model_cfg, train_cfg))
+            return TrainResult(model=None, report=EvalReport(0.5, 0.25, 0.75, {}))
+
+        monkeypatch.setattr(training_module, "train", fake_train)
+        base, tc = ModelConfig(seed=9, **SMALL_MODEL), TrainConfig(seed=9)
+        pages = small_corpus(3)
+        rows = ablate(pages[:2], pages[2:], base, tc, axis, seeds=(0, 1))
+        assert [(row["run"], row["seed"]) for row in rows] == [(name, s) for name, _ in runs for s in (0, 1)]
+        assert rows[0] == {"run": runs[0][0], "seed": 0, "f1": 0.75, "precision": 0.5, "recall": 0.25}
+        want = [(replace(base, **over, seed=s), replace(tc, seed=s)) for _, over in runs for s in (0, 1)]
+        assert seen == want
 
 
 class TestHelpers:

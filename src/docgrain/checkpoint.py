@@ -7,9 +7,10 @@ length and the ``zlib.crc32`` of the header bytes, then a JSON header
 back to back. ``MMLY1`` files, whose prefix has the header length only and
 whose header is unchecked, still load. Round trips are bit-exact. A save
 writes a temporary file beside the target, fsyncs it and renames it onto
-the target. A truncated or malformed file, entries that repeat a name or
-do not tile the payload in header order, a bad header or payload checksum
-and trailing bytes raise ``CheckpointError``.
+the target; an ``OSError`` on the way names the target. A truncated or
+malformed file, entries that repeat a name or do not tile the payload in
+header order, a bad header or payload checksum and trailing bytes raise
+``CheckpointError``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,18 @@ class CheckpointError(ValueError):
     pass
 
 
+def check_out_path(label: str, path: str | None) -> None:
+    """ValueError naming ``label`` unless ``path`` is None or can be written
+    as a file: its directory exists and it is no directory itself."""
+    if path is None:
+        return
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"{label}: '{directory}' is not an existing directory")
+    if os.path.isdir(path):
+        raise ValueError(f"{label}: '{path}' is a directory")
+
+
 def save_checkpoint(path: str, tensors: dict[str, np.ndarray], config: dict) -> None:
     entries = []
     offset = crc = 0
@@ -50,9 +63,11 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray], config: dict) -> 
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot save checkpoint '{path}': {exc.strerror or exc}") from exc
         raise
 
 

@@ -8,11 +8,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 
 from . import __version__
+from .checkpoint import check_out_path
 from .clustering import ClusterParams, detect_salient_regions
 from .document import DocumentParseError, load_document
 from .graph import build_graph, graph_to_json
@@ -139,19 +139,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _check_out_path(flag: str, path: str | None) -> None:
-    """UsageError unless ``path`` can be written as a file: its directory
-    exists and it is no directory itself. A run checks this before it
-    reads the corpus, rather than failing after it trains."""
-    if path is None:
-        return
-    directory = os.path.dirname(path) or "."
-    if not os.path.isdir(directory):
-        raise UsageError(f"{flag}: '{directory}' is not an existing directory")
-    if os.path.isdir(path):
-        raise UsageError(f"{flag}: '{path}' is a directory")
-
-
 def _load_configs(path: str | None) -> tuple[ModelConfig, TrainConfig]:
     if path is None:
         return ModelConfig(), TrainConfig()
@@ -159,8 +146,8 @@ def _load_configs(path: str | None) -> tuple[ModelConfig, TrainConfig]:
 
 
 def _cmd_train(args) -> int:
-    _check_out_path("--out", args.out)
-    _check_out_path("--log-out", args.log_out)
+    check_out_path("--out", args.out)
+    check_out_path("--log-out", args.log_out)
     model_cfg, train_cfg = _load_configs(args.config)
     train_pages, eval_pages = split_corpus(load_corpus(args.corpus), args.holdout)
     result = train(train_pages, eval_pages, model_cfg, train_cfg, checkpoint_path=args.out)
@@ -171,13 +158,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    _check_out_path("--dump-intermediates", args.dump_intermediates)
+    check_out_path("--dump-intermediates", args.dump_intermediates)
     model = load_model(args.checkpoint)
     pages = load_corpus(args.corpus)
     report = evaluate_model(model, map(model.encode_page, pages))
     if args.dump_intermediates:
         with no_grad():
-            _, stages = model.forward_encoded(model.encode_page(pages[0]), collect=True)
+            _, stages = model.forward_encoded(model.encode_page(pages[0]))
         with open(args.dump_intermediates, "w", encoding="utf-8") as fh:
             json.dump(stage_summary(stages), fh, indent=2, sort_keys=True)
     print(f"micro: P={report.micro_precision:.4f} R={report.micro_recall:.4f} F1={report.micro_f1:.4f}")
@@ -187,7 +174,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    _check_out_path("--out", args.out)
+    check_out_path("--out", args.out)
     model_cfg, train_cfg = _load_configs(args.config)
     train_pages, eval_pages = split_corpus(load_corpus(args.corpus), args.holdout)
     rows = ablate(train_pages, eval_pages, model_cfg, train_cfg, args.axis, seeds=tuple(args.seeds))

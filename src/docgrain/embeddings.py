@@ -10,9 +10,9 @@ The visual backbone is a deterministic patch featurizer: per-patch mean
 RGB plus normalized center/size, linearly projected to width d.
 
 ``Model.fine_input`` builds the fine-grained input as one stacked sequence,
-word rows then patch rows, plus one ``add_lookups`` node for the
-token-type, position and ``layout_lookups`` terms; ``Model.coarse_input``
-adds the same layout lookups to the coarse rows.
+word rows then patch rows, plus the token-type, position and
+``layout_lookups`` terms, as one ``fine_input_sum`` node;
+``Model.coarse_input`` adds the same layout lookups to the coarse rows.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class EmbeddingTables:
 
 def layout_lookups(coords: np.ndarray, tables: EmbeddingTables) -> list[tuple[Tensor, np.ndarray, int]]:
     """The six ``(coord table, index, column)`` lookups of an (n, 4) int
-    array of normalized (x0, y0, x1, y1) coordinates, for ``add_lookups``."""
+    array of normalized (x0, y0, x1, y1) coordinates, for the lookup-sum nodes."""
     coords = np.asarray(coords, dtype=np.int64)
     if len(coords) and (coords.min() < 0 or coords.max() >= COORD_RANGE):
         raise ValueError("layout coordinates out of the 0..1000 range; normalize boxes first")

@@ -155,6 +155,7 @@ def anls(pred: str, golds: list[str]) -> float:
     return best
 
 
-def labeling_head(h_text: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Single affine map from fused text features to tag logits."""
-    return linear(h_text, weight, bias)
+def labeling_head(h: Tensor, weight: Tensor, bias: Tensor, rows: int | None = None) -> Tensor:
+    """Single affine map from fused features to tag logits: the first
+    ``rows`` of ``h`` (the text rows), or all of them by default."""
+    return linear(h, weight, bias, rows)

@@ -4,7 +4,10 @@ Stages: spatial fine-grained encoding over words and patches, aggregation
 of fine features into segment and region nodes along the graph's parent
 edges, knowledge-enhanced coarse encoding with canonical attention, and
 fusion of each coarse feature back onto its fine children. Coordinates
-reach the model only through the shared layout tables.
+reach the model only through the shared layout tables. The fine input, the
+aggregate, the coarse input, fuse, and the head plus loss are one tape node
+each; with the spatial bias and four per Transformer layer, a reference
+document's loss is 18 nodes.
 
 ``Model.encode_page`` computes the O(n) facts of a page (graph, normalized
 coordinates, positions, parent rows, targets) with whole-array numpy, each
@@ -51,16 +54,13 @@ from .labeling import BioTagSet, labeling_head
 from .tensor import (
     IGNORE_INDEX,
     Tensor,
-    add,
     add_lookups,
-    concat_rows,
-    cross_entropy,
-    gather,
+    coarse_input_sum,
+    fine_input_sum,
     grad_check,
-    linear,
+    linear_cross_entropy,
     matmul,
     no_grad,
-    slice_rows,
 )
 from .vocab import SPECIALS, TokenSeq, Vocab, tokenize
 
@@ -393,9 +393,8 @@ class Model:
     def fine_input(self, enc: EncodedDoc) -> Tensor:
         """Word rows then patch rows, plus token-type, position and layout rows."""
         t = self.tables
-        features = linear(Tensor(enc.patch_raw), t.patch_proj_w, t.patch_proj_b)
         token_type = np.repeat([TEXT_TYPE, VISUAL_TYPE], [enc.n_text, enc.n_visual])
-        return add_lookups(concat_rows([gather(t.word, enc.tokens.ids), features]), [
+        return fine_input_sum(t.word, enc.tokens.ids, enc.patch_raw, t.patch_proj_w, t.patch_proj_b, [
             (t.token_type, token_type, 0),
             (t.position, enc.positions, 0),
             *layout_lookups(enc.fine_boxes, t),
@@ -415,9 +414,11 @@ class Model:
         return matmul(Tensor(agg), h_fine)
 
     def coarse_input(self, agg: Tensor, enc: EncodedDoc) -> Tensor:
-        if self.config.commonsense_k > 0:
-            agg = add(agg, matmul(matmul(Tensor(enc.cs_bits), self.cs_emb), self.cs_proj))
-        return add_lookups(agg, layout_lookups(enc.coarse_boxes, self.tables))
+        """The aggregate plus the knowledge term, if any, and layout rows."""
+        lookups = layout_lookups(enc.coarse_boxes, self.tables)
+        if self.cs_emb is None:
+            return add_lookups(agg, lookups)
+        return coarse_input_sum(agg, enc.cs_bits, self.cs_emb, self.cs_proj, lookups)
 
     def coarse_encode(self, h: Tensor) -> Tensor:
         for layer in self.coarse_stack:
@@ -427,41 +428,38 @@ class Model:
     def fuse(self, h_fine: Tensor, h_coarse: Tensor, enc: EncodedDoc) -> Tensor:
         return add_lookups(h_fine, [(h_coarse, enc.parent_row, 0)])
 
-    def forward_encoded(self, enc: EncodedDoc, collect: bool = False) -> tuple[Tensor, dict]:
-        stages: dict[str, Tensor] = {}
+    def forward_encoded(self, enc: EncodedDoc) -> tuple[Tensor, dict]:
+        """The fused features and each stage's output by name. The stage
+        dict holds references only; the aggregated row blocks are constant
+        views of the one aggregate, not tape nodes."""
         h0 = self.fine_input(enc)
         h_fine = self.fine_encode(h0, enc)
-        if collect:
-            stages["fine_input"] = h0
-            stages["fine_encoded"] = h_fine
+        stages = {"fine_input": h0, "fine_encoded": h_fine}
         if not self.config.use_cross_grained:
-            if collect:
-                stages["fused"] = h_fine
+            stages["fused"] = h_fine
             return h_fine, stages
         agg = self.aggregate(h_fine, enc)
-        h_c0 = self.coarse_input(agg, enc)
-        h_coarse = self.coarse_encode(h_c0)
-        fused = self.fuse(h_fine, h_coarse, enc)
-        if collect:
-            # Row blocks of the one aggregate, as constants: no tape node.
-            n_seg = enc.graph.n_coarse_text
-            stages["aggregated_text"] = Tensor(agg.data[:n_seg])
-            stages["aggregated_visual"] = Tensor(agg.data[n_seg:])
-            stages["coarse_input"] = h_c0
-            stages["coarse_encoded"] = h_coarse
-            stages["fused"] = fused
+        n_seg = enc.graph.n_coarse_text
+        stages["aggregated_text"] = Tensor(agg.data[:n_seg])
+        stages["aggregated_visual"] = Tensor(agg.data[n_seg:])
+        stages["coarse_input"] = h_c0 = self.coarse_input(agg, enc)
+        stages["coarse_encoded"] = h_coarse = self.coarse_encode(h_c0)
+        stages["fused"] = fused = self.fuse(h_fine, h_coarse, enc)
         return fused, stages
 
     # -- heads and losses ---------------------------------------------------
 
     def logits_encoded(self, enc: EncodedDoc) -> Tensor:
         fused, _ = self.forward_encoded(enc)
-        return labeling_head(slice_rows(fused, 0, enc.n_text), self.head_w, self.head_b)
+        return labeling_head(fused, self.head_w, self.head_b, enc.n_text)
 
-    def loss_encoded(self, enc: EncodedDoc) -> Tensor:
+    def loss_encoded(self, enc: EncodedDoc, weight: float = 1.0) -> Tensor:
+        """The mean cross entropy of the text rows' tag logits, times
+        ``weight``; the head and the loss are one node."""
         if enc.targets is None:
             raise ValueError("document has no labels")
-        return cross_entropy(self.logits_encoded(enc), enc.targets)
+        fused, _ = self.forward_encoded(enc)
+        return linear_cross_entropy(fused, self.head_w, self.head_b, enc.targets, weight)
 
     def predict_word_tags(self, enc: EncodedDoc) -> list[str]:
         """Argmax tag per word, read from its first sub-token."""

@@ -7,10 +7,12 @@ gradients are implemented here. A single graph is confined to one thread.
 
 Each sublayer of the post-LN Transformer layer is one node:
 ``self_attention`` (projections, per-head softmax, head merge and output
-affine), ``gelu_ffn`` and ``residual_layer_norm``. Their arithmetic order,
-including the order in which gradients are added into a shared input, is
-fixed: the tests hold their outputs and gradients byte-equal to chains of
-single-step reference ops.
+affine), ``gelu_ffn`` and ``residual_layer_norm``. So is each input stage,
+a sum plus table-row lookups (``add_lookups``, ``fine_input_sum``,
+``coarse_input_sum``), and the head plus loss, ``linear_cross_entropy``.
+Their arithmetic order, including the order in which gradients are added
+into a shared input, is fixed: the tests hold their outputs and gradients
+byte-equal to chains of single-step reference ops.
 
 A backward closure hands the gradient arrays it has just allocated to
 ``_accumulate``, and a first one becomes ``.grad`` without a copy. A
@@ -123,28 +125,6 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable[[np.
     return out
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two tensors of one shape."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch in add: {a.shape} vs {b.shape}")
-    data = a.data + b.data
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate_shared(g)
-        b._accumulate_shared(g)
-
-    return _make(data, (a, b), backward)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    data = a.data * s
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g * s)
-
-    return _make(data, (a,), backward)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Product of two matrices. The backward pass computes a gradient only
     for operands that require one."""
@@ -161,9 +141,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for a matrix ``x`` and a bias row ``b``, as one node."""
-    data = _affine(x.data, w, b)
+def linear(x: Tensor, w: Tensor, b: Tensor, rows: int | None = None) -> Tensor:
+    """``x[:rows] @ w + b`` for a matrix ``x`` and a bias row ``b``, as one
+    node: every row of ``x`` by default, else its first ``rows``."""
+    data = _affine(x.data[:rows], w, b)
 
     def backward(g: np.ndarray) -> None:
         _affine_backward(x, w, b, g)
@@ -180,9 +161,17 @@ def _affine(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
 
 
 def _affine_backward(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray) -> None:
+    """Gradients of ``x[:len(g)] @ w + b``; the rows of ``x`` past ``len(g)``
+    receive zeros."""
+    n = g.shape[0]
     if x.requires_grad:
-        x._accumulate(g @ w.data.T)
-    w._accumulate(x.data.T @ g)
+        gx = g @ w.data.T
+        if n < x.shape[0]:
+            full = np.zeros_like(x.data)
+            full[:n] = gx
+            gx = full
+        x._accumulate(gx)
+    w._accumulate(x.data[:n].T @ g)
     b._accumulate(g.sum(axis=0))
 
 
@@ -322,24 +311,6 @@ def residual_layer_norm(h: Tensor, delta: Tensor, gain: Tensor, bias: Tensor) ->
     return _make(data, (h, delta, gain, bias), backward)
 
 
-def gather(table: Tensor, idx) -> Tensor:
-    """Rows (or scalars) of ``table`` selected along axis 0 by ``idx``.
-
-    ``idx`` may be any integer array shape; the backward pass scatter-adds
-    into the table, so repeated indices accumulate.
-    """
-    idx = np.asarray(idx, dtype=np.int64)
-    n = table.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ValueError(f"gather index out of range for table with {n} rows")
-    data = table.data[idx]
-
-    def backward(g: np.ndarray) -> None:
-        _scatter_add(table, idx, g)
-
-    return _make(data, (table,), backward)
-
-
 def _scatter_add(table: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
     """``table.grad[idx[i]] += g[i]`` for every ``i`` in order, into a
     zeroed gradient on first use, so repeated indices accumulate.
@@ -357,34 +328,80 @@ def _scatter_add(table: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
     np.add.at(table.grad.reshape(-1), flat, np.ascontiguousarray(g).reshape(-1))
 
 
-def add_lookups(x: Tensor, lookups: Sequence[tuple[Tensor, object, int]]) -> Tensor:
-    """``x`` plus table rows, as one node: for each ``(table, idx, col)``, in
-    list order, row ``idx[i]`` of ``table`` is added into columns
-    ``col:col + table.shape[1]`` of row ``i`` of the (n, d) ``x``.
+def _rows_of(table: Tensor, idx, op: str) -> np.ndarray:
+    """``idx`` as int64, checked to hold row numbers of ``table``."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+        raise ValueError(f"{op} index out of range for table with {table.shape[0]} rows")
+    return idx
 
-    The backward pass hands ``g`` to ``x`` and scatter-adds each lookup's
-    column block of ``g`` into its table, so repeated indices and repeated
-    tables accumulate.
-    """
-    resolved = []
+
+def _lookup_sum(op: str, data: np.ndarray, lookups, inputs: tuple[Tensor, ...], backward_inputs) -> Tensor:
+    """The (n, d) ``data`` computed from ``inputs``, plus table rows, as one
+    node: for each ``(table, idx, col)`` of ``lookups``, in list order, row
+    ``idx[i]`` of ``table`` is added into columns ``col:col + table.shape[1]``
+    of row ``i``. The backward pass calls ``backward_inputs(g)``, then
+    scatter-adds each lookup's column block of ``g`` into its table, so
+    repeated indices and repeated tables accumulate."""
+    blocks = []
     for table, idx, col in lookups:
         idx = np.asarray(idx, dtype=np.int64)
-        rows, width = table.shape
-        if x.data.ndim != 2 or idx.shape != x.shape[:1] or col < 0 or col + width > x.shape[1]:
-            raise ValueError(f"add_lookups shapes: input {x.shape}, table {table.shape} at column {col}, index {idx.shape}")
-        if idx.size and (idx.min() < 0 or idx.max() >= rows):
-            raise ValueError(f"add_lookups index out of range for table with {rows} rows")
-        resolved.append((table, idx, slice(col, col + width)))
-    data = x.data.copy()
-    for table, idx, cols in resolved:
+        cols = slice(col, col + table.shape[-1])
+        if (data.ndim != 2 or table.data.ndim != 2 or idx.shape != data.shape[:1]
+                or col < 0 or cols.stop > data.shape[1]):
+            raise ValueError(f"{op} shapes: input {data.shape}, table {table.shape} at column {col}, index {idx.shape}")
+        idx = _rows_of(table, idx, op)
         data[:, cols] += table.data[idx]
+        blocks.append((table, idx, cols))
 
     def backward(g: np.ndarray) -> None:
-        x._accumulate_shared(g)
-        for table, idx, cols in resolved:
+        backward_inputs(g)
+        for table, idx, cols in blocks:
             _scatter_add(table, idx, g[:, cols])
 
-    return _make(data, (x, *(table for table, _, _ in resolved)), backward)
+    return _make(data, (*inputs, *(table for table, _, _ in blocks)), backward)
+
+
+def add_lookups(x: Tensor, lookups: Sequence[tuple[Tensor, object, int]]) -> Tensor:
+    """``x`` plus the table rows of ``lookups``, as one node (``_lookup_sum``)."""
+    return _lookup_sum("add_lookups", x.data.copy(), lookups, (x,), x._accumulate_shared)
+
+
+def fine_input_sum(word: Tensor, ids, patch_raw: np.ndarray, patch_w: Tensor, patch_b: Tensor, lookups) -> Tensor:
+    """Rows ``word[ids]``, then rows ``patch_raw @ patch_w + patch_b``, plus
+    the table rows of ``lookups``, as one node (``_lookup_sum``)."""
+    ids = _rows_of(word, ids, "fine_input_sum")
+    patch = _affine(patch_raw, patch_w, patch_b)
+    if ids.ndim != 1 or word.data.ndim != 2 or word.shape[1] != patch.shape[1]:
+        raise ValueError(f"fine_input_sum shapes: word table {word.shape}, index {ids.shape}, patch rows {patch.shape}")
+    n_text = ids.shape[0]
+
+    def backward(g: np.ndarray) -> None:
+        _scatter_add(word, ids, g[:n_text])
+        _affine_backward(Tensor(patch_raw), patch_w, patch_b, g[n_text:])
+
+    data = np.concatenate([word.data[ids], patch])
+    return _lookup_sum("fine_input_sum", data, lookups, (word, patch_w, patch_b), backward)
+
+
+def coarse_input_sum(agg: Tensor, bits: np.ndarray, emb: Tensor, proj: Tensor, lookups) -> Tensor:
+    """``agg + (bits @ emb) @ proj`` plus the table rows of ``lookups``, as
+    one node (``_lookup_sum``)."""
+    if not (
+        agg.data.ndim == bits.ndim == emb.data.ndim == proj.data.ndim == 2
+        and bits.shape == (agg.shape[0], emb.shape[0])
+        and proj.shape == (emb.shape[1], agg.shape[1])
+    ):
+        raise ValueError(f"coarse_input_sum shapes: {agg.shape} + ({bits.shape} @ {emb.shape}) @ {proj.shape}")
+    mixed = bits @ emb.data
+
+    def backward(g: np.ndarray) -> None:
+        agg._accumulate_shared(g)
+        g_mixed = g @ proj.data.T
+        proj._accumulate(mixed.T @ g)
+        emb._accumulate(bits.T @ g_mixed)
+
+    return _lookup_sum("coarse_input_sum", agg.data + mixed @ proj.data, lookups, (agg, emb, proj), backward)
 
 
 def gather_heads(tables: Sequence[Tensor], indices: Sequence) -> Tensor:
@@ -395,15 +412,13 @@ def gather_heads(tables: Sequence[Tensor], indices: Sequence) -> Tensor:
     shape S; the result is (heads, *S). The backward pass scatter-adds with
     ``bincount``, so repeated indices accumulate.
     """
-    idxs = [np.asarray(idx, dtype=np.int64) for idx in indices]
-    if not tables or len(tables) != len(idxs):
-        raise ValueError(f"gather_heads needs one index array per table, got {len(tables)} and {len(idxs)}")
+    if not tables or len(tables) != len(indices):
+        raise ValueError(f"gather_heads needs one index array per table, got {len(tables)} and {len(indices)}")
+    idxs = [_rows_of(table, idx, "gather_heads") for table, idx in zip(tables, indices)]
     heads, shape = tables[0].shape[1], idxs[0].shape
     for table, idx in zip(tables, idxs):
         if table.data.ndim != 2 or table.shape[1] != heads or idx.shape != shape:
             raise ValueError(f"gather_heads shapes: table {table.shape}, index {idx.shape}")
-        if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-            raise ValueError(f"gather_heads index out of range for table with {table.shape[0]} rows")
     columns = [np.ascontiguousarray(table.data.T) for table in tables]
     data = np.empty((heads, *shape))
     for h in range(heads):
@@ -421,59 +436,40 @@ def gather_heads(tables: Sequence[Tensor], indices: Sequence) -> Tensor:
     return _make(data, tuple(tables), backward)
 
 
-def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
-    if not tensors:
-        raise ValueError("concat_rows of empty sequence")
-    data = np.concatenate([t.data for t in tensors], axis=0)
-    sizes = [t.shape[0] for t in tensors]
-
-    def backward(g: np.ndarray) -> None:
-        off = 0
-        for t, size in zip(tensors, sizes):
-            t._accumulate_shared(g[off : off + size])
-            off += size
-
-    return _make(data, tuple(tensors), backward)
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    def backward(g: np.ndarray) -> None:
-        full = np.zeros_like(a.data)
-        full[start:stop] = g
-        a._accumulate(full)
-
-    return _make(a.data[start:stop].copy(), (a,), backward)
-
-
 IGNORE_INDEX = -100
 
 
-def cross_entropy(logits: Tensor, targets, ignore_index: int = IGNORE_INDEX) -> Tensor:
-    """Mean negative log-softmax over the non-ignored positions."""
+def linear_cross_entropy(x: Tensor, w: Tensor, b: Tensor, targets, weight: float = 1.0) -> Tensor:
+    """The mean negative log-softmax of the logits ``x[:n] @ w + b`` at the
+    n ``targets``, over the positions not ``IGNORE_INDEX``, times ``weight``,
+    as one node."""
     targets = np.asarray(targets, dtype=np.int64)
-    if logits.data.ndim != 2 or targets.shape != (logits.shape[0],):
-        raise ValueError(f"cross_entropy shapes: logits {logits.shape}, targets {targets.shape}")
-    keep = targets != ignore_index
+    if x.data.ndim != 2 or targets.ndim != 1 or targets.shape[0] > x.shape[0]:
+        raise ValueError(f"linear_cross_entropy shapes: input {x.shape}, targets {targets.shape}")
+    n = targets.shape[0]
+    logits = _affine(x.data[:n], w, b)
+    keep = targets != IGNORE_INDEX
     count = int(keep.sum())
     if count == 0:
-        raise ValueError("cross_entropy: all positions ignored")
+        raise ValueError("linear_cross_entropy: all positions ignored")
     n_classes = logits.shape[1]
     if targets[keep].min() < 0 or targets[keep].max() >= n_classes:
         raise ValueError(f"target out of range for {n_classes} classes")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
-    rows = np.arange(logits.shape[0])
+    rows = np.arange(n)
     losses = lse - shifted[rows, targets.clip(0)]
-    data = np.asarray(losses[keep].mean())
+    data = np.asarray(losses[keep].mean() * weight)
 
     def backward(g: np.ndarray) -> None:
         p = np.exp(shifted)
         p /= p.sum(axis=1, keepdims=True)
         p[rows[keep], targets[keep]] -= 1.0
         p[~keep] = 0.0
-        logits._accumulate(p * (float(g) / count))
+        p *= float(g) * weight / count
+        _affine_backward(x, w, b, p)
 
-    return _make(data, (logits,), backward)
+    return _make(data, (x, w, b), backward)
 
 
 def grad_check(

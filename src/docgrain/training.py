@@ -14,11 +14,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .checkpoint import check_out_path
 from .labeling import F1Accumulator, bio_decode
 from .model import EncodedDoc, Model, ModelConfig, check_field_types, config_from_dict, load_model
 from .optim import Adam
 from .synth import load_corpus
-from .tensor import scale
 from .vocab import build_vocab
 
 # Keys older config files may carry; unset (null) is the only value the
@@ -125,7 +125,9 @@ def train(
     train_cfg: TrainConfig,
     checkpoint_path: str | None = None,
 ) -> TrainResult:
-    """Train from scratch on labeled pages; keeps the best-F1 parameters."""
+    """Train from scratch on labeled pages; keeps the best-F1 parameters.
+    A ``checkpoint_path`` that cannot be written fails before the first step."""
+    check_out_path("checkpoint_path", checkpoint_path)
     if not train_pages:
         raise ValueError("training corpus is empty")
     for pages, kind in ((train_pages, "training"), (eval_pages, "evaluation")):
@@ -155,7 +157,7 @@ def train(
             model.zero_grad()
             batch_loss = 0.0
             for i in batch:
-                loss = scale(model.loss_encoded(encoded[i]), 1.0 / len(batch))
+                loss = model.loss_encoded(encoded[i], 1.0 / len(batch))
                 if not np.isfinite(loss.data):
                     raise RuntimeError(
                         f"NaN/inf loss at step {step}; batch docs {sorted(int(j) for j in batch)}"

@@ -13,8 +13,13 @@ numpy are kept here (``dbscan_loop``, ``assign_patch_loop``,
 vectorized code is held to byte-equal outputs against them. So is the
 composed input chain that ``add_lookups`` replaced (``composed_fine_input``,
 ``composed_coarse_input``, ``composed_fuse``): six coordinate ``gather``s
-joined by a column-concatenation op, then one ``add`` per term. So is the
-composed Transformer layer that the three sublayer nodes replaced
+joined by a column-concatenation op, then one ``add`` per term. So are the
+chains that the one-node fine input, coarse input and head plus loss
+replaced (``chain_fine_input``, ``chain_coarse_input``,
+``chain_cross_entropy``, and ``ChainModel``, whose stages they are), with
+the single-step ops they were built from: ``add``, ``scale``, ``gather``,
+``concat_rows``, ``slice_rows`` and ``cross_entropy``. So is the composed
+Transformer layer that the three sublayer nodes replaced
 (``composed_transformer_layer``): three head projections, the fused
 softmax, a stacked ``y @ v``, the head merge, then ``add`` and
 ``layer_norm`` around the attention and around ``linear``, ``gelu`` and
@@ -65,9 +70,9 @@ from docgrain.document import (
     serialize_document,
     union_box,
 )
-from docgrain.embeddings import TEXT_TYPE, VISUAL_TYPE
+from docgrain.embeddings import TEXT_TYPE, VISUAL_TYPE, layout_lookups
 from docgrain.model import Model, trunc_normal
-from docgrain.tensor import Tensor, _affine, _affine_backward, _make, add, concat_rows, gather, linear, matmul
+from docgrain.tensor import IGNORE_INDEX, Tensor, _affine, _affine_backward, _make, _scatter_add, add_lookups, linear, matmul
 
 NOISE = -1
 
@@ -306,6 +311,143 @@ def softmax(x: np.ndarray) -> np.ndarray:
     """Row-wise softmax along the last axis, max-shifted for stability."""
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two tensors of one shape."""
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch in add: {a.shape} vs {b.shape}")
+    data = a.data + b.data
+
+    def backward(g: np.ndarray) -> None:
+        a._accumulate_shared(g)
+        b._accumulate_shared(g)
+
+    return _make(data, (a, b), backward)
+
+
+def scale(a: Tensor, s: float) -> Tensor:
+    data = a.data * s
+
+    def backward(g: np.ndarray) -> None:
+        a._accumulate(g * s)
+
+    return _make(data, (a,), backward)
+
+
+def gather(table: Tensor, idx) -> Tensor:
+    """Rows (or scalars) of ``table`` selected along axis 0 by ``idx``.
+
+    ``idx`` may be any integer array shape; the backward pass scatter-adds
+    into the table, so repeated indices accumulate.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    n = table.shape[0]
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"gather index out of range for table with {n} rows")
+    data = table.data[idx]
+
+    def backward(g: np.ndarray) -> None:
+        _scatter_add(table, idx, g)
+
+    return _make(data, (table,), backward)
+
+
+def concat_rows(tensors: list[Tensor]) -> Tensor:
+    if not tensors:
+        raise ValueError("concat_rows of empty sequence")
+    data = np.concatenate([t.data for t in tensors], axis=0)
+    sizes = [t.shape[0] for t in tensors]
+
+    def backward(g: np.ndarray) -> None:
+        off = 0
+        for t, size in zip(tensors, sizes):
+            t._accumulate_shared(g[off : off + size])
+            off += size
+
+    return _make(data, tuple(tensors), backward)
+
+
+def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    def backward(g: np.ndarray) -> None:
+        full = np.zeros_like(a.data)
+        full[start:stop] = g
+        a._accumulate(full)
+
+    return _make(a.data[start:stop].copy(), (a,), backward)
+
+
+def cross_entropy(logits: Tensor, targets, ignore_index: int = IGNORE_INDEX) -> Tensor:
+    """Mean negative log-softmax over the non-ignored positions."""
+    targets = np.asarray(targets, dtype=np.int64)
+    if logits.data.ndim != 2 or targets.shape != (logits.shape[0],):
+        raise ValueError(f"cross_entropy shapes: logits {logits.shape}, targets {targets.shape}")
+    keep = targets != ignore_index
+    count = int(keep.sum())
+    if count == 0:
+        raise ValueError("cross_entropy: all positions ignored")
+    n_classes = logits.shape[1]
+    if targets[keep].min() < 0 or targets[keep].max() >= n_classes:
+        raise ValueError(f"target out of range for {n_classes} classes")
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    rows = np.arange(logits.shape[0])
+    losses = lse - shifted[rows, targets.clip(0)]
+    data = np.asarray(losses[keep].mean())
+
+    def backward(g: np.ndarray) -> None:
+        p = np.exp(shifted)
+        p /= p.sum(axis=1, keepdims=True)
+        p[rows[keep], targets[keep]] -= 1.0
+        p[~keep] = 0.0
+        logits._accumulate(p * (float(g) / count))
+
+    return _make(data, (logits,), backward)
+
+
+def chain_fine_input(word, ids, patch_raw, patch_w, patch_b, lookups) -> Tensor:
+    """``fine_input_sum`` as the chain it replaced: a word ``gather``, a
+    patch ``linear``, ``concat_rows``, then one ``add_lookups``."""
+    features = linear(Tensor(patch_raw), patch_w, patch_b)
+    return add_lookups(concat_rows([gather(word, ids), features]), lookups)
+
+
+def chain_coarse_input(agg, bits, emb, proj, lookups) -> Tensor:
+    """``coarse_input_sum`` as the chain it replaced: two ``matmul``s, an
+    ``add``, then one ``add_lookups``."""
+    return add_lookups(add(agg, matmul(matmul(Tensor(bits), emb), proj)), lookups)
+
+
+def chain_cross_entropy(x, w, b, targets, weight=None) -> Tensor:
+    """``linear_cross_entropy`` as the chain it replaced: ``slice_rows``,
+    ``linear``, ``cross_entropy``, then ``scale`` by a batch weight."""
+    loss = cross_entropy(linear(slice_rows(x, 0, len(targets)), w, b), targets)
+    return loss if weight is None else scale(loss, weight)
+
+
+class ChainModel(Model):
+    """The model as it was before its fine input, coarse input and head plus
+    loss were one node each: those stages are the chains above."""
+
+    def fine_input(self, enc) -> Tensor:
+        t = self.tables
+        token_type = np.repeat([TEXT_TYPE, VISUAL_TYPE], [enc.n_text, enc.n_visual])
+        lookups = [(t.token_type, token_type, 0), (t.position, enc.positions, 0), *layout_lookups(enc.fine_boxes, t)]
+        return chain_fine_input(t.word, enc.tokens.ids, enc.patch_raw, t.patch_proj_w, t.patch_proj_b, lookups)
+
+    def coarse_input(self, agg, enc) -> Tensor:
+        lookups = layout_lookups(enc.coarse_boxes, self.tables)
+        if self.cs_emb is None:
+            return add_lookups(agg, lookups)
+        return chain_coarse_input(agg, enc.cs_bits, self.cs_emb, self.cs_proj, lookups)
+
+    def logits_encoded(self, enc) -> Tensor:
+        fused, _ = self.forward_encoded(enc)
+        return linear(slice_rows(fused, 0, enc.n_text), self.head_w, self.head_b)
+
+    def loss_encoded(self, enc, weight=None) -> Tensor:
+        fused, _ = self.forward_encoded(enc)
+        return chain_cross_entropy(fused, self.head_w, self.head_b, enc.targets, weight)
 
 
 def concat_cols(tensors: list[Tensor]) -> Tensor:

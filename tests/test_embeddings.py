@@ -16,8 +16,10 @@ from docgrain.embeddings import (
 )
 from docgrain.graph import patch_boxes
 from docgrain.model import Model, ModelConfig, normalized_coords
-from docgrain.tensor import Tensor, add, add_lookups, gather
+from docgrain.tensor import Tensor, add_lookups
 from docgrain.vocab import SPECIALS, Vocab, build_vocab, tokenize, word_pieces
+
+from .reference_impls import add, gather
 
 
 def make_tables(d=12, vocab=16, max_len=24, rng=None):

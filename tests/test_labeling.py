@@ -192,10 +192,15 @@ class TestLabelingHead:
         out = labeling_head(h, w, b)
         assert out.shape == (5, 7)
         assert np.all(out.data == 0.0)
-        from docgrain.tensor import cross_entropy
+        from docgrain.tensor import linear_cross_entropy
 
-        loss = cross_entropy(out, [0, 1, 2, 3, 4])
+        loss = linear_cross_entropy(h, w, b, [0, 1, 2, 3, 4])
         assert loss.item() == pytest.approx(np.log(7.0), abs=1e-12)
+
+    def test_first_rows(self):
+        h = Tensor(np.random.default_rng(1).normal(size=(5, 8)))
+        w, b = Tensor(np.ones((8, 7))), Tensor(np.zeros(7))
+        assert np.array_equal(labeling_head(h, w, b, 3).data, labeling_head(Tensor(h.data[:3]), w, b).data)
 
     def test_shape_for_three_types(self):
         ts = BioTagSet(("HEADER", "QUESTION", "ANSWER"))

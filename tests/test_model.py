@@ -9,11 +9,12 @@ from docgrain.document import BBox, Page, Segment, Word
 from docgrain.embeddings import layout_lookups
 from docgrain.model import Model, ModelConfig, gradcheck_config, stage_summary
 from docgrain.synth import SynthParams, generate_page, probe_page
-from docgrain.tensor import Tensor, add_lookups, matmul, no_grad, scale
+from docgrain.tensor import Tensor, add_lookups, matmul, no_grad
 from docgrain.training import reference_model_config
 from docgrain.vocab import build_vocab
 
 from .reference_impls import (
+    ChainModel,
     FullTableModel,
     aggregate_oracle,
     coarse_input_oracle,
@@ -255,7 +256,7 @@ class TestStages:
         page = probe_page()
         m = tiny_model(page)
         enc = m.encode_page(page)
-        fused, stages = m.forward_encoded(enc, collect=True)
+        fused, stages = m.forward_encoded(enc)
         z, p = enc.graph.n_coarse_text, enc.graph.n_coarse_visual
         assert stages["coarse_input"].shape == (z + p, m.config.d)
 
@@ -327,7 +328,7 @@ class TestStackedInputsMatchOracle:
         page = probe_page()
         m = tiny_model(page)
         enc = m.encode_page(page)
-        _, stages = m.forward_encoded(enc, collect=True)
+        _, stages = m.forward_encoded(enc)
         z = enc.graph.n_coarse_text
         agg = m.aggregate(stages["fine_encoded"], enc).data
         assert np.array_equal(stages["aggregated_text"].data, agg[:z])
@@ -383,10 +384,10 @@ def tape_nodes(root: Tensor) -> int:
     return count
 
 
-def random_bias_model(cfg, vocab) -> Model:
+def random_bias_model(cfg, vocab, cls=Model) -> Model:
     """A model whose relative-bias tables are drawn from N(0, 0.5), so the
     spatial bias is live in every gradient."""
-    m = Model(cfg, vocab)
+    m = cls(cfg, vocab)
     rng = np.random.default_rng(5)
     for t in (m.bias_tables.rel_1d, m.bias_tables.rel_x, m.bias_tables.rel_y):
         t.data[:] = rng.normal(0.0, 0.5, size=t.shape)
@@ -411,7 +412,7 @@ class TestLookupSumMatchesComposedChain:
             runs = []
             for model in (m, oracle):
                 model.zero_grad()
-                _, stages = model.forward_encoded(enc, collect=True)
+                _, stages = model.forward_encoded(enc)
                 loss = model.loss_encoded(enc)
                 loss.backward()
                 runs.append((loss, stages, {k: p.grad for k, p in model.params.items()}))
@@ -430,14 +431,20 @@ class TestLookupSumMatchesComposedChain:
                     assert g.tobytes() == want.tobytes(), name
 
     def test_tape_nodes_per_document(self):
-        # Fine input 4 (word gather, patch linear, concat, lookups), one
-        # spatial bias and two fine layers of 4 (attention, residual norm,
-        # FFN, residual norm), aggregate 1, coarse input 4 (knowledge 2,
-        # add, lookups), one coarse layer of 4, fuse 1, and slice, head and
-        # loss 3.
+        # One node each for the fine input, the spatial bias, the aggregate,
+        # the coarse input, fuse, and head plus loss; four per Transformer
+        # layer (attention, residual norm, FFN, residual norm). The reference
+        # has two fine layers and one coarse: 6 + 12 = 18. A batch weight is
+        # an argument of the loss node, not a node.
         page = generate_page(10, 0, SynthParams())
-        m = Model(reference_model_config(), build_vocab([page], 2048))
-        assert tape_nodes(m.loss_encoded(m.encode_page(page))) == 26
+        variants = {**TestSublayerNodesMatchComposedLayer.VARIANTS, "batch-weighted": {}}
+        want = {"reference": 18, "no-coarse-layer": 14, "no-knowledge": 18, "fine-only": 11, "batch-weighted": 18}
+        got = {}
+        for name, overrides in variants.items():
+            m = Model(replace(reference_model_config(), **overrides), build_vocab([page], 2048))
+            enc = m.encode_page(page)
+            got[name] = tape_nodes(m.loss_encoded(enc, 1.0 / 8.0) if name == "batch-weighted" else m.loss_encoded(enc))
+        assert got == want
 
 
 class TestSublayerNodesMatchComposedLayer:
@@ -464,7 +471,7 @@ class TestSublayerNodesMatchComposedLayer:
             for model, layer in ((m, model_module.transformer_layer), (oracle, composed_transformer_layer)):
                 monkeypatch.setattr(model_module, "transformer_layer", layer)
                 with no_grad():
-                    _, stages = model.forward_encoded(enc, collect=True)
+                    _, stages = model.forward_encoded(enc)
                 model.zero_grad()
                 loss = model.loss_encoded(enc)
                 loss.backward()
@@ -472,6 +479,38 @@ class TestSublayerNodesMatchComposedLayer:
                 runs.append((loss.data.tobytes(), {k: t.data.tobytes() for k, t in stages.items()}, grads))
             monkeypatch.undo()
             assert runs[0] == runs[1]
+
+
+class TestStageNodesMatchChain:
+    """The model whose fine input, coarse input and head plus loss are one
+    node each against ``ChainModel``, whose stages are the chains those
+    nodes replaced: every stage, the logits, the loss and every parameter
+    gradient byte for byte, for one document's loss and for a batch's
+    weighted losses added into one set of gradients."""
+
+    @pytest.mark.parametrize("variant", list(TestSublayerNodesMatchComposedLayer.VARIANTS))
+    @pytest.mark.parametrize("params, grid", [(SynthParams(), (4, 4)), (DENSE, (7, 7))], ids=["forms", "dense"])
+    def test_stages_logits_loss_and_gradients(self, params, grid, variant):
+        pages = [generate_page(61, i, params) for i in range(3)]
+        cfg = replace(reference_model_config(), grid=grid, **TestSublayerNodesMatchComposedLayer.VARIANTS[variant])
+        vocab = build_vocab(pages, cfg.vocab_size)
+        models = (random_bias_model(cfg, vocab), random_bias_model(cfg, vocab, ChainModel))
+        for weight in (None, 1.0 / len(pages)):
+            runs = []
+            for model in models:
+                model.zero_grad()
+                record = []
+                for page in pages:
+                    enc = model.encode_page(page)
+                    _, stages = model.forward_encoded(enc)
+                    record.append({k: t.data.tobytes() for k, t in stages.items()})
+                    record.append(model.logits_encoded(enc).data.tobytes())
+                    loss = model.loss_encoded(enc) if weight is None else model.loss_encoded(enc, weight)
+                    loss.backward()
+                    record.append(loss.data.tobytes())
+                    record.append({k: None if p.grad is None else p.grad.tobytes() for k, p in model.params.items()})
+                runs.append(record)
+            assert runs[0] == runs[1], weight
 
 
 class TestWordTableSizedByVocabulary:
@@ -499,7 +538,7 @@ class TestWordTableSizedByVocabulary:
             runs = []
             for model in (m, full):
                 with no_grad():
-                    _, stages = model.forward_encoded(enc, collect=True)
+                    _, stages = model.forward_encoded(enc)
                 model.zero_grad()
                 loss = model.loss_encoded(enc)
                 loss.backward()
@@ -522,7 +561,7 @@ class TestGradientBuffers:
         m = random_bias_model(cfg, vocab)
         tensors = []
         for page in pages:
-            loss = scale(m.loss_encoded(m.encode_page(page)), 0.5)
+            loss = m.loss_encoded(m.encode_page(page), 0.5)
             loss.backward()
             tensors.extend(tape_tensors(loss))
         return m, list({id(t): t for t in tensors}.values())
@@ -554,7 +593,7 @@ class TestForward:
         page = generate_page(11, 0, SynthParams())
         m = tiny_model(page, max_len=256)
         enc = m.encode_page(page)
-        fused, stages = m.forward_encoded(enc, collect=True)
+        fused, stages = m.forward_encoded(enc)
         assert fused.shape == (enc.n_text + enc.n_visual, m.config.d)
         summary = stage_summary(stages)
         assert summary["fine_encoded"]["shape"] == [enc.n_text + enc.n_visual, m.config.d]

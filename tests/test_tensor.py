@@ -8,30 +8,35 @@ from docgrain.tensor import (
     _scatter_add,
     IGNORE_INDEX,
     Tensor,
-    add,
     add_lookups,
-    concat_rows,
-    cross_entropy,
-    gather,
+    coarse_input_sum,
+    fine_input_sum,
     gather_heads,
     gelu_ffn,
     grad_check,
     linear,
+    linear_cross_entropy,
     matmul,
     no_grad,
     residual_layer_norm,
-    scale,
     self_attention,
-    slice_rows,
 )
 
 from .reference_impls import (
+    add,
+    chain_coarse_input,
+    chain_cross_entropy,
+    chain_fine_input,
     composed_gelu_ffn,
     composed_residual_layer_norm,
     composed_self_attention,
+    concat_rows,
     copying_accumulate,
+    gather,
     gradient_bytes,
     gradients_sharing_memory,
+    scale,
+    slice_rows,
     softmax,
     stacked_matmul,
     tape_tensors,
@@ -116,24 +121,43 @@ class TestForwardValues:
         assert np.max(np.abs(out.var(axis=-1) - 1.0)) < 1e-4
 
     def test_cross_entropy_uniform(self):
-        logits = Tensor(np.zeros((3, 4)))
-        loss = cross_entropy(logits, [0, 1, 2])
+        zero = Tensor(np.zeros((5, 4)))
+        loss = linear_cross_entropy(Tensor(np.ones((3, 5))), zero, Tensor(np.zeros(4)), [0, 1, 2])
         assert loss.item() == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_cross_entropy_confident(self):
         logits = np.full((1, 4), -50.0)
         logits[0, 2] = 50.0
-        assert cross_entropy(Tensor(logits), [2]).item() == pytest.approx(0.0, abs=1e-12)
+        loss = linear_cross_entropy(Tensor(logits), Tensor(np.eye(4)), Tensor(np.zeros(4)), [2])
+        assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_cross_entropy_ignore_index(self):
-        logits = Tensor(RNG.normal(size=(4, 3)))
-        full = cross_entropy(slice_rows(logits, 0, 2), [0, 1])
-        half = cross_entropy(logits, [0, 1, IGNORE_INDEX, IGNORE_INDEX])
+        # the targets cover the first rows only; ignored ones count for nothing
+        x, w, b = Tensor(RNG.normal(size=(4, 3))), Tensor(RNG.normal(size=(3, 5))), Tensor(RNG.normal(size=5))
+        full = linear_cross_entropy(x, w, b, [0, 1])
+        half = linear_cross_entropy(x, w, b, [0, 1, IGNORE_INDEX, IGNORE_INDEX])
         assert half.item() == pytest.approx(full.item(), abs=1e-12)
+        weighted = linear_cross_entropy(x, w, b, [0, 1], weight=0.25)
+        assert weighted.item() == full.item() * 0.25
 
     def test_cross_entropy_all_ignored(self):
         with pytest.raises(ValueError, match="all positions ignored"):
-            cross_entropy(rand(2, 3, rg=False), [IGNORE_INDEX, IGNORE_INDEX])
+            linear_cross_entropy(rand(2, 3), rand(3, 4), rand(4), [IGNORE_INDEX, IGNORE_INDEX])
+
+    def test_cross_entropy_shape_errors(self):
+        x, w, b = rand(2, 3), rand(3, 4), rand(4)
+        with pytest.raises(ValueError, match="linear_cross_entropy shapes"):
+            linear_cross_entropy(x, w, b, [0, 1, 2])  # more targets than rows
+        with pytest.raises(ValueError, match="linear_cross_entropy shapes"):
+            linear_cross_entropy(x, w, b, [[0, 1]])
+        with pytest.raises(ValueError, match="shape mismatch in linear"):
+            linear_cross_entropy(x, rand(2, 4), b, [0, 1])
+        with pytest.raises(ValueError, match="target out of range for 4 classes"):
+            linear_cross_entropy(x, w, b, [0, 4])
+
+    def test_linear_rows_prefix_is_a_slice(self):
+        x, w, b = rand(5, 3), rand(3, 2), rand(2)
+        assert np.array_equal(linear(x, w, b, 2).data, linear(Tensor(x.data[:2]), w, b).data)
 
     def test_add_shape_error(self):
         with pytest.raises(ValueError, match="shape mismatch"):
@@ -216,6 +240,8 @@ class TestForwardValues:
             add_lookups(Tensor(x), [(Tensor(t1), i1, 6)])
         with pytest.raises(ValueError, match="shapes"):
             add_lookups(Tensor(x), [(Tensor(t1), i1[:3], 0)])
+        with pytest.raises(ValueError, match="shapes"):
+            add_lookups(Tensor(x), [(Tensor(t1[:, 0]), i1, 0)])  # a table of scalars
 
 
 class TestGradients:
@@ -340,10 +366,18 @@ class TestGradients:
             check_op(lambda t, slot=slot: gelu_ffn(*args[:slot], t, *args[slot + 1 :]), args[slot])
 
     def test_cross_entropy(self):
-        logits = rand(5, 4)
-        targets = np.array([0, 3, IGNORE_INDEX, 2, 1])
-        err = grad_check(lambda t: cross_entropy(t, targets), logits)
-        assert err < 1e-6
+        # targets over the first four of six rows, one of them ignored
+        args = [rand(6, 5), rand(5, 4), rand(4)]  # x, w, b
+        targets = np.array([0, 3, IGNORE_INDEX, 2])
+        for slot in range(3):
+            err = grad_check(lambda t, slot=slot: linear_cross_entropy(*args[:slot], t, *args[slot + 1 :], targets, 0.3), args[slot])
+            assert err < 1e-6
+
+    def test_linear_rows_prefix(self):
+        x, w, b = rand(5, 4), rand(4, 3), rand(3)
+        check_op(lambda t: linear(t, w, b, 2), x)
+        check_op(lambda t: linear(x, t, b, 2), w)
+        check_op(lambda t: linear(x, w, t, 2), b)
 
     def test_softmax_cross_entropy_composite(self):
         # attention ending in a cross-entropy loss
@@ -353,7 +387,8 @@ class TestGradients:
         eye, zero = Tensor(np.eye(6)), Tensor(np.zeros(6))
 
         def f(t):
-            return cross_entropy(self_attention(t, eye, zero, eye, zero, eye, zero, w, Tensor(np.zeros(3)), 1, None), targets)
+            h = self_attention(t, eye, zero, eye, zero, eye, zero, eye, zero, 1, None)
+            return linear_cross_entropy(h, w, Tensor(np.zeros(3)), targets)
 
         assert grad_check(f, h) < 1e-6
 
@@ -436,6 +471,104 @@ class TestSublayerNodesMatchComposedChain:
         # h holding a gradient already: the residual term is added to it
         got, want = node_and_oracle(residual_layer_norm, composed_residual_layer_norm, inputs, preset=(0,))
         assert got == want
+
+
+def input_node_cases():
+    """(node, chain, inputs) per input node: repeated indices, and one table
+    under two lookups. Every input is a tensor; the rest is closed over."""
+    rng = np.random.default_rng(17)
+
+    def t(*shape):
+        return Tensor(rng.normal(size=shape))
+
+    ids, raw = np.array([3, 0, 3, 3]), rng.normal(size=(3, 7))
+    i1, i2 = np.array([0, 4, 4, 1, 0, 0, 2]), np.array([1, 1, 0, 1, 1, 0, 0])
+
+    def fine(node):
+        return lambda word, pw, pb, t1, t2: node(word, ids, raw, pw, pb, [(t2, i2, 0), (t1, i1, 1), (t1, i1[::-1], 4)])
+
+    bits = (rng.random(size=(7, 3)) < 0.5).astype(np.float64)
+
+    def coarse(node):
+        return lambda agg, emb, proj, t1: node(agg, bits, emb, proj, [(t1, i1, 0), (t1, i1[::-1], 3)])
+
+    return {
+        "fine_input_sum": (fine(fine_input_sum), fine(chain_fine_input), [t(5, 6), t(7, 6), t(6), t(5, 2), t(2, 6)]),
+        "coarse_input_sum": (coarse(coarse_input_sum), coarse(chain_coarse_input), [t(7, 6), t(3, 6), t(6, 6), t(5, 3)]),
+    }
+
+
+class TestInputAndLossNodes:
+    """The one-node fine input, coarse input and head plus loss: finite
+    differences, byte-equal outputs and gradients against the chains they
+    replaced, and the errors of the ops those chains were built from."""
+
+    @pytest.mark.parametrize("case", list(input_node_cases()))
+    def test_grad_check_every_input(self, case):
+        node, _, inputs = input_node_cases()[case]
+        args = twin(inputs)
+        weight = RNG.normal(size=node(*args).shape)
+        for slot in range(len(args)):
+            err = grad_check(lambda t, slot=slot: weighted_sum(node(*args[:slot], t, *args[slot + 1 :]), weight), args[slot])
+            assert err < 1e-6, (case, slot)
+
+    @pytest.mark.parametrize("case", list(input_node_cases()))
+    def test_matches_the_chain(self, case):
+        node, chain, inputs = input_node_cases()[case]
+        # Fresh gradients; then the aggregate or a table holding one already.
+        for preset in [(), (0,), (len(inputs) - 1,)]:
+            got, want = node_and_oracle(node, chain, inputs, preset)
+            assert got == want, preset
+
+    @pytest.mark.parametrize("weight", [None, 1.0 / 3.0])
+    @pytest.mark.parametrize("preset", [False, True], ids=["fresh", "preset"])
+    def test_loss_matches_the_chain(self, weight, preset):
+        rng = np.random.default_rng(19)
+        inputs = [Tensor(rng.normal(size=shape)) for shape in ((6, 5), (5, 4), (4,))]
+        targets = np.array([2, IGNORE_INDEX, 0, 3])
+        runs = []
+        for loss_of in (linear_cross_entropy, chain_cross_entropy):
+            args = twin(inputs)
+            if preset:
+                args[1].grad = np.linspace(-1.0, 1.0, 20).reshape(5, 4)
+            loss = loss_of(*args, targets, *(() if weight is None else (weight,)))
+            loss.backward()
+            runs.append([loss.data.tobytes()] + [a.grad.tobytes() for a in args])
+        assert runs[0] == runs[1]
+
+    def test_index_out_of_range(self):
+        cases = input_node_cases()
+        word, pw, pb, t1, t2 = cases["fine_input_sum"][2]
+        raw = np.zeros((2, 7))
+        with pytest.raises(ValueError, match="fine_input_sum index out of range for table with 5 rows"):
+            fine_input_sum(word, [0, 5], raw, pw, pb, [])
+        with pytest.raises(ValueError, match="fine_input_sum index out of range for table with 5 rows"):
+            fine_input_sum(word, [0, 1], raw, pw, pb, [(t1, [0, 1, 2, -1], 0)])
+        agg, emb, proj, t1 = cases["coarse_input_sum"][2]
+        with pytest.raises(ValueError, match="coarse_input_sum index out of range for table with 5 rows"):
+            coarse_input_sum(agg, np.zeros((7, 3)), emb, proj, [(t1, np.full(7, 5), 0)])
+
+    def test_shape_errors(self):
+        cases = input_node_cases()
+        word, pw, pb, t1, t2 = cases["fine_input_sum"][2]
+        raw = np.zeros((2, 7))
+        with pytest.raises(ValueError, match="shape mismatch in linear"):
+            fine_input_sum(word, [0], np.zeros((2, 6)), pw, pb, [])
+        with pytest.raises(ValueError, match="fine_input_sum shapes"):
+            fine_input_sum(Tensor(np.zeros((5, 4))), [0], raw, pw, pb, [])
+        with pytest.raises(ValueError, match="fine_input_sum shapes"):
+            fine_input_sum(word, [[0]], raw, pw, pb, [])
+        with pytest.raises(ValueError, match="fine_input_sum shapes"):
+            fine_input_sum(word, [0, 1], raw, pw, pb, [(t1, [0, 1, 2], 0)])  # 4 rows, 3 indices
+        with pytest.raises(ValueError, match="fine_input_sum shapes"):
+            fine_input_sum(word, [0, 1], raw, pw, pb, [(t1, [0, 1, 2, 3], 5)])  # past the last column
+        agg, emb, proj, t1 = cases["coarse_input_sum"][2]
+        with pytest.raises(ValueError, match="coarse_input_sum shapes"):
+            coarse_input_sum(agg, np.zeros((6, 3)), emb, proj, [])
+        with pytest.raises(ValueError, match="coarse_input_sum shapes"):
+            coarse_input_sum(agg, np.zeros((7, 3)), emb, Tensor(np.zeros((6, 5))), [])
+        with pytest.raises(ValueError, match="coarse_input_sum shapes"):
+            coarse_input_sum(agg, np.zeros((7, 3)), emb, proj, [(t1, np.zeros(7), -1)])
 
 
 class TestTapeMechanics:

@@ -425,6 +425,17 @@ class TestCheckpointFormat:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["ck.bin"]
 
+    def test_failed_save_names_the_target(self, tmp_path):
+        # The rename onto a directory fails; the error names the target, not
+        # the temporary file beside it.
+        target = tmp_path / "ck"
+        target.mkdir()
+        with pytest.raises(OSError) as info:
+            save_checkpoint(str(target), {"w": np.ones(4)}, {})
+        assert str(info.value).startswith(f"cannot save checkpoint '{target}': ")
+        assert ".tmp" not in str(info.value)
+        assert os.listdir(tmp_path) == ["ck"]
+
     def test_magic_prefix(self, tmp_path):
         path = str(tmp_path / "ck.bin")
         save_checkpoint(path, {"t": np.zeros(2)}, {})
@@ -553,6 +564,18 @@ class TestCheckpointFormat:
 
 
 class TestTrainLoop:
+    @pytest.mark.parametrize("where, error", [
+        ("{tmp}/nodir/m.ckpt", "checkpoint_path: '{tmp}/nodir' is not an existing directory"),
+        ("{tmp}", "checkpoint_path: '{tmp}' is a directory"),
+    ], ids=["missing-directory", "directory"])
+    def test_bad_checkpoint_path_fails_before_training(self, tmp_path, monkeypatch, where, error):
+        monkeypatch.setattr(Model, "loss_encoded", lambda *args: pytest.fail("trained"))
+        path = where.format(tmp=tmp_path)
+        with pytest.raises(ValueError) as info:
+            train(small_corpus(2), [], ModelConfig(seed=0, **SMALL_MODEL), TrainConfig(epochs=1), checkpoint_path=path)
+        assert str(info.value) == error.format(tmp=tmp_path)
+        assert os.listdir(tmp_path) == []
+
     def test_short_run_updates_every_group(self):
         pages = small_corpus(4)
         cfg = ModelConfig(seed=0, **SMALL_MODEL)

@@ -26,7 +26,7 @@ from .document import (
 from .graph import DocumentGraph, assign_patches, build_graph, patch_boxes
 from .labeling import BioTagSet, Entity, anls, bio_decode, entity_f1, levenshtein
 from .model import Model, ModelConfig, finite_difference_check, load_model
-from .synth import SynthParams, generate_page, load_corpus, save_corpus, synth_generate
+from .synth import SynthParams, generate_page, iter_corpus, load_corpus, save_corpus, synth_generate
 from .tensor import Tensor, grad_check, no_grad
 from .training import TrainConfig, ablate, evaluate_model, lr_schedule, train
 from .vocab import Vocab, build_vocab, tokenize
@@ -64,6 +64,7 @@ __all__ = [
     "generate_page",
     "grad_check",
     "iou",
+    "iter_corpus",
     "levenshtein",
     "load_corpus",
     "load_model",

@@ -10,6 +10,7 @@ import json
 import math
 import re
 import sys
+from itertools import chain
 
 from . import __version__
 from .checkpoint import check_out_path
@@ -18,7 +19,7 @@ from .document import DocumentParseError, load_document
 from .graph import build_graph, graph_to_json
 from .model import Model, ModelConfig, finite_difference_check, gradcheck_config, load_model, stage_summary
 from .render import render_page_svg
-from .synth import SynthParams, load_corpus, probe_page, save_corpus, synth_generate
+from .synth import SynthParams, iter_corpus, load_corpus, probe_page, save_corpus, synth_generate
 from .tensor import no_grad
 from .training import (
     ABLATIONS,
@@ -160,11 +161,12 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     check_out_path("--dump-intermediates", args.dump_intermediates)
     model = load_model(args.checkpoint)
-    pages = load_corpus(args.corpus)
-    report = evaluate_model(model, map(model.encode_page, pages))
+    docs = map(model.encode_page, iter_corpus(args.corpus))
+    first = next(docs)  # kept for the dump; every later page is dropped once scored
+    report = evaluate_model(model, chain([first], docs))
     if args.dump_intermediates:
         with no_grad():
-            _, stages = model.forward_encoded(model.encode_page(pages[0]))
+            _, stages = model.forward_encoded(first)
         with open(args.dump_intermediates, "w", encoding="utf-8") as fh:
             json.dump(stage_summary(stages), fh, indent=2, sort_keys=True)
     print(f"micro: P={report.micro_precision:.4f} R={report.micro_recall:.4f} F1={report.micro_f1:.4f}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numbers
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -82,23 +83,27 @@ def _is_person(text: str) -> bool:
     return any(m.group(0).lower() in _FIRST_NAMES for m in _CAPITALIZED.finditer(text))
 
 
-def _flags(text: str) -> list[bool]:
-    """One flag per ``DEFAULT_CATEGORIES`` entry, in that order."""
-    words = _WORD.findall(text)
-    flags = [
-        _is_person(text),
-        any(w[0].isupper() and w.lower() in _ORG_SUFFIXES for w in words),
-        any(w.lower() in _GPE_NAMES for w in words),
-    ]
+def _flags(text: str, k: int) -> list[bool]:
+    """The flags of the first ``k`` ``DEFAULT_CATEGORIES``, in that order;
+    no rule past the k-th runs."""
+    flags = [_is_person(text)]
+    if k > 1:
+        words = _WORD.findall(text)
+        flags.append(any(w[0].isupper() and w.lower() in _ORG_SUFFIXES for w in words))
+        if k > 2:
+            flags.append(any(w.lower() in _GPE_NAMES for w in words))
+    if k <= 3:
+        return flags
     if _DIGIT.search(text) is None:
-        return flags + [False] * 5
+        return flags + [False] * (k - 3)
     claimed: list[tuple[int, int]] = []
-    for patterns in _PATTERNS.values():
+    for patterns in islice(_PATTERNS.values(), k - 3):
         spans = [m.span() for pat in patterns for m in pat.finditer(text)]
         flags.append(bool(spans))
         claimed.extend(spans)
-    runs = (m.span() for m in _DIGIT_RUN.finditer(text))
-    flags.append(any(not any(cs <= s and e <= ce for cs, ce in claimed) for s, e in runs))
+    if k == len(DEFAULT_CATEGORIES):
+        runs = (m.span() for m in _DIGIT_RUN.finditer(text))
+        flags.append(any(not any(cs <= s and e <= ce for cs, ce in claimed) for s, e in runs))
     return flags
 
 
@@ -122,4 +127,5 @@ class CommonSenseInventory:
         """One multi-hot row per text: bit k set iff category k fires anywhere in it."""
         if not self.size:
             return np.zeros((len(texts), 0))
-        return np.array([_flags(t)[: self.size] for t in texts], dtype=np.float64).reshape(len(texts), self.size)
+        k = self.size
+        return np.array([_flags(t, k) for t in texts], dtype=np.float64).reshape(len(texts), k)

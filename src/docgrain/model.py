@@ -465,11 +465,8 @@ class Model:
         """Argmax tag per word, read from its first sub-token."""
         with no_grad():
             logits = self.logits_encoded(enc).data
-        tags = []
-        for t in range(enc.n_text):
-            if enc.tokens.first_subtoken[t]:
-                tags.append(self.tag_set.id_tag(int(logits[t].argmax())))
-        return tags
+        ids = logits[np.flatnonzero(enc.tokens.first_subtoken)].argmax(axis=1)
+        return [self.tag_set.id_tag(i) for i in ids.tolist()]
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -368,13 +369,20 @@ def save_corpus(bundle: CorpusBundle, out_dir: str) -> None:
             os.remove(os.path.join(out_dir, name))
 
 
-def load_corpus(corpus_dir: str) -> list[Page]:
+def iter_corpus(corpus_dir: str) -> Iterator[Page]:
+    """The corpus's ``doc_*.json`` pages in name order, each parsed only
+    when the caller asks for it. The names are listed and checked at the
+    call, so an empty directory fails before the first page is read."""
     names = sorted(n for n in os.listdir(corpus_dir) if _is_document_name(n))
     if not names:
         raise ValueError(f"no documents found in {corpus_dir}")
-    pages = []
-    for name in names:
-        path = os.path.join(corpus_dir, name)
-        with open(path, "rb") as fh:
-            pages.append(image_beside(parse_document(fh.read()), path))
-    return pages
+    return (_read_page(os.path.join(corpus_dir, name)) for name in names)
+
+
+def _read_page(path: str) -> Page:
+    with open(path, "rb") as fh:
+        return image_beside(parse_document(fh.read()), path)
+
+
+def load_corpus(corpus_dir: str) -> list[Page]:
+    return list(iter_corpus(corpus_dir))

@@ -18,7 +18,7 @@ from .checkpoint import check_out_path
 from .labeling import F1Accumulator, bio_decode
 from .model import EncodedDoc, Model, ModelConfig, check_field_types, config_from_dict, load_model
 from .optim import Adam
-from .synth import load_corpus
+from .synth import iter_corpus
 from .vocab import build_vocab
 
 # Keys older config files may carry; unset (null) is the only value the
@@ -184,8 +184,10 @@ def train(
 
 
 def evaluate_checkpoint(checkpoint_path: str, corpus_dir: str) -> EvalReport:
+    """Each page is parsed, encoded and scored before the next file is
+    read, so memory stays flat in the corpus size."""
     model = load_model(checkpoint_path)
-    return evaluate_model(model, map(model.encode_page, load_corpus(corpus_dir)))
+    return evaluate_model(model, map(model.encode_page, iter_corpus(corpus_dir)))
 
 
 def reference_model_config(seed: int = 0) -> ModelConfig:

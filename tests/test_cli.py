@@ -227,7 +227,7 @@ class TestConfigErrors:
     def test_bad_output_path_fails_before_the_corpus(self, corpus, tmp_path, monkeypatch, capsys, argv, error):
         import docgrain.cli as cli
 
-        for name in ("load_corpus", "load_model", "train", "ablate"):
+        for name in ("iter_corpus", "load_corpus", "load_model", "train", "ablate"):
             monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("ran past the output check"))
         paths = dict(missing=tmp_path / "nodir", tmp=tmp_path)
         assert run([*(arg.format(**paths) for arg in argv), "--corpus", corpus]) == 1
@@ -286,9 +286,11 @@ class TestTrainEvalCli:
             assert set(info) == {"shape", "norm"}
 
     def test_eval_dump_loads_checkpoint_and_corpus_once(self, trained, tmp_path, monkeypatch):
+        """One checkpoint load and one pass over the corpus: the stream,
+        never the whole-corpus list."""
         import docgrain.checkpoint as checkpoint
         import docgrain.cli as cli
-        import docgrain.training as training
+        import docgrain.synth as synth
 
         root, corpus, ckpt, log = trained
         calls = []
@@ -300,11 +302,22 @@ class TestTrainEvalCli:
             return wrapper
 
         monkeypatch.setattr(checkpoint, "load_checkpoint", counted("checkpoint", checkpoint.load_checkpoint))
-        for module in (cli, training):
-            monkeypatch.setattr(module, "load_corpus", counted("corpus", module.load_corpus))
+        for module in (cli, synth):
+            for name in ("iter_corpus", "load_corpus"):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         dump = str(tmp_path / "stages.json")
         assert run(["eval", "--checkpoint", ckpt, "--corpus", corpus, "--dump-intermediates", dump]) == 0
-        assert sorted(calls) == ["checkpoint", "corpus"]
+        assert sorted(calls) == ["checkpoint", "iter_corpus"]
+
+    def test_eval_malformed_late_document_is_validation_error(self, trained, tmp_path, capsys):
+        """A bad page after pages that were already scored still fails the
+        run with the parser's message."""
+        root, corpus, ckpt, log = trained
+        shutil.copytree(corpus, tmp_path / "corpus")
+        names = sorted(n for n in os.listdir(tmp_path / "corpus") if n.startswith("doc_"))
+        (tmp_path / "corpus" / names[-1]).write_text('{"width": 10}')
+        assert run(["eval", "--checkpoint", ckpt, "--corpus", str(tmp_path / "corpus")]) == 1
+        assert capsys.readouterr().err == "error: missing field 'height'\n"
 
     def test_eval_bad_image_is_validation_error(self, trained, tmp_path, capsys):
         root, corpus, ckpt, log = trained

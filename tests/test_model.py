@@ -486,7 +486,10 @@ class TestStageNodesMatchChain:
     node each against ``ChainModel``, whose stages are the chains those
     nodes replaced: every stage, the logits, the loss and every parameter
     gradient byte for byte, for one document's loss and for a batch's
-    weighted losses added into one set of gradients."""
+    weighted losses added into one set of gradients. The detector sets few
+    knowledge bits per segment, so each segment row gets the same seeded
+    random multi-hot bits in both models; with one bit a row, a
+    reassociated ``bits @ emb @ proj`` would match by accident."""
 
     @pytest.mark.parametrize("variant", list(TestSublayerNodesMatchComposedLayer.VARIANTS))
     @pytest.mark.parametrize("params, grid", [(SynthParams(), (4, 4)), (DENSE, (7, 7))], ids=["forms", "dense"])
@@ -500,8 +503,10 @@ class TestStageNodesMatchChain:
             for model in models:
                 model.zero_grad()
                 record = []
-                for page in pages:
+                for i, page in enumerate(pages):
                     enc = model.encode_page(page)
+                    segment_bits = enc.cs_bits[: enc.graph.n_coarse_text]
+                    segment_bits[:] = np.random.default_rng(i).integers(0, 2, segment_bits.shape)
                     _, stages = model.forward_encoded(enc)
                     record.append({k: t.data.tobytes() for k, t in stages.items()})
                     record.append(model.logits_encoded(enc).data.tobytes())
@@ -660,3 +665,24 @@ class TestForward:
         tags = m.predict_word_tags(m.encode_page(page))
         assert len(tags) == page.n_words
         assert all(t == "O" or t[:2] in ("B-", "I-") for t in tags)
+
+    def test_predict_word_tags_matches_the_per_token_loop(self, monkeypatch):
+        """One argmax over the first-sub-token rows gives the tags of the
+        loop it replaced, ties included: both take the first maximum."""
+        page = generate_page(10, 0, SynthParams())
+        m = Model(reference_model_config(), build_vocab([page], 2048))
+        enc = m.encode_page(page)
+        first = enc.tokens.first_subtoken
+        assert not all(first)
+
+        def loop(logits):
+            return [m.tag_set.id_tag(int(logits[t].argmax())) for t in range(enc.n_text) if first[t]]
+
+        with no_grad():
+            trained = m.logits_encoded(enc).data
+        tied = np.random.default_rng(0).integers(0, 2, trained.shape).astype(np.float64)
+        tied[first.index(True)] = 0.0  # every tag tied
+        assert sum((row == row.max()).sum() > 1 for row in tied[np.flatnonzero(first)]) > 1
+        for logits in (trained, tied):
+            monkeypatch.setattr(m, "logits_encoded", lambda _enc, logits=logits: Tensor(logits))
+            assert m.predict_word_tags(enc) == loop(logits)

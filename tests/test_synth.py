@@ -1,5 +1,8 @@
 import json
+import re
+import shutil
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,7 @@ from docgrain.synth import (
     REFERENCE_CLUSTERING,
     SynthParams,
     generate_page,
+    iter_corpus,
     load_corpus,
     probe_page,
     save_corpus,
@@ -124,3 +128,13 @@ class TestCorpusIo:
     def test_empty_dir_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no documents"):
             load_corpus(str(tmp_path))
+
+    def test_stream_of_empty_dir_fails_at_the_call(self, tmp_path):
+        with pytest.raises(ValueError, match=f"^no documents found in {re.escape(str(tmp_path))}$"):
+            iter_corpus(str(tmp_path))
+
+    def test_list_is_the_stream(self, tmp_path):
+        for i, fixture in enumerate(("radius_page.json", "three_blocks.json")):
+            shutil.copy(Path(__file__).parent / "fixtures" / fixture, tmp_path / f"doc_{i:05d}.json")
+        pages = load_corpus(str(tmp_path))
+        assert len(pages) == 2 and repr(pages) == repr(list(iter_corpus(str(tmp_path))))

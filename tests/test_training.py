@@ -2,17 +2,19 @@ import json
 import os
 import struct
 import tracemalloc
+import weakref
 import zlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import docgrain.synth as synth_module
 import docgrain.training as training_module
 from docgrain.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from docgrain.model import Model, ModelConfig, load_model
 from docgrain.optim import Adam
-from docgrain.synth import SynthParams, generate_page, probe_page
+from docgrain.synth import SynthParams, generate_page, probe_page, save_corpus, synth_generate
 from docgrain.tensor import Tensor, no_grad
 from docgrain.training import (
     EvalReport,
@@ -702,6 +704,35 @@ class TestEvaluate:
         loaded = load_model(path)
         after = evaluate_model(loaded, map(loaded.encode_page, pages[6:]))
         assert after == before
+
+    def test_checkpoint_evaluation_holds_at_most_two_pages(self, tmp_path, monkeypatch):
+        """``evaluate_checkpoint`` reads the corpus as it scores it: when a
+        page is encoded, every page parsed before the one preceding it is
+        already freed."""
+        bundle = synth_generate(0, 6, SynthParams())
+        ckpt, corpus = str(tmp_path / "m.ckpt"), str(tmp_path / "corpus")
+        Model(ModelConfig(seed=0, **SMALL_MODEL), build_vocab(bundle.pages, SMALL_MODEL["vocab_size"])).save(ckpt)
+        save_corpus(bundle, corpus)
+        parsed, alive = [], []
+        real_parse, real_encode = synth_module.parse_document, Model.encode_page
+
+        def parse(data):
+            page = real_parse(data)
+            parsed.append(weakref.ref(page))
+            return page
+
+        def encode(self, page):
+            alive.append({i for i, ref in enumerate(parsed) if ref() is not None})
+            return real_encode(self, page)
+
+        monkeypatch.setattr(synth_module, "parse_document", parse)
+        monkeypatch.setattr(Model, "encode_page", encode)
+        report = training_module.evaluate_checkpoint(ckpt, corpus)
+        assert len(alive) == 6
+        for i, pages in enumerate(alive):
+            assert i in pages and pages <= {i - 1, i}, (i, pages)
+        model = load_model(ckpt)
+        assert report == evaluate_model(model, map(model.encode_page, bundle.pages))
 
     def test_held_out_pages_encoded_once(self, monkeypatch):
         pages = small_corpus(8)

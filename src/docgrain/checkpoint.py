@@ -44,6 +44,16 @@ def check_out_path(label: str, path: str | None) -> None:
         raise ValueError(f"{label}: '{path}' is a directory")
 
 
+def check_out_dir(label: str, path: str) -> None:
+    """ValueError naming ``label`` unless ``path`` is a directory or can be
+    made one: the nearest of it and its ancestors that exists is a directory."""
+    existing = path
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise ValueError(f"{label}: '{existing}' is not a directory")
+
+
 def save_checkpoint(path: str, tensors: dict[str, np.ndarray], config: dict) -> None:
     entries = []
     offset = crc = 0

@@ -13,7 +13,7 @@ import sys
 from itertools import chain
 
 from . import __version__
-from .checkpoint import check_out_path
+from .checkpoint import check_out_dir, check_out_path
 from .clustering import ClusterParams, detect_salient_regions
 from .document import DocumentParseError, load_document
 from .graph import build_graph, graph_to_json
@@ -134,6 +134,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    check_out_dir("--out", args.out)
     bundle = synth_generate(args.seed, args.count, SynthParams(variant=args.variant))
     save_corpus(bundle, args.out)
     print(f"wrote {len(bundle.pages)} documents to {args.out}")

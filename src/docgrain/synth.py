@@ -349,7 +349,11 @@ def _is_document_name(name: str) -> bool:
 def save_corpus(bundle: CorpusBundle, out_dir: str) -> None:
     """Write the manifest and one ``doc_NNNNN.json`` per page, and remove any
     other ``doc_*.json`` there, so ``load_corpus`` reads back this bundle
-    alone; other files stay."""
+    alone; other files stay.
+
+    Each page is encoded whole before its file is opened: ``json.dumps``
+    takes CPython's C encoder, which ``json.dump`` never does, and a page
+    that fails to encode raises without leaving a cut-off file behind."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "seed": bundle.seed,
@@ -361,8 +365,9 @@ def save_corpus(bundle: CorpusBundle, out_dir: str) -> None:
     written = set()
     for i, page in enumerate(bundle.pages):
         name = f"doc_{i:05d}.json"
+        text = json.dumps(serialize_document(page), separators=(",", ":"))
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            json.dump(serialize_document(page), fh, separators=(",", ":"))
+            fh.write(text)
         written.add(name)
     for name in os.listdir(out_dir):
         if _is_document_name(name) and name not in written:

@@ -105,6 +105,22 @@ class TestSynthCli:
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not (tmp_path / "corpus").exists()
 
+    def test_bad_count_leaves_no_directory(self, tmp_path, capsys):
+        assert run(["synth", "--seed", "1", "--count", "0", "--out", str(tmp_path / "a" / "corpus")]) == 1
+        assert capsys.readouterr().err == "error: count must be >= 1, got 0\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("out", ["{file}", "{file}/corpus", "{file}/a/corpus"], ids=["file", "under-file", "deep"])
+    def test_bad_out_fails_before_synthesis(self, tmp_path, monkeypatch, capsys, out):
+        import docgrain.cli as cli
+
+        monkeypatch.setattr(cli, "synth_generate", lambda *args, **kwargs: pytest.fail("synthesized before the --out check"))
+        file = tmp_path / "notes.txt"
+        file.write_text("kept")
+        assert run(["synth", "--seed", "5", "--count", "4", "--out", out.format(file=file)]) == 1
+        assert capsys.readouterr().err == f"error: --out: '{file}' is not a directory\n"
+        assert os.listdir(tmp_path) == ["notes.txt"] and file.read_text() == "kept"
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import shutil
 from collections import Counter
@@ -7,10 +8,11 @@ from pathlib import Path
 import pytest
 
 from docgrain.clustering import detect_salient_regions
-from docgrain.document import parse_document
+from docgrain.document import parse_document, serialize_document
 from docgrain.labeling import bio_decode
 from docgrain.synth import (
     REFERENCE_CLUSTERING,
+    CorpusBundle,
     SynthParams,
     generate_page,
     iter_corpus,
@@ -138,3 +140,61 @@ class TestCorpusIo:
             shutil.copy(Path(__file__).parent / "fixtures" / fixture, tmp_path / f"doc_{i:05d}.json")
         pages = load_corpus(str(tmp_path))
         assert len(pages) == 2 and repr(pages) == repr(list(iter_corpus(str(tmp_path))))
+
+    def test_page_that_fails_to_encode_leaves_no_file(self, tmp_path):
+        bundle = synth_generate(4, 3, SynthParams())
+        bundle.pages[1].labels[0] = {"O"}
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            save_corpus(bundle, str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == ["doc_00000.json", "manifest.json"]
+        assert [document_to_json(p) for p in load_corpus(str(tmp_path))] == [document_to_json(bundle.pages[0])]
+
+
+def _word(text: str, bbox: list[float], segment_id: int) -> dict:
+    return {"text": text, "bbox": bbox, "segment_id": segment_id}
+
+
+class TestPageBytes:
+    """Each ``doc_*.json`` is byte for byte what the pure-Python encoder
+    (the one ``json.dump`` runs) makes of the page."""
+
+    @staticmethod
+    def check(bundle: CorpusBundle, out) -> None:
+        save_corpus(bundle, str(out))
+        encoder = json.JSONEncoder(separators=(",", ":"))
+        for i, page in enumerate(bundle.pages):
+            expected = "".join(encoder.iterencode(serialize_document(page)))
+            assert (out / f"doc_{i:05d}.json").read_bytes() == expected.encode("ascii")
+        loaded = load_corpus(str(out))
+        assert [serialize_document(p) for p in loaded] == [serialize_document(p) for p in bundle.pages]
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            SynthParams(),
+            SynthParams(page_height=2600, min_kv_pairs=12, max_kv_pairs=24, max_list_blocks=6, max_noise_lines=6),
+            SynthParams(variant="region_cue"),
+        ],
+        ids=["forms", "dense", "region_cue"],
+    )
+    def test_generated_corpus(self, tmp_path, params):
+        self.check(synth_generate(8, 6, params), tmp_path)
+
+    def test_non_ascii_text_and_long_floats(self, tmp_path):
+        a = [0.1 + 0.2, 1 / 3, 12.345678901234567, 2 / 3 * 100]
+        b = [1e-7 + 13, 1 / 7, 1e16 / 1e13, 2**0.5 * 50]
+        page = parse_document(
+            {
+                "width": 1200,
+                "height": 100,
+                "words": [_word("Café", a, 0), _word("ſept", b, 0), _word("naïve—Ω", [50, 60, 70.000000000001, 80], 1)],
+                "segments": [
+                    {"text": "Café ſept", "bbox": [a[0], b[1], b[2], b[3]], "word_ids": [0, 1]},
+                    {"text": "naïve—Ω", "bbox": [50, 60, 70.000000000001, 80], "word_ids": [2]},
+                ],
+                "labels": ["B-QUESTION", "I-QUESTION", "B-ANSWER"],
+            }
+        )
+        self.check(CorpusBundle([page], 0, SynthParams()), tmp_path)
+        written = (tmp_path / "doc_00000.json").read_bytes()
+        assert b"Caf\\u00e9" in written and b"\\u017fept" in written and b"0.30000000000000004" in written

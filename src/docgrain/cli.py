@@ -115,6 +115,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_build_graph(args) -> int:
+    check_out_path("--output", args.output)
     page = load_document(args.input)
     graph = build_graph(page, ClusterParams(args.radius, args.min_pts), _parse_grid(args.grid))
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -124,6 +125,7 @@ def _cmd_build_graph(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    check_out_path("--svg-out", args.svg_out)
     page = load_document(args.input)
     regions = detect_salient_regions(page.segments, ClusterParams(args.radius, args.min_pts))
     svg = render_page_svg(page, regions)

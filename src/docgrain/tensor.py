@@ -14,10 +14,9 @@ Their arithmetic order, including the order in which gradients are added
 into a shared input, is fixed: the tests hold their outputs and gradients
 byte-equal to chains of single-step reference ops.
 
-A backward closure hands the gradient arrays it has just allocated to
-``_accumulate``, and a first one becomes ``.grad`` without a copy. A
-gradient that another tensor also receives, or a view of one, goes through
-``_accumulate_shared``, which copies it, so no two gradients share memory.
+Every gradient reaches a tensor through ``_accumulate``: a first one is
+copied into a C-contiguous ``.grad`` that the tensor owns, later ones are
+added into it in place, so no two gradients share memory.
 """
 
 from __future__ import annotations
@@ -71,18 +70,10 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
-        """Add ``g`` into ``.grad``. A first ``g`` becomes ``.grad`` itself,
-        so the caller hands over an array that nothing else holds."""
+        """Add ``g`` into ``.grad``, copying a first ``g`` into a C-contiguous
+        array."""
         if self.grad is None:
-            self.grad = g
-        else:
-            self.grad += g
-
-    def _accumulate_shared(self, g: np.ndarray) -> None:
-        """Add ``g`` into ``.grad``, copying a first ``g`` that another
-        tensor's gradient holds or views."""
-        if self.grad is None:
-            self.grad = g.copy(order="K")
+            self.grad = np.array(g, order="C")
         else:
             self.grad += g
 
@@ -226,8 +217,6 @@ def self_attention(
         bo._accumulate(g.sum(axis=0))
         g_y = g_heads @ v.swapaxes(-1, -2)
         gv = y.swapaxes(-1, -2) @ g_heads
-        # The score gradient is the bias gradient itself: it becomes a fresh
-        # bias.grad, or is added to one an earlier layer left.
         gs = g_y - (g_y * y).sum(axis=-1, keepdims=True)
         gs *= y
         if bias is not None and bias.requires_grad:
@@ -260,15 +249,8 @@ def gelu_ffn(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tenso
         g_act = g @ w2.data.T
         w2._accumulate(act.T @ g)
         b2._accumulate(g.sum(axis=0))
-        # g_act * (cdf + pre * pdf), pdf = exp(-pre**2 / 2) / sqrt(2 pi), one buffer
-        g_pre = np.square(pre)
-        g_pre *= -0.5
-        np.exp(g_pre, out=g_pre)
-        g_pre *= _INV_SQRT2PI
-        g_pre *= pre
-        g_pre += cdf
-        g_pre *= g_act
-        _affine_backward(h, w1, b1, g_pre)
+        pdf = np.exp(-0.5 * np.square(pre)) * _INV_SQRT2PI
+        _affine_backward(h, w1, b1, g_act * (cdf + pre * pdf))
 
     return _make(data, (h, w1, b1, w2, b2), backward)
 
@@ -288,24 +270,14 @@ def residual_layer_norm(h: Tensor, delta: Tensor, gain: Tensor, bias: Tensor) ->
     data += bias.data
 
     def backward(g: np.ndarray) -> None:
-        # With gnorm = g * gain:
-        #   gvar = sum(gnorm * centered) * -0.5 * inv**3
-        #   gmu = -sum(gnorm * inv) + gvar * (-2 / d) * sum(centered)
-        #   gx = gnorm * inv + gvar * 2 * centered / d + gmu / d
-        # in two buffers, gx and one scratch.
-        gx = g * gain.data
-        scratch = gx * centered
-        gx *= inv
-        gvar = scratch.sum(axis=-1, keepdims=True) * (-0.5) * inv**3
+        gnorm = g * gain.data
+        gvar = (gnorm * centered).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
+        gx = gnorm * inv
         gmu = -gx.sum(axis=-1, keepdims=True) + gvar * (-2.0 / d) * centered.sum(axis=-1, keepdims=True)
-        np.multiply(gvar * 2.0, centered, out=scratch)
-        scratch /= d
-        gx += scratch
-        gx += gmu / d
+        gx = gx + gvar * 2.0 * centered / d + gmu / d
         h._accumulate(gx)
-        delta._accumulate_shared(gx)
-        np.multiply(g, norm, out=scratch)
-        gain._accumulate(scratch.sum(axis=0))
+        delta._accumulate(gx)
+        gain._accumulate((g * norm).sum(axis=0))
         bias._accumulate(g.sum(axis=0))
 
     return _make(data, (h, delta, gain, bias), backward)
@@ -364,7 +336,7 @@ def _lookup_sum(op: str, data: np.ndarray, lookups, inputs: tuple[Tensor, ...], 
 
 def add_lookups(x: Tensor, lookups: Sequence[tuple[Tensor, object, int]]) -> Tensor:
     """``x`` plus the table rows of ``lookups``, as one node (``_lookup_sum``)."""
-    return _lookup_sum("add_lookups", x.data.copy(), lookups, (x,), x._accumulate_shared)
+    return _lookup_sum("add_lookups", x.data.copy(), lookups, (x,), x._accumulate)
 
 
 def fine_input_sum(word: Tensor, ids, patch_raw: np.ndarray, patch_w: Tensor, patch_b: Tensor, lookups) -> Tensor:
@@ -396,7 +368,7 @@ def coarse_input_sum(agg: Tensor, bits: np.ndarray, emb: Tensor, proj: Tensor, l
     mixed = bits @ emb.data
 
     def backward(g: np.ndarray) -> None:
-        agg._accumulate_shared(g)
+        agg._accumulate(g)
         g_mixed = g @ proj.data.T
         proj._accumulate(mixed.T @ g)
         emb._accumulate(bits.T @ g_mixed)

@@ -31,10 +31,7 @@ the document parser that formatted every message up front
 
 ``weighted_sum`` turns any tensor into the scalar loss a gradient check
 needs, ``tape_tensors`` lists the tensors of a graph, and
-``gradient_bytes`` and ``gradients_sharing_memory`` read their gradients.
-``copying_accumulate`` is ``Tensor._accumulate`` as it was before a
-first gradient became ``.grad`` without a copy; tests patch it in to hold
-every gradient byte-equal to the copying version.
+``gradients_sharing_memory`` reads their gradients.
 
 ``document_to_json`` is the compact JSON text of a page, the bytes
 ``save_corpus`` writes for it; tests compare pages through it.
@@ -50,7 +47,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections.abc import Iterable
 from functools import lru_cache
 
 import numpy as np
@@ -320,8 +316,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate_shared(g)
-        b._accumulate_shared(g)
+        a._accumulate(g)
+        b._accumulate(g)
 
     return _make(data, (a, b), backward)
 
@@ -362,7 +358,7 @@ def concat_rows(tensors: list[Tensor]) -> Tensor:
     def backward(g: np.ndarray) -> None:
         off = 0
         for t, size in zip(tensors, sizes):
-            t._accumulate_shared(g[off : off + size])
+            t._accumulate(g[off : off + size])
             off += size
 
     return _make(data, tuple(tensors), backward)
@@ -458,7 +454,7 @@ def concat_cols(tensors: list[Tensor]) -> Tensor:
     def backward(g: np.ndarray) -> None:
         off = 0
         for t, size in zip(tensors, sizes):
-            t._accumulate_shared(g[:, off : off + size])
+            t._accumulate(g[:, off : off + size])
             off += size
 
     return _make(data, tuple(tensors), backward)
@@ -528,22 +524,10 @@ def tape_tensors(root: Tensor) -> list[Tensor]:
     return order
 
 
-def gradient_bytes(tensors: Iterable[Tensor]) -> list[bytes | None]:
-    return [None if t.grad is None else t.grad.tobytes() for t in tensors]
-
-
 def gradients_sharing_memory(tensors: list[Tensor]) -> list[tuple[int, int]]:
     """Index pairs of tensors whose gradients share memory."""
     held = [(i, t.grad) for i, t in enumerate(tensors) if t.grad is not None]
     return [(i, j) for k, (i, a) in enumerate(held) for j, b in held[k + 1 :] if np.shares_memory(a, b)]
-
-
-def copying_accumulate(self: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``.grad``, always copying a first ``g``."""
-    if self.grad is None:
-        self.grad = np.array(g, dtype=np.float64, copy=True)
-    else:
-        self.grad += g
 
 
 def stacked_matmul(a: Tensor, b: Tensor) -> Tensor:

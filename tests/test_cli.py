@@ -229,24 +229,29 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "argv, error",
         [
-            (["train", "--out", "{missing}/m.ckpt"], "--out: '{missing}' is not an existing directory"),
-            (["train", "--out", "{tmp}/m.ckpt", "--log-out", "{missing}/log.jsonl"],
+            (["train", "--corpus", "{corpus}", "--out", "{missing}/m.ckpt"], "--out: '{missing}' is not an existing directory"),
+            (["train", "--corpus", "{corpus}", "--out", "{tmp}/m.ckpt", "--log-out", "{missing}/log.jsonl"],
              "--log-out: '{missing}' is not an existing directory"),
-            (["ablate", "--axis", "radius", "--out", "{missing}/a.csv"], "--out: '{missing}' is not an existing directory"),
-            (["eval", "--checkpoint", "{tmp}/m.ckpt", "--dump-intermediates", "{missing}/d.json"],
+            (["ablate", "--corpus", "{corpus}", "--axis", "radius", "--out", "{missing}/a.csv"],
+             "--out: '{missing}' is not an existing directory"),
+            (["eval", "--corpus", "{corpus}", "--checkpoint", "{tmp}/m.ckpt", "--dump-intermediates", "{missing}/d.json"],
              "--dump-intermediates: '{missing}' is not an existing directory"),
-            (["train", "--out", "{tmp}"], "--out: '{tmp}' is a directory"),
-            (["ablate", "--axis", "radius", "--out", "{tmp}"], "--out: '{tmp}' is a directory"),
+            (["train", "--corpus", "{corpus}", "--out", "{tmp}"], "--out: '{tmp}' is a directory"),
+            (["ablate", "--corpus", "{corpus}", "--axis", "radius", "--out", "{tmp}"], "--out: '{tmp}' is a directory"),
+            (["build-graph", "--input", THREE_BLOCKS, "--output", "{tmp}"], "--output: '{tmp}' is a directory"),
+            (["render", "--input", THREE_BLOCKS, "--svg-out", "{missing}/x.svg"],
+             "--svg-out: '{missing}' is not an existing directory"),
         ],
-        ids=["train-out", "train-log-out", "ablate-out", "eval-dump", "train-out-is-dir", "ablate-out-is-dir"],
+        ids=["train-out", "train-log-out", "ablate-out", "eval-dump", "train-out-is-dir", "ablate-out-is-dir",
+             "build-graph-output-is-dir", "render-svg-out"],
     )
     def test_bad_output_path_fails_before_the_corpus(self, corpus, tmp_path, monkeypatch, capsys, argv, error):
         import docgrain.cli as cli
 
-        for name in ("iter_corpus", "load_corpus", "load_model", "train", "ablate"):
+        for name in ("iter_corpus", "load_corpus", "load_document", "load_model", "train", "ablate"):
             monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("ran past the output check"))
-        paths = dict(missing=tmp_path / "nodir", tmp=tmp_path)
-        assert run([*(arg.format(**paths) for arg in argv), "--corpus", corpus]) == 1
+        paths = dict(missing=tmp_path / "nodir", tmp=tmp_path, corpus=corpus)
+        assert run([arg.format(**paths) for arg in argv]) == 1
         assert capsys.readouterr().err == f"error: {error.format(**paths)}\n"
         assert os.listdir(tmp_path) == []
 

@@ -17,6 +17,10 @@ byte-equal to chains of single-step reference ops.
 Every gradient reaches a tensor through ``_accumulate``: a first one is
 copied into a C-contiguous ``.grad`` that the tensor owns, later ones are
 added into it in place, so no two gradients share memory.
+
+numpy is the only dependency: the GELU's erf is scipy's cephes erf,
+evaluated in numpy with the same coefficients and operation order, so it
+gives scipy's bits without importing scipy.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 _grad_enabled = True
 
@@ -233,13 +236,85 @@ def self_attention(
     return _make(data, parents if bias is None else (*parents, bias), backward)
 
 
+# The coefficients of cephes ndtr.c, the rational approximations behind
+# scipy.special.erf. U and Q have an implicit leading 1 (cephes p1evl).
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+
+
+def _polevl(x: np.ndarray, coefs: tuple[float, ...]) -> np.ndarray:
+    """cephes ``polevl``: ``(c0 * x + c1) * x + ... + cN`` in that order."""
+    acc = x * coefs[0]
+    acc += coefs[1]
+    for c in coefs[2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _p1evl(x: np.ndarray, coefs: tuple[float, ...]) -> np.ndarray:
+    """cephes ``p1evl``: ``polevl`` with an implicit leading coefficient 1."""
+    acc = x + coefs[0]
+    for c in coefs[1:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _erf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``scipy.special.erf(x)`` into ``out``, which may be ``x``, bit for bit:
+    cephes ndtr.c's arithmetic in its order, and no floating-point warning.
+
+    ``|x| <= 1`` is ``x * T(x*x) / U(x*x)``. Above that erf is
+    ``1 - erfc(|x|)`` with the sign of ``x``, and ``erfc(a)`` is
+    ``exp(-a*a) * P(a) / Q(a)`` below 8. From 8 up ``erfc(a) < 1.2e-29``,
+    which ``1 - erfc(a)`` rounds away: cephes's R/S quotient there, its
+    underflow to 0 past ``a*a > MAXLOG`` and P/Q at 8 all give exactly 1,
+    so ``a`` is clamped to 8."""
+    # The first branch also runs over the large entries, where x * x may
+    # overflow and T/U be inf/inf; they are overwritten below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.square(x)
+        # z > 1 exactly where |x| > 1, rounding being monotone; a NaN compares
+        # False and stays NaN on the first branch.
+        big = np.flatnonzero(z > 1.0)
+        large = x.take(big)  # gathered before out, which may be x, is written
+        np.multiply(x, _polevl(z, _ERF_T), out=out)
+        out /= _p1evl(z, _ERF_U)
+    if big.size:
+        a = np.minimum(np.abs(large), 8.0)
+        # The C library's exp, which cephes calls: numpy's SIMD exp differs
+        # from it in the last bit on some inputs. numpy's complex exp calls
+        # the C library's cexp per element, and cexp(r + 0j) is exp(r).
+        e = np.exp((-a * a).astype(np.complex128)).real
+        out.put(big, np.copysign(1.0 - e * _polevl(a, _ERFC_P) / _p1evl(a, _ERFC_Q), large))
+    return out
+
+
 def gelu_ffn(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """``gelu(h @ w1 + b1) @ w2 + b2`` with the exact (erf-based) GELU, as
-    one node that keeps the pre-activation and its normal cdf."""
+    one node that keeps the pre-activation and its normal cdf. The erf is
+    ``_erf``, scipy's cephes erf evaluated in numpy."""
     pre = _affine(h.data, w1, b1)
     # cdf = 0.5 * (1 + erf(pre / sqrt(2))), one buffer
     cdf = pre * _INV_SQRT2
-    erf(cdf, out=cdf)
+    _erf(cdf, cdf)
     cdf += 1.0
     cdf *= 0.5
     act = pre * cdf

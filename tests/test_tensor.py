@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import erf as scipy_erf
 
 from docgrain.tensor import (
+    _erf,
     _make,
     _scatter_add,
     IGNORE_INDEX,
@@ -469,6 +472,58 @@ class TestSublayerNodesMatchComposedChain:
         # h holding a gradient already: the residual term is added to it
         got, want = node_and_oracle(residual_layer_norm, composed_residual_layer_norm, inputs, preset=(0,))
         assert got == want
+
+
+def erf_edge_points():
+    """The branch and table boundaries of cephes's erf and their neighbouring
+    floats, the underflow cutoff ``a * a > MAXLOG``, subnormals and the
+    non-finite values, each with both signs."""
+    points = [0.0, 1e-300, 5e-324, 26.6, 27.0, 1e300, math.inf]
+    for edge in (1.0, 8.0, math.sqrt(7.09782712893383996843e2)):
+        points.append(edge)
+        below = above = edge
+        for _ in range(2):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, math.inf)
+            points += [below, above]
+    points = np.array(points)
+    return np.concatenate([points, -points])
+
+
+class TestErf:
+    """``_erf`` against ``scipy.special.erf``, whose cephes arithmetic it
+    repeats: every output byte equal, into a fresh ``out`` and in place,
+    without a floating-point warning."""
+
+    @staticmethod
+    def assert_bit_equal(x):
+        want = scipy_erf(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fresh = _erf(x, np.empty_like(x))
+            inplace = x.copy()
+            assert _erf(inplace, inplace) is inplace
+        for got in (fresh, inplace):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.3, 1.0, 3.0])
+    def test_normal_samples(self, sigma):
+        self.assert_bit_equal(np.random.default_rng(7).normal(0.0, sigma, (500, 200)))
+
+    def test_uniform_samples(self):
+        self.assert_bit_equal(np.random.default_rng(8).uniform(-30.0, 30.0, 100_000))
+
+    def test_edge_points(self):
+        points = erf_edge_points()
+        self.assert_bit_equal(points)
+        for x in points:
+            self.assert_bit_equal(np.array([x]))
+
+    def test_nan_among_finite_and_infinite(self):
+        x = np.random.default_rng(9).normal(0.0, 2.0, 64)
+        x[[3, 17, 40]] = math.nan
+        x[[5, 6]] = math.inf, -math.inf
+        self.assert_bit_equal(x)
+        self.assert_bit_equal(np.array([math.nan]))
 
 
 def input_node_cases():

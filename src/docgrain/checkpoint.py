@@ -55,21 +55,22 @@ def check_out_dir(label: str, path: str) -> None:
 
 
 def save_checkpoint(path: str, tensors: dict[str, np.ndarray], config: dict) -> None:
+    """Each payload is written, and its checksum computed, from the
+    contiguous ``<f8`` array itself, with no bytes copy."""
     entries = []
     offset = crc = 0
-    blobs = []
+    payloads = []
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name], dtype="<f8")
-        blob = arr.tobytes()
-        entries.append({"name": name, "shape": list(arr.shape), "offset": offset, "nbytes": len(blob)})
-        blobs.append(blob)
-        offset += len(blob)
-        crc = zlib.crc32(blob, crc)
+        entries.append({"name": name, "shape": list(arr.shape), "offset": offset, "nbytes": arr.nbytes})
+        payloads.append(arr)
+        offset += arr.nbytes
+        crc = zlib.crc32(arr, crc)
     header = json.dumps({"tensors": entries, "config": config, "crc32": crc}, sort_keys=True).encode("utf-8")
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            fh.writelines([MAGIC, _PREFIXES[MAGIC].pack(len(header), zlib.crc32(header)), header, *blobs])
+            fh.writelines([MAGIC, _PREFIXES[MAGIC].pack(len(header), zlib.crc32(header)), header, *payloads])
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -82,9 +83,11 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray], config: dict) -> 
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
+    """The file is read once; its header and payloads are sliced from a
+    ``memoryview`` of it, and each tensor is copied out once."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    prefix = _PREFIXES.get(raw[: len(MAGIC)])
+        raw = memoryview(fh.read())
+    prefix = _PREFIXES.get(bytes(raw[: len(MAGIC)]))
     if prefix is None:
         raise CheckpointError(f"{path}: bad magic bytes, not a checkpoint")
     pos = len(MAGIC) + prefix.size
@@ -97,7 +100,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     if header_crc and zlib.crc32(body) != header_crc[0]:
         raise CheckpointError(f"{path}: header checksum mismatch, the file is corrupt")
     try:
-        header = json.loads(body.decode("utf-8"))
+        header = json.loads(str(body, "utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, over-long integers
         raise CheckpointError(f"{path}: corrupt header: {exc}") from None
     pos += hlen
@@ -121,7 +124,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
         end = offset + nbytes
     if len(raw) != pos + end:
         raise CheckpointError(f"{path}: {len(raw) - pos - end} bytes after the last tensor")
-    if zlib.crc32(memoryview(raw)[pos:]) != header["crc32"]:
+    if zlib.crc32(raw[pos:]) != header["crc32"]:
         raise CheckpointError(f"{path}: payload checksum mismatch, the file is corrupt")
     return tensors, header["config"]
 

@@ -2,8 +2,12 @@
 
 Every operation records a backward closure on a dynamically built graph;
 calling ``backward()`` on a scalar walks the graph in reverse topological
-order. The numerical heavy lifting is delegated to numpy, the tape and all
-gradients are implemented here. A single graph is confined to one thread.
+order and releases it as it goes: each node's closure and parents are
+dropped before the closure runs, so saved activations are freed during the
+sweep, and a second ``backward()`` through the released graph raises
+``RuntimeError``. The numerical heavy lifting is delegated to numpy, the
+tape and all gradients are implemented here. A single graph is confined to
+one thread.
 
 Each sublayer of the post-LN Transformer layer is one node:
 ``self_attention`` (projections, per-head softmax, head merge and output
@@ -36,6 +40,7 @@ _grad_enabled = True
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LN_EPS = 1e-6
+_RELEASED = "backward() through a graph that an earlier backward() released"
 
 
 @contextlib.contextmanager
@@ -81,7 +86,13 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar output."""
+        """Reverse-mode sweep from a scalar output.
+
+        The sweep releases the graph as it goes: each node's backward
+        closure and parents are dropped just before the closure runs, so an
+        activation is freed once the last closure that reads it has run.
+        The root keeps its value and every node its ``.grad``; a second
+        ``backward()`` through a released node raises ``RuntimeError``."""
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar, got shape {self.shape}")
         topo: list[Tensor] = []
@@ -94,6 +105,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _released:
+                raise RuntimeError(_RELEASED)
             seen.add(id(node))
             stack.append((node, True))
             # Leaves have nothing to run; leaving them out keeps the order
@@ -102,12 +115,23 @@ class Tensor:
                 if p._backward is not None and id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while topo:
+            node = topo.pop()
+            backward = node._backward
+            if backward is None:
+                continue
+            node._backward, node._parents = _released, ()
+            if node.grad is not None:
+                backward(node.grad)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+def _released(g: np.ndarray) -> None:
+    """Stands in for the backward closure of a node once a sweep has run
+    and dropped it."""
+    raise RuntimeError(_RELEASED)
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable[[np.ndarray], None]) -> Tensor:

@@ -125,8 +125,9 @@ def train(
     train_cfg: TrainConfig,
     checkpoint_path: str | None = None,
 ) -> TrainResult:
-    """Train from scratch on labeled pages; keeps the best-F1 parameters.
-    A ``checkpoint_path`` that cannot be written fails before the first step."""
+    """Train from scratch on labeled pages; keeps the best-F1 parameters and
+    returns the model without gradient buffers. A ``checkpoint_path`` that
+    cannot be written fails before the first step."""
     check_out_path("checkpoint_path", checkpoint_path)
     if not train_pages:
         raise ValueError("training corpus is empty")
@@ -178,6 +179,7 @@ def train(
     if best_state is not None:
         for name, p in model.params.items():
             p.data = best_state[name]
+    model.zero_grad()
     if checkpoint_path is not None:
         model.save(checkpoint_path)
     return TrainResult(model=model, report=best, metric_log=log)

@@ -30,7 +30,8 @@ the document parser that formatted every message up front
 (``parse_document_reference``).
 
 ``weighted_sum`` turns any tensor into the scalar loss a gradient check
-needs, ``tape_tensors`` lists the tensors of a graph, and
+needs, ``tape_tensors`` lists the tensors of a graph before its backward
+sweep releases it, and
 ``gradients_sharing_memory`` reads their gradients.
 
 ``document_to_json`` is the compact JSON text of a page, the bytes
@@ -40,6 +41,8 @@ needs, ``tape_tensors`` lists the tensors of a graph, and
 by the vocabulary, with all ``vocab_size`` rows of the draw, and
 ``as_mmly1`` rewrites a checkpoint in the format written before the header
 checksum; together they stand in for every checkpoint written before both.
+``checkpoint_bytes_tobytes`` is the file the checkpoint writer produced
+while it copied each payload out with ``tobytes()``.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ from __future__ import annotations
 import json
 import math
 import re
+import struct
+import zlib
 from functools import lru_cache
 
 import numpy as np
@@ -68,7 +73,18 @@ from docgrain.document import (
 )
 from docgrain.embeddings import TEXT_TYPE, VISUAL_TYPE, layout_lookups
 from docgrain.model import Model, trunc_normal
-from docgrain.tensor import IGNORE_INDEX, Tensor, _affine, _affine_backward, _make, _scatter_add, add_lookups, linear, matmul
+from docgrain.tensor import (
+    IGNORE_INDEX,
+    Tensor,
+    _affine,
+    _affine_backward,
+    _make,
+    _released,
+    _scatter_add,
+    add_lookups,
+    linear,
+    matmul,
+)
 
 NOISE = -1
 
@@ -511,7 +527,11 @@ def weighted_sum(t: Tensor, weight=None) -> Tensor:
 
 def tape_tensors(root: Tensor) -> list[Tensor]:
     """Every tensor of the graph under ``root``, leaves included, once
-    each, in an order fixed by the graph's structure."""
+    each, in an order fixed by the graph's structure. ``backward()``
+    releases the graph, so list it before the sweep: the list then keeps
+    the tensors, and their gradients, alive."""
+    if root._backward is _released:
+        raise ValueError("tape_tensors: the graph under this root was released by backward(); list it before")
     order: list[Tensor] = []
     seen: set[int] = set()
     stack = [root]
@@ -861,3 +881,19 @@ def as_mmly1(path: str) -> None:
     assert raw[:5] == b"MMLY2"
     with open(path, "wb") as fh:
         fh.write(b"MMLY1" + raw[5:9] + raw[13:])
+
+
+def checkpoint_bytes_tobytes(tensors: dict[str, np.ndarray], config: dict) -> bytes:
+    """The ``MMLY2`` file that ``save_checkpoint`` wrote when it copied
+    each payload out with ``tobytes()`` before checksumming and writing it."""
+    entries, blobs = [], []
+    offset = crc = 0
+    for name in sorted(tensors):
+        arr = np.ascontiguousarray(tensors[name], dtype="<f8")
+        blob = arr.tobytes()
+        entries.append({"name": name, "shape": list(arr.shape), "offset": offset, "nbytes": len(blob)})
+        blobs.append(blob)
+        offset += len(blob)
+        crc = zlib.crc32(blob, crc)
+    header = json.dumps({"tensors": entries, "config": config, "crc32": crc}, sort_keys=True).encode("utf-8")
+    return b"".join([b"MMLY2", struct.pack("<II", len(header), zlib.crc32(header)), header, *blobs])

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -559,21 +560,23 @@ class TestGradientBuffers:
     @staticmethod
     def two_document_backward(cfg, pages, vocab):
         """Both documents' losses, scaled as in a batch of two, backward
-        into one set of parameter gradients; every tensor of both tapes."""
+        into one set of parameter gradients; every tensor of both tapes,
+        listed before each sweep releases its tape."""
         m = random_bias_model(cfg, vocab)
         tensors = []
         for page in pages:
             loss = m.loss_encoded(m.encode_page(page), 0.5)
-            loss.backward()
             tensors.extend(tape_tensors(loss))
+            loss.backward()
         return list({id(t): t for t in tensors}.values())
 
     def test_no_constant_holds_a_gradient(self):
         page = generate_page(10, 0, SynthParams())
         m = Model(reference_model_config(), build_vocab([page], 2048))
         loss = m.loss_encoded(m.encode_page(page))
+        tensors = tape_tensors(loss)
         loss.backward()
-        held = [t.shape for t in tape_tensors(loss) if not t.requires_grad and t.grad is not None]
+        held = [t.shape for t in tensors if not t.requires_grad and t.grad is not None]
         assert held == []
 
     @pytest.mark.parametrize("params, grid", [(SynthParams(), (4, 4)), (DENSE, (7, 7))], ids=["forms", "dense"])
@@ -581,6 +584,23 @@ class TestGradientBuffers:
         pages = [generate_page(53, i, params) for i in range(2)]
         cfg = replace(reference_model_config(), grid=grid)
         assert gradients_sharing_memory(self.two_document_backward(cfg, pages, build_vocab(pages, cfg.vocab_size))) == []
+
+
+class TestTapeRelease:
+    @pytest.mark.parametrize("params, grid", [(SynthParams(), (4, 4)), (DENSE, (7, 7))], ids=["forms", "dense"])
+    def test_activations_freed_while_loss_held(self, params, grid):
+        # Every recorded stage's output, and so every array its closure
+        # saved, is gone once backward() returns; the parameters keep
+        # their gradients.
+        page = generate_page(10, 0, params)
+        cfg = replace(reference_model_config(), grid=grid)
+        m = Model(cfg, build_vocab([page], cfg.vocab_size))
+        loss = m.loss_encoded(m.encode_page(page))
+        stages = [weakref.ref(t.data) for t in tape_tensors(loss) if t._backward is not None and t is not loss]
+        assert stages
+        loss.backward()
+        assert [ref for ref in stages if ref() is not None] == []
+        assert all(p.grad is not None for p in m.params.values())
 
 
 class TestForward:

@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -657,6 +658,47 @@ class TestTapeMechanics:
         assert x.grad[0] == pytest.approx(3001.0)
 
 
+class TestTapeRelease:
+    """``backward()`` drops each node's closure and parents as it runs
+    them, so the saved activations go while the caller still holds the
+    loss, and the released graph cannot be swept again."""
+
+    def test_stage_data_freed_while_loss_held(self):
+        rng = np.random.default_rng(5)
+        x, w1, b1, w2, b2 = (Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((6, 4), (4, 5), (5,), (5, 3), (3,)))
+        h = linear(x, w1, b1)
+        stage = weakref.ref(h.data)
+        loss = linear_cross_entropy(h, w2, b2, [0, 2, 1, IGNORE_INDEX, 2, 0])
+        del h
+        loss.backward()
+        assert stage() is None
+        assert loss.grad is not None and all(t.grad is not None for t in (x, w1, b1, w2, b2))
+
+    def test_second_backward_raises(self):
+        x = rand(3, 3)
+        loss = weighted_sum(matmul(x, x))
+        loss.backward()
+        first = x.grad.copy()
+        with pytest.raises(RuntimeError, match="released"):
+            loss.backward()
+        assert x.grad.tobytes() == first.tobytes()
+
+    def test_new_graph_over_released_node_raises(self):
+        x = rand(3, 3)
+        y = matmul(x, x)
+        weighted_sum(y).backward()
+        first = x.grad.copy()
+        with pytest.raises(RuntimeError, match="released"):
+            weighted_sum(y).backward()
+        assert x.grad.tobytes() == first.tobytes()
+
+    def test_leaf_root_is_not_released(self):
+        x = Tensor([[2.0]], requires_grad=True)
+        x.backward()
+        weighted_sum(matmul(x, x)).backward()
+        assert x.grad.tolist() == [[5.0]]
+
+
 def tape_gradients(build, inputs, preset=()):
     """Backward of ``build`` on twin inputs under a fixed upstream gradient;
     the inputs at the ``preset`` slots start with a gradient already there.
@@ -666,8 +708,9 @@ def tape_gradients(build, inputs, preset=()):
         args[slot].grad = np.linspace(-1.0, 1.0, args[slot].data.size).reshape(args[slot].shape)
     out = build(*args)
     loss = weighted_sum(out, np.random.default_rng(7).normal(size=out.shape))
+    tensors = tape_tensors(loss)
     loss.backward()
-    return tape_tensors(loss)
+    return tensors
 
 
 def shared_input_cases():

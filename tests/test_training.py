@@ -25,6 +25,7 @@ from docgrain.training import (
     load_config_file,
     lr_schedule,
     reference_model_config,
+    reference_train_config,
     seed_averages,
     split_corpus,
     train,
@@ -32,7 +33,7 @@ from docgrain.training import (
 )
 from docgrain.vocab import PAD_TOKEN, UNK_TOKEN, build_vocab
 
-from .reference_impls import FullTableModel, as_mmly1
+from .reference_impls import FullTableModel, as_mmly1, checkpoint_bytes_tobytes
 
 SMALL_MODEL = dict(d=12, heads=2, fine_layers=1, coarse_layers=1, vocab_size=512, max_len=256, grid=(2, 2), commonsense_k=4)
 
@@ -190,6 +191,27 @@ class TestAdam:
 
 
 class TestCheckpointFormat:
+    def test_file_bytes_match_the_copying_writer(self, tmp_path):
+        # Payloads go to the file and the checksum straight from the
+        # arrays; the bytes are those of the writer that copied each out.
+        rng = np.random.default_rng(4)
+        base = rng.normal(size=(5, 6))
+        tensors = {
+            **{name: p.data for name, p in Model(ModelConfig(seed=0, **SMALL_MODEL), build_vocab(small_corpus(2), 512)).params.items()},
+            "edge.scalar": np.float64(2.5),
+            "edge.empty": np.zeros((0, 3)),
+            "edge.fortran": np.asfortranarray(base),
+            "edge.strided": base[::2, 1::2],
+            "edge.float32": base.astype(np.float32),
+            "edge.big_endian": base.astype(">f8"),
+            "edge.int": np.arange(7),
+        }
+        config = {"note": "bytes", "n": 2}
+        path = str(tmp_path / "ck.bin")
+        save_checkpoint(path, tensors, config)
+        with open(path, "rb") as fh:
+            assert fh.read() == checkpoint_bytes_tobytes(tensors, config)
+
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         tensors = {"a.w": rng.normal(size=(3, 4)), "b": rng.normal(size=(7,))}
@@ -638,6 +660,28 @@ class TestTrainLoop:
         lines = [json.loads(line) for line in open(path)]
         assert len(lines) == 2
         assert set(lines[0]) == {"step", "loss", "f1", "lr"}
+
+    def test_returned_model_holds_no_gradients(self):
+        pages = small_corpus(4)
+        tc = TrainConfig(lr=1e-3, warmup_steps=1, epochs=1, batch_size=2, eval_every=1)
+        result = train(pages, pages[:2], ModelConfig(seed=0, **SMALL_MODEL), tc)
+        assert [name for name, p in result.model.params.items() if p.grad is not None] == []
+
+    def test_training_memory_peak(self):
+        # The tracemalloc peak of one seeded reference-config epoch on 16
+        # forms pages, measured with numpy 2.4.6 and Python 3.11.7: 11,571
+        # to 11,578 KB over PYTHONHASHSEED 0-27 (the interpreter's free
+        # lists move a few KB), against 14,580 KB while each document's
+        # tape outlived its backward sweep. This is an upper bound; a
+        # change that raises it loosens the check.
+        pages = [generate_page(10, i, SynthParams()) for i in range(16)]
+        tracemalloc.start()
+        try:
+            train(pages, [], reference_model_config(), reference_train_config(epochs=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11_580 * 1024, peak
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):

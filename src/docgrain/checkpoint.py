@@ -83,48 +83,53 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray], config: dict) -> 
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
-    """The file is read once; its header and payloads are sliced from a
-    ``memoryview`` of it, and each tensor is copied out once."""
+    """The prefix and header are read first, then each payload straight
+    into its own array, checksummed as it arrives, so the file is never
+    held whole. Sizes are checked against the file's length before any
+    array is allocated."""
     with open(path, "rb") as fh:
-        raw = memoryview(fh.read())
-    prefix = _PREFIXES.get(bytes(raw[: len(MAGIC)]))
-    if prefix is None:
-        raise CheckpointError(f"{path}: bad magic bytes, not a checkpoint")
-    pos = len(MAGIC) + prefix.size
-    if len(raw) < pos:
-        raise CheckpointError(f"{path}: truncated before the header length")
-    hlen, *header_crc = prefix.unpack_from(raw, len(MAGIC))
-    if len(raw) < pos + hlen:
-        raise CheckpointError(f"{path}: truncated header")
-    body = raw[pos : pos + hlen]
-    if header_crc and zlib.crc32(body) != header_crc[0]:
-        raise CheckpointError(f"{path}: header checksum mismatch, the file is corrupt")
-    try:
-        header = json.loads(str(body, "utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, over-long integers
-        raise CheckpointError(f"{path}: corrupt header: {exc}") from None
-    pos += hlen
-    if not (isinstance(header, dict) and isinstance(header.get("tensors"), list)
-            and isinstance(header.get("config"), dict) and type(header.get("crc32")) is int):
-        raise CheckpointError(
-            f"{path}: header must be an object with a 'tensors' list, a 'config' object and an integer 'crc32'"
-        )
-    tensors: dict[str, np.ndarray] = {}
-    end = 0
-    for entry in header["tensors"]:
-        name, shape, offset, nbytes = _tensor_entry(path, entry)
-        if name in tensors:
-            raise CheckpointError(f"{path}: duplicate tensor '{name}'")
-        if offset != end:
-            raise CheckpointError(f"{path}: tensor '{name}' starts at byte {offset}, expected {end}")
-        blob = raw[pos + offset : pos + offset + nbytes]
-        if len(blob) != nbytes:
-            raise CheckpointError(f"{path}: truncated payload for tensor '{name}'")
-        tensors[name] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
-        end = offset + nbytes
-    if len(raw) != pos + end:
-        raise CheckpointError(f"{path}: {len(raw) - pos - end} bytes after the last tensor")
-    if zlib.crc32(raw[pos:]) != header["crc32"]:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = _PREFIXES.get(fh.read(len(MAGIC)))
+        if prefix is None:
+            raise CheckpointError(f"{path}: bad magic bytes, not a checkpoint")
+        pos = len(MAGIC) + prefix.size
+        if size < pos:
+            raise CheckpointError(f"{path}: truncated before the header length")
+        hlen, *header_crc = prefix.unpack(fh.read(prefix.size))
+        if size < pos + hlen:
+            raise CheckpointError(f"{path}: truncated header")
+        body = fh.read(hlen)
+        if header_crc and zlib.crc32(body) != header_crc[0]:
+            raise CheckpointError(f"{path}: header checksum mismatch, the file is corrupt")
+        try:
+            header = json.loads(str(body, "utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, over-long integers
+            raise CheckpointError(f"{path}: corrupt header: {exc}") from None
+        pos += hlen
+        if not (isinstance(header, dict) and isinstance(header.get("tensors"), list)
+                and isinstance(header.get("config"), dict) and type(header.get("crc32")) is int):
+            raise CheckpointError(
+                f"{path}: header must be an object with a 'tensors' list, a 'config' object and an integer 'crc32'"
+            )
+        tensors: dict[str, np.ndarray] = {}
+        end = crc = 0
+        for entry in header["tensors"]:
+            name, shape, offset, nbytes = _tensor_entry(path, entry)
+            if name in tensors:
+                raise CheckpointError(f"{path}: duplicate tensor '{name}'")
+            if offset != end:
+                raise CheckpointError(f"{path}: tensor '{name}' starts at byte {offset}, expected {end}")
+            if size < pos + offset + nbytes:
+                raise CheckpointError(f"{path}: truncated payload for tensor '{name}'")
+            arr = np.empty(shape, dtype="<f8")
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+                raise CheckpointError(f"{path}: truncated payload for tensor '{name}'")
+            crc = zlib.crc32(arr, crc)
+            tensors[name] = arr
+            end = offset + nbytes
+    if size != pos + end:
+        raise CheckpointError(f"{path}: {size - pos - end} bytes after the last tensor")
+    if crc != header["crc32"]:
         raise CheckpointError(f"{path}: payload checksum mismatch, the file is corrupt")
     return tensors, header["config"]
 

@@ -16,7 +16,10 @@ a sum plus table-row lookups (``add_lookups``, ``fine_input_sum``,
 ``coarse_input_sum``), and the head plus loss, ``linear_cross_entropy``.
 Their arithmetic order, including the order in which gradients are added
 into a shared input, is fixed: the tests hold their outputs and gradients
-byte-equal to chains of single-step reference ops.
+byte-equal to chains of single-step reference ops. A taped attention keeps
+the weights of all heads in one (heads, n, n) buffer for its backward
+pass; without a tape, once they would pass ``_SCORE_TILE`` scores, one
+(n, n) buffer scores the heads in turn, with the same bits.
 
 Every gradient reaches a tensor through ``_accumulate``: a first one is
 copied into a C-contiguous ``.grad`` that the tensor owns, later ones are
@@ -40,6 +43,9 @@ _grad_enabled = True
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LN_EPS = 1e-6
+# Above this many attention scores (512 KiB), a self_attention that no
+# tape records scores its heads one at a time.
+_SCORE_TILE = 2**16
 _RELEASED = "backward() through a graph that an earlier backward() released"
 
 
@@ -134,9 +140,14 @@ def _released(g: np.ndarray) -> None:
     raise RuntimeError(_RELEASED)
 
 
+def _taped(parents: tuple[Tensor, ...]) -> bool:
+    """Whether ``_make`` records a node over ``parents`` on the tape."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _taped(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -213,11 +224,15 @@ def self_attention(
     ``h @ wq + bq``, ``h @ wk + bk`` and ``h @ wv + bv``: its weights are
     ``softmax(q_i @ k_i.T / sqrt(d_k) + bias[i])`` row-wise, with ``bias``
     (heads, n, n) or None. The heads' ``weights @ v_i`` are concatenated
-    column-wise, then ``@ wo + bo``. The weights of all heads are computed
-    in place in one (heads, n, n) buffer, which the backward pass reuses,
-    and the softmax and its gradient run over all heads at once.
+    column-wise, then ``@ wo + bo``. With a tape, the weights of all heads
+    are computed in place in one (heads, n, n) buffer, which the backward
+    pass reuses, and the softmax and its gradient run over all heads at
+    once. Without one, more than ``_SCORE_TILE`` scores are computed one
+    head at a time in one (n, n) buffer, with the same bits.
     """
     n, d = h.shape[0], wq.shape[1]
+    if n == 0:
+        raise ValueError("self_attention over an empty sequence")
     if d % heads != 0:
         raise ValueError(f"width {d} not divisible by {heads} heads")
     if bias is not None and bias.shape != (heads, n, n):
@@ -228,14 +243,28 @@ def self_attention(
     kt = np.ascontiguousarray(_affine(h.data, wk, bk).reshape(n, heads, dk).transpose(1, 2, 0))
     v = np.ascontiguousarray(_affine(h.data, wv, bv).reshape(n, heads, dk).transpose(1, 0, 2))
     score_scale = 1.0 / math.sqrt(dk)
-    y = q @ kt
-    y *= score_scale
+    parents = (h, wq, bq, wk, bk, wv, bv, wo, bo)
     if bias is not None:
-        y += bias.data
-    y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
-    merged = (y @ v).transpose(1, 0, 2).reshape(n, d)
+        parents += (bias,)
+    # Without a tape nothing reads the weights after ``weights @ v``. The
+    # stacked products are one BLAS call per head, so scoring one head at a
+    # time makes the same calls; tiles of rows would not, and OpenBLAS
+    # picks its kernel, and with it the bits, by a product's shape.
+    per_head = heads * n * n > _SCORE_TILE and not _taped(parents)
+    y = np.empty((n, n) if per_head else (heads, n, n))
+    # Head i's ``weights @ v`` is written into columns i*d_k:(i+1)*d_k of
+    # ``merged``, so merging the heads copies nothing.
+    merged = np.empty((n, d))
+    context = merged.reshape(n, heads, dk).transpose(1, 0, 2)
+    for t in range(heads) if per_head else [slice(None)]:
+        np.matmul(q[t], kt[t], out=y)
+        y *= score_scale
+        if bias is not None:
+            y += bias.data[t]
+        y -= y.max(axis=-1, keepdims=True)
+        np.exp(y, out=y)
+        y /= y.sum(axis=-1, keepdims=True)
+        np.matmul(y, v[t], out=context[t])
     data = _affine(merged, wo, bo)
 
     def backward(g: np.ndarray) -> None:
@@ -256,8 +285,7 @@ def self_attention(
         _affine_backward(h, wk, bk, gkt.transpose(2, 0, 1).reshape(n, d))
         _affine_backward(h, wv, bv, gv.transpose(1, 0, 2).reshape(n, d))
 
-    parents = (h, wq, bq, wk, bk, wv, bv, wo, bo)
-    return _make(data, parents if bias is None else (*parents, bias), backward)
+    return _make(data, parents, backward)
 
 
 # The coefficients of cephes ndtr.c, the rational approximations behind

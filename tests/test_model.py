@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import docgrain.model as model_module
+import docgrain.tensor as tensor_module
 from docgrain.commonsense import DEFAULT_CATEGORIES, CommonSenseInventory
 from docgrain.document import BBox, Page, Segment, Word
 from docgrain.embeddings import layout_lookups
@@ -466,6 +467,10 @@ class TestSublayerNodesMatchComposedLayer:
         m, oracle = random_bias_model(cfg, vocab), random_bias_model(cfg, vocab)
         for page in pages:
             enc = m.encode_page(page)
+            # The dense pages' fine rows pass the score tile, so the no-tape
+            # forward scores their attention one head at a time.
+            n_fine = enc.fine_boxes.shape[0]
+            assert (cfg.heads * n_fine * n_fine > tensor_module._SCORE_TILE) == (grid == (7, 7)), n_fine
             runs = []
             for model, layer in ((m, model_module.transformer_layer), (oracle, composed_transformer_layer)):
                 monkeypatch.setattr(model_module, "transformer_layer", layer)

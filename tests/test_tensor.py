@@ -1,4 +1,6 @@
+import contextlib
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -7,6 +9,7 @@ import pytest
 from scipy.special import erf as scipy_erf
 
 from docgrain.tensor import (
+    _SCORE_TILE,
     _erf,
     _make,
     _scatter_add,
@@ -473,6 +476,52 @@ class TestSublayerNodesMatchComposedChain:
         # h holding a gradient already: the residual term is added to it
         got, want = node_and_oracle(residual_layer_norm, composed_residual_layer_norm, inputs, preset=(0,))
         assert got == want
+
+
+class TestUntapedAttention:
+    """Without a tape, ``self_attention`` scores its heads one at a time once
+    all of them would pass ``_SCORE_TILE`` scores; a tape keeps every head's
+    weights in one buffer for the backward pass. Either way the output is
+    the same bits."""
+
+    @pytest.mark.parametrize("heads, n", [(4, 1), (4, 128), (4, 129), (4, 200), (4, 287), (2, 287), (8, 100)])
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
+    def test_no_tape_matches_the_taped_node(self, heads, n, with_bias):
+        # (4, 1) and (4, 128) hold at most _SCORE_TILE scores: one stacked pass.
+        assert (heads * n * n > _SCORE_TILE) == (n > 128 or heads == 8)
+        args, bias = attention_inputs(n, 64, heads, np.random.default_rng(n + heads), bias=with_bias)
+        taped = self_attention(*args, heads, bias)
+        assert taped._backward is not None
+        with no_grad():
+            off = self_attention(*args, heads, bias)
+        # No tape either when no input requires a gradient.
+        constants = [None if a is None else Tensor(a.data) for a in [*args, bias]]
+        untaped = self_attention(*constants[:9], heads, constants[9])
+        assert off._backward is None and untaped._backward is None
+        assert off.data.tobytes() == taped.data.tobytes()
+        assert untaped.data.tobytes() == taped.data.tobytes()
+
+    def test_empty_sequence_rejected(self):
+        args, _ = attention_inputs(0, 8, 2, RNG, bias=False)
+        for mode in (contextlib.nullcontext, no_grad):
+            with mode(), pytest.raises(ValueError):
+                self_attention(*args, 2, None)
+
+    def test_memory_peak(self):
+        # The tracemalloc peak of one no-tape self_attention at max_len
+        # (n = 512, heads 4, d 64), bias built before the trace: 3,395 KiB
+        # with numpy 2.4.6, against 9,539 KiB while the weights of all four
+        # heads were scored in one 8 MiB (heads, n, n) buffer; the bound is
+        # half of that buffer. An upper bound; raising it loosens the check.
+        args, bias = attention_inputs(512, 64, 4, np.random.default_rng(0))
+        with no_grad():
+            tracemalloc.start()
+            try:
+                self_attention(*args, 4, bias)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 3_400 * 1024, peak
 
 
 def erf_edge_points():
